@@ -9,7 +9,6 @@ from .compression import (
     decompress,
     read_compression,
     sink_representatives,
-    size,
     topological_order,
     validate,
     write_compression,

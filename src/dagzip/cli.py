@@ -57,8 +57,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_compression(path: str, check: bool = True):
@@ -69,9 +72,7 @@ def _load_compression(path: str, check: bool = True):
     if check:
         violations = validate(d)
         if violations:
-            raise CliError(
-                "invalid compression:\n" + "\n".join(f"  - {v}" for v in violations)
-            )
+            raise CliError("invalid compression: " + "; ".join(violations))
     return d
 
 
@@ -103,19 +104,13 @@ def cmd_mst(args) -> int:
     d = _load_compression(args.file)
     if not d.weighted or d.directed:
         raise CliError("mst needs a weighted undirected compression")
-    if args.baseline:
-        result = kruskal_baseline(decompress(d))
-    else:
-        result = kruskal_compressed(d)
-    if args.check:
-        other = kruskal_baseline(decompress(d))
-        mine = kruskal_compressed(d)
-        if other.total_weight != mine.total_weight:
-            raise CliError(
-                f"weight mismatch: compressed {mine.total_weight}, baseline {other.total_weight}",
-                CONTRACT_ERROR,
-            )
-        result = mine
+    base = kruskal_baseline(decompress(d)) if args.baseline or args.check else None
+    result = base if args.baseline and not args.check else kruskal_compressed(d)
+    if args.check and result.total_weight != base.total_weight:
+        raise CliError(
+            f"weight mismatch: compressed {result.total_weight}, baseline {base.total_weight}",
+            CONTRACT_ERROR,
+        )
     _write_text(args.output, write_mst(result, d.n_sinks))
     return 0
 

@@ -7,14 +7,23 @@ Each cluster vertex v stands for the set C(v) of sinks reachable from it,
 and a compression edge (u, v) encodes every original edge in C(u) x C(v)
 (the unordered product for undirected compressions). The size of a
 compression is |A| + |E|.
+
+Every pass over (V, A) reads one index, built on first use and cached on the
+frozen compression: children in canonical arc order, in-degrees, the Kahn
+topological order and a representative sink per vertex, all O(|V| + |A|).
+validate, topological_order, sink_representatives, clusters, compressed
+Kruskal, the shore pass and the tree-shape check share it. Cluster sets are
+Theta(n * |clusters|) and stay per call (clusters(), decompress()).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
-from .graphs import Graph, WeightedGraph, canonical_edge
+from .graphs import Graph, WeightedGraph, _LineReader, canonical_edge
 
 
 class CompressionFormatError(ValueError):
@@ -56,6 +65,11 @@ class DagCompression:
     def size(self) -> int:
         return len(self.arcs) + len(self.cedges)
 
+    @cached_property
+    def _index(self) -> _DagIndex:
+        # Built on first use; valid for good because arcs and counts are frozen.
+        return _DagIndex(self)
+
     def __eq__(self, other):
         if not isinstance(other, DagCompression):
             return NotImplemented
@@ -77,31 +91,59 @@ class ClusterTable:
     representative: dict[int, int]
 
 
-def size(d: DagCompression) -> int:
-    return d.size()
+class _DagIndex:
+    """The cluster DAG (V, A) of one compression, in the form every pass reads.
 
+    children[v] holds v's arc targets in canonical (ascending) order and
+    indegree[v] counts v's in-arcs; slot 0 is unused. order is Kahn's
+    topological order (FIFO, smallest id first), or None when (V, A) has a
+    cycle. rep[v] is the sink reached from v by always taking the first
+    child; it is None when there is no order or some cluster vertex has no
+    child. Cluster sets are not kept: they can be quadratic in size.
+    """
 
-def out_arcs(d: DagCompression) -> dict[int, list[int]]:
-    """Sorted arc targets per vertex (canonical arc order restricted to each source)."""
-    children: dict[int, list[int]] = {v: [] for v in range(1, d.n_vertices + 1)}
-    for u, v in sorted(d.arcs):
-        children[u].append(v)
-    return children
+    __slots__ = ("children", "indegree", "order", "rep")
+
+    def __init__(self, d: DagCompression):
+        n = d.n_vertices
+        arcs = sorted(d.arcs)
+        children: list[tuple[int, ...]] = [()] * (n + 1)
+        for u, group in groupby(arcs, key=itemgetter(0)):
+            children[u] = tuple(v for _, v in group)
+        indegree = [0] * (n + 1)
+        for _, v in arcs:
+            indegree[v] += 1
+        self.children = tuple(children)
+        self.indegree = tuple(indegree)
+        order = [v for v in range(1, n + 1) if not indegree[v]]
+        for x in order:  # the list grows while it is read: Kahn's FIFO queue
+            for y in children[x]:
+                indegree[y] -= 1
+                if not indegree[y]:
+                    order.append(y)
+        self.order = tuple(order) if len(order) == n else None
+        self.rep = None
+        if self.order is not None and all(children[d.n_sinks + 1:]):
+            rep = list(range(n + 1))
+            for v in reversed(order):
+                if v > d.n_sinks:
+                    rep[v] = rep[children[v][0]]
+            self.rep = tuple(rep)
+
+    def representatives(self) -> tuple[int, ...]:
+        if self.rep is None:
+            raise ValueError("cluster DAG has a cycle or a cluster vertex without arcs")
+        return self.rep
 
 
 def validate(d: DagCompression) -> list[str]:
     """Empty list iff the compression invariants hold; violations otherwise."""
-    violations = []
-    outdeg = {v: 0 for v in range(1, d.n_vertices + 1)}
-    for u, v in d.arcs:
-        outdeg[u] += 1
-    for v in range(1, d.n_sinks + 1):
-        if outdeg[v]:
-            violations.append(f"original vertex {v} has outgoing arc")
-    for v in range(d.n_sinks + 1, d.n_vertices + 1):
-        if not outdeg[v]:
-            violations.append(f"cluster vertex {v} with no outgoing arc")
-    if _has_cycle(d):
+    children = d._index.children
+    violations = [f"original vertex {v} has outgoing arc"
+                  for v in range(1, d.n_sinks + 1) if children[v]]
+    violations += [f"cluster vertex {v} with no outgoing arc"
+                   for v in range(d.n_sinks + 1, d.n_vertices + 1) if not children[v]]
+    if d._index.order is None:
         violations.append("cycle in cluster DAG")
     if d.weights is not None:
         if set(d.weights) != set(d.cedges):
@@ -111,64 +153,35 @@ def validate(d: DagCompression) -> list[str]:
     return violations
 
 
-def _has_cycle(d: DagCompression) -> bool:
-    try:
-        topological_order(d)
-    except ValueError:
-        return True
-    return False
-
-
 def topological_order(d: DagCompression) -> list[int]:
     """Kahn's algorithm over (V, A); raises ValueError on a cycle."""
-    indeg = {v: 0 for v in range(1, d.n_vertices + 1)}
-    children = out_arcs(d)
-    for u, v in d.arcs:
-        indeg[v] += 1
-    queue = deque(v for v in range(1, d.n_vertices + 1) if indeg[v] == 0)
-    order = []
-    while queue:
-        x = queue.popleft()
-        order.append(x)
-        for y in children[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                queue.append(y)
-    if len(order) != d.n_vertices:
+    if d._index.order is None:
         raise ValueError("cluster DAG contains a cycle")
-    return order
+    return list(d._index.order)
 
 
 def sink_representatives(d: DagCompression) -> dict[int, int]:
-    """One reverse-topological pass assigning each vertex a reachable sink.
+    """A reachable sink per vertex, from one reverse-topological pass.
 
     A vertex with several out-arcs copies the representative of the target that
     comes first in canonical arc order, so runs are deterministic. Cluster sets
     are never materialized here.
     """
-    order = topological_order(d)
-    children = out_arcs(d)
-    rep: dict[int, int] = {}
-    for v in reversed(order):
-        if d.is_sink(v):
-            rep[v] = v
-        else:
-            rep[v] = rep[children[v][0]]
-    return rep
+    rep = d._index.representatives()
+    return {v: rep[v] for v in range(1, d.n_vertices + 1)}
 
 
 def clusters(d: DagCompression) -> ClusterTable:
     """Materialize every C(v) plus the representative function."""
-    order = topological_order(d)
-    children = out_arcs(d)
+    index = d._index
     rep = sink_representatives(d)
     cluster: dict[int, frozenset[int]] = {}
-    for v in reversed(order):
+    for v in reversed(index.order):
         if d.is_sink(v):
             cluster[v] = frozenset((v,))
         else:
             acc: set[int] = set()
-            for u in children[v]:
+            for u in index.children[v]:
                 acc |= cluster[u]
             cluster[v] = frozenset(acc)
     return ClusterTable(cluster=cluster, representative=rep)
@@ -233,96 +246,23 @@ def compression_union(d1: DagCompression, d2: DagCompression) -> DagCompression:
     )
 
 
-def _content_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.split("\n"):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
-
-
 def read_compression(text: str) -> DagCompression:
     """Parse the compression text format (see write_compression)."""
-    lines = _content_lines(text)
-    if not lines:
-        raise CompressionFormatError("empty input")
-    head = lines[0].split()
-    if head[0] != "dagc" or len(head) not in (2, 3):
-        raise CompressionFormatError(f"malformed header: {lines[0]!r}")
-    if head[1] not in ("directed", "undirected"):
-        raise CompressionFormatError(f"unknown orientation {head[1]!r}")
-    directed = head[1] == "directed"
-    weighted = len(head) == 3
-    if weighted and head[2] != "weighted":
-        raise CompressionFormatError(f"unexpected header token {head[2]!r}")
-
-    idx = 1
-
-    def counted(tag: str) -> int:
-        nonlocal idx
-        if idx >= len(lines):
-            raise CompressionFormatError(f"missing {tag!r} section")
-        parts = lines[idx].split()
-        if len(parts) != 2 or parts[0] != tag:
-            raise CompressionFormatError(f"expected {tag!r} line, got {lines[idx]!r}")
-        idx += 1
-        try:
-            return int(parts[1])
-        except ValueError as exc:
-            raise CompressionFormatError(f"non-integer count in {tag!r} line") from exc
-
-    n_sinks = counted("sinks")
-    n_clusters = counted("clusters")
-    n_arcs = counted("arcs")
+    r = _LineReader(text, CompressionFormatError)
+    directed, _, weighted = r.header("dagc", 0)
+    n_sinks = r.counted("sinks")
+    n_clusters = r.counted("clusters")
     top = n_sinks + n_clusters
-
-    def pair(tag: str, line: str, with_weight: bool):
-        parts = line.split()
-        want = 4 if with_weight else 3
-        if len(parts) != want or parts[0] != tag:
-            raise CompressionFormatError(f"malformed {tag!r} line: {line!r}")
-        try:
-            nums = [int(x) for x in parts[1:]]
-        except ValueError as exc:
-            raise CompressionFormatError(f"non-integer field in {line!r}") from exc
-        u, v = nums[0], nums[1]
-        if not (1 <= u <= top and 1 <= v <= top):
-            raise CompressionFormatError(f"vertex id out of range in {line!r}")
-        return (u, v, nums[2] if with_weight else None)
-
-    arcs: set[tuple[int, int]] = set()
-    if len(lines) < idx + n_arcs:
-        raise CompressionFormatError("fewer arc lines than declared")
-    for line in lines[idx: idx + n_arcs]:
-        u, v, _ = pair("a", line, False)
-        if (u, v) in arcs:
-            raise CompressionFormatError(f"duplicate arc ({u},{v})")
-        arcs.add((u, v))
-    idx += n_arcs
-
-    n_ced = counted("cedges")
-    if len(lines) != idx + n_ced:
-        raise CompressionFormatError("compression-edge count does not match the lines present")
-    cedges: set[tuple[int, int]] = set()
-    weights: dict[tuple[int, int], int] = {}
-    for line in lines[idx:]:
-        u, v, w = pair("c", line, weighted)
-        e = canonical_edge(directed, u, v)
-        if e in cedges:
-            raise CompressionFormatError(f"duplicate compression edge {e}")
-        cedges.add(e)
-        if weighted:
-            if w < 0:
-                raise CompressionFormatError(f"negative weight in {line!r}")
-            weights[e] = w
+    arcs = r.edges("a", r.counted("arcs"), top, True, False)
+    cedges = r.edges("c", r.counted("cedges"), top, directed, weighted)
+    r.end()
     return DagCompression(
         directed=directed,
         n_sinks=n_sinks,
         n_clusters=n_clusters,
         arcs=frozenset(arcs),
         cedges=frozenset(cedges),
-        weights=weights if weighted else None,
+        weights=cedges if weighted else None,
     )
 
 

@@ -3,12 +3,18 @@
 Vertices are dense 1-based integers. Directed edges are ordered pairs,
 undirected edges are stored with the smaller endpoint first. Self-loops
 are legal in both variants ((v, v) directed, {v, v} undirected).
+
+All four text formats (graph, compression, shore and set-cover files) are
+parsed by one line-record reader kept here, which skips blank and '#' lines,
+reads headers, ``tag <count>`` lines and integer records, rejects negative
+counts, and raises the calling format's own error class.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import combinations
 
 
 class GraphFormatError(ValueError):
@@ -116,16 +122,7 @@ def twins(g: Graph) -> set[frozenset[int]]:
     ordinary neighborhood members. Pairs within one equivalence class are all
     reported, which makes the result transitively closed by construction.
     """
-    ins, outs = neighborhoods(g)
-    groups: dict[tuple[frozenset[int], frozenset[int]], list[int]] = defaultdict(list)
-    for v in range(1, g.n + 1):
-        groups[(ins[v], outs[v])].append(v)
-    pairs: set[frozenset[int]] = set()
-    for members in groups.values():
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                pairs.add(frozenset((a, b)))
-    return pairs
+    return {frozenset(p) for members in twin_classes(g) for p in combinations(members, 2)}
 
 
 def twin_classes(g: Graph) -> list[tuple[int, ...]]:
@@ -134,8 +131,7 @@ def twin_classes(g: Graph) -> list[tuple[int, ...]]:
     groups: dict[tuple[frozenset[int], frozenset[int]], list[int]] = defaultdict(list)
     for v in range(1, g.n + 1):
         groups[(ins[v], outs[v])].append(v)
-    classes = [tuple(sorted(ms)) for ms in groups.values()]
-    return sorted(classes)
+    return sorted(tuple(members) for members in groups.values())
 
 
 def is_connected(g: Graph | WeightedGraph) -> bool:
@@ -160,14 +156,96 @@ def is_connected(g: Graph | WeightedGraph) -> bool:
     return len(seen) == g.n
 
 
-def _content_lines(text: str) -> list[str]:
-    lines = []
-    for raw in text.split("\n"):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines.append(line)
-    return lines
+class _LineReader:
+    """The content lines of one text file, read front to back as integer records.
+
+    Blank lines and lines starting with '#' are skipped. Every fault raises
+    the format's own error class with a one-line message.
+    """
+
+    def __init__(self, text: str, error: type[ValueError]):
+        self.lines = [line for line in (raw.strip() for raw in text.split("\n"))
+                      if line and not line.startswith("#")]
+        self.pos = 0
+        self.error = error
+        if not self.lines:
+            raise error("empty input")
+
+    def record(self, tag: str, arity: int, more: bool = False) -> list[int]:
+        """The next line as ``tag`` and exactly arity integers (at least arity if more)."""
+        if self.pos == len(self.lines):
+            raise self.error(f"missing {tag!r} line")
+        line = self.lines[self.pos]
+        self.pos += 1
+        parts = line.split()
+        if parts[0] != tag or len(parts) - 1 < arity or (len(parts) - 1 > arity and not more):
+            want = f"{arity} or more" if more else str(arity)
+            raise self.error(f"expected {tag!r} line with {want} fields, got {line!r}")
+        try:
+            return [int(x) for x in parts[1:]]
+        except ValueError:
+            raise self.error(f"non-integer field in {line!r}") from None
+
+    def nonnegative(self, tag: str, k: int) -> int:
+        if k < 0:
+            raise self.error(f"negative count {k} in {tag!r} line")
+        return k
+
+    def counted(self, tag: str) -> int:
+        """A ``tag <count>`` line."""
+        return self.nonnegative(tag, self.record(tag, 1)[0])
+
+    def header(self, tag: str, n_counts: int) -> tuple[bool, list[int], bool]:
+        """``tag <directed|undirected> <count>... [weighted]``: (directed, counts, weighted)."""
+        line = self.lines[self.pos]
+        parts = line.split()
+        weighted = parts[-1] == "weighted"
+        if parts[0] != tag or len(parts) != 2 + n_counts + weighted:
+            raise self.error(f"malformed header: {line!r}")
+        if parts[1] not in ("directed", "undirected"):
+            raise self.error(f"unknown orientation {parts[1]!r}")
+        self.pos += 1
+        try:
+            counts = [int(x) for x in parts[2: 2 + n_counts]]
+        except ValueError:
+            raise self.error(f"non-integer count in header {line!r}") from None
+        return parts[1] == "directed", [self.nonnegative(tag, k) for k in counts], weighted
+
+    def edges(self, tag: str, k: int, top: int, directed: bool,
+              weighted: bool) -> dict[tuple[int, int], int | None]:
+        """k lines ``tag <u> <v> [<w>]``: ids in 1..top, canonical, distinct, w >= 0.
+
+        The hot loop of every large file, so it splits the lines itself
+        rather than calling record() per line.
+        """
+        lines = self.lines[self.pos: self.pos + k]
+        if len(lines) < k:
+            raise self.error(f"missing {tag!r} line")
+        self.pos += k
+        out: dict[tuple[int, int], int | None] = {}
+        width = 3 + weighted
+        for line in lines:
+            parts = line.split()
+            if len(parts) != width or parts[0] != tag:
+                raise self.error(f"expected {tag!r} line with {width - 1} fields, got {line!r}")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+                w = int(parts[3]) if weighted else None
+            except ValueError:
+                raise self.error(f"non-integer field in {line!r}") from None
+            if not (1 <= u <= top and 1 <= v <= top):
+                raise self.error(f"vertex id out of range in {line!r}")
+            e = canonical_edge(directed, u, v)
+            if e in out:
+                raise self.error(f"duplicate {tag!r} line for {e}")
+            if weighted and w < 0:
+                raise self.error(f"negative weight in {line!r}")
+            out[e] = w
+        return out
+
+    def end(self) -> None:
+        if self.pos != len(self.lines):
+            raise self.error(f"more lines than declared, from {self.lines[self.pos]!r}")
 
 
 def read_graph(text: str) -> Graph | WeightedGraph:
@@ -176,53 +254,14 @@ def read_graph(text: str) -> Graph | WeightedGraph:
     Header: ``graph <directed|undirected> <n> <m> [weighted]`` followed by m
     edge lines ``e <u> <v>`` (``e <u> <v> <w>`` when weighted).
     """
-    lines = _content_lines(text)
-    if not lines:
-        raise GraphFormatError("empty input")
-    head = lines[0].split()
-    if len(head) not in (4, 5) or head[0] != "graph":
-        raise GraphFormatError(f"malformed header: {lines[0]!r}")
-    if head[1] not in ("directed", "undirected"):
-        raise GraphFormatError(f"unknown orientation {head[1]!r}")
-    directed = head[1] == "directed"
-    weighted = len(head) == 5
-    if weighted and head[4] != "weighted":
-        raise GraphFormatError(f"unexpected header token {head[4]!r}")
+    r = _LineReader(text, GraphFormatError)
+    directed, (n, m), weighted = r.header("graph", 2)
     if weighted and directed:
         raise GraphFormatError("weighted graphs must be undirected")
-    try:
-        n, m = int(head[2]), int(head[3])
-    except ValueError as exc:
-        raise GraphFormatError(f"non-integer counts in header: {lines[0]!r}") from exc
-    body = lines[1:]
-    if len(body) != m:
-        raise GraphFormatError(f"header declares {m} edges, found {len(body)}")
-    edges: set[tuple[int, int]] = set()
-    weights: dict[tuple[int, int], int] = {}
-    for line in body:
-        parts = line.split()
-        want = 4 if weighted else 3
-        if len(parts) != want or parts[0] != "e":
-            raise GraphFormatError(f"malformed edge line: {line!r}")
-        try:
-            u, v = int(parts[1]), int(parts[2])
-            w = int(parts[3]) if weighted else None
-        except ValueError as exc:
-            raise GraphFormatError(f"non-integer field in {line!r}") from exc
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphFormatError(f"endpoint out of range in {line!r}")
-        e = canonical_edge(directed, u, v)
-        if e in edges:
-            raise GraphFormatError(f"duplicate edge {e}")
-        edges.add(e)
-        if weighted:
-            if w < 0:
-                raise GraphFormatError(f"negative weight in {line!r}")
-            weights[e] = w
+    edges = r.edges("e", m, n, directed, weighted)
+    r.end()
     g = Graph(directed=directed, n=n, edges=frozenset(edges))
-    if weighted:
-        return WeightedGraph(graph=g, weights=weights)
-    return g
+    return WeightedGraph(graph=g, weights=edges) if weighted else g
 
 
 def write_graph(g: Graph | WeightedGraph) -> str:
@@ -242,23 +281,18 @@ def write_graph(g: Graph | WeightedGraph) -> str:
 
 def read_shores(text: str) -> ShorePartition:
     """Parse a shore file: two lines ``shore1 <k> <v...>`` and ``shore2 <k> <v...>``."""
-    lines = _content_lines(text)
-    if len(lines) != 2:
-        raise GraphFormatError("shore file needs exactly two content lines")
+    r = _LineReader(text, GraphFormatError)
     sets = []
-    for line, tag in zip(lines, ("shore1", "shore2")):
-        parts = line.split()
-        if len(parts) < 2 or parts[0] != tag:
-            raise GraphFormatError(f"malformed shore line: {line!r}")
-        try:
-            k = int(parts[1])
-            vs = [int(x) for x in parts[2:]]
-        except ValueError as exc:
-            raise GraphFormatError(f"non-integer field in {line!r}") from exc
-        if len(vs) != k:
-            raise GraphFormatError(f"shore line declares {k} vertices, found {len(vs)}")
+    for tag in ("shore1", "shore2"):
+        k, *vs = r.record(tag, 1, more=True)
+        if len(vs) != r.nonnegative(tag, k):
+            raise GraphFormatError(f"{tag!r} line declares {k} vertices, found {len(vs)}")
         sets.append(frozenset(vs))
-    return ShorePartition(shore1=sets[0], shore2=sets[1])
+    r.end()
+    try:
+        return ShorePartition(shore1=sets[0], shore2=sets[1])
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from exc
 
 
 def write_shores(shores: ShorePartition) -> str:

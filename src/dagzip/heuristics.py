@@ -28,18 +28,14 @@ from .graphs import Graph, canonical_edge, neighborhoods
 def validate_tree_compression(d: DagCompression) -> list[str]:
     """Violations of the binary-cluster-tree shape (on top of validate())."""
     violations = list(validate(d))
-    outdeg = {v: 0 for v in range(1, d.n_vertices + 1)}
-    indeg = {v: 0 for v in range(1, d.n_vertices + 1)}
-    for u, v in d.arcs:
-        outdeg[u] += 1
-        indeg[v] += 1
+    children, indeg = d._index.children, d._index.indegree
     for v in range(d.n_sinks + 1, d.n_vertices + 1):
-        if outdeg[v] != 2:
-            violations.append(f"cluster vertex {v} has {outdeg[v]} children, want 2")
+        if len(children[v]) != 2:
+            violations.append(f"cluster vertex {v} has {len(children[v])} children, want 2")
     roots = [v for v in range(1, d.n_vertices + 1) if indeg[v] == 0]
     if d.n_vertices > 1 and len(roots) != 1:
         violations.append(f"expected a unique root, found {len(roots)}")
-    if any(c > 1 for c in indeg.values()):
+    if any(c > 1 for c in indeg):
         violations.append("a vertex has two parents")
     if not violations and d.n_clusters:
         root = roots[0]

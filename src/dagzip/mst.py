@@ -10,9 +10,10 @@ the work is O((|A| + |E|) * alpha(n)) plus the sort of E.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-from .compression import DagCompression, clusters, decompress, out_arcs, sink_representatives
+from .compression import DagCompression, clusters, decompress
 from .graphs import Graph, WeightedGraph, canonical_edge
 
 
@@ -65,11 +66,15 @@ class MstResult:
 
 @dataclass
 class MstRun:
-    """Mutable per-run state for the compressed algorithm (the input stays shared)."""
+    """Mutable per-run state for the compressed algorithm.
+
+    rep and children are read-only per-vertex lookups; kruskal_compressed
+    passes the compression's shared DAG index.
+    """
 
     uf: UnionFind
-    rep: dict[int, int]
-    children: dict[int, list[int]]
+    rep: Sequence[int] | Mapping[int, int]
+    children: Sequence[Sequence[int]] | Mapping[int, Sequence[int]]
     clean: list[bool]
     forest: list[tuple[int, int, int]] = field(default_factory=list)
     stats: MstStats = field(default_factory=MstStats)
@@ -125,11 +130,7 @@ def make_clean(run: MstRun, v: int, r: int) -> None:
                 work.append((VISIT, w))
 
 
-def kruskal_compressed(
-    d: DagCompression,
-    debug: bool = False,
-    clean_larger_endpoint_first: bool = False,
-) -> MstResult:
+def kruskal_compressed(d: DagCompression, debug: bool = False) -> MstResult:
     """Kruskal directly on a weighted undirected compression.
 
     Returns a minimum spanning forest of decompress(d) without ever
@@ -141,20 +142,19 @@ def kruskal_compressed(
         raise ValueError("compressed Kruskal needs a weighted undirected compression")
     run = MstRun(
         uf=UnionFind(d.n_sinks),
-        rep=sink_representatives(d),
-        children=out_arcs(d),
+        rep=d._index.representatives(),
+        children=d._index.children,
         clean=[False] + [v <= d.n_sinks for v in range(1, d.n_vertices + 1)],
     )
     checker = _DebugChecker(d) if debug else None
     order = sorted(d.cedges, key=lambda e: (d.weights[e], e))
     for u, v in order:
         run.current_weight = d.weights[(u, v)]
-        a, b = (v, u) if clean_larger_endpoint_first else (u, v)
         if checker:
-            checker.check_clean_precondition(a, run.rep[b])
-            checker.check_clean_precondition(b, run.rep[a])
-        make_clean(run, a, run.rep[b])
-        make_clean(run, b, run.rep[a])
+            checker.check_clean_precondition(u, run.rep[v])
+            checker.check_clean_precondition(v, run.rep[u])
+        make_clean(run, u, run.rep[v])
+        make_clean(run, v, run.rep[u])
         add_edge(run, run.rep[u], run.rep[v])
         if checker:
             checker.check_invariant((u, v), run)

@@ -19,6 +19,8 @@ Three passes, each leaving the decompressed graph untouched:
 
 from __future__ import annotations
 
+import heapq
+
 from .compression import DagCompression, clusters, decompress
 from .graphs import ShorePartition
 
@@ -121,13 +123,21 @@ def shore_normalize(d: DagCompression, shores: ShorePartition) -> DagCompression
     cedges = set(d.cedges)
     source_side = {v for v in kept if table.cluster[v] & shores.shore1}
 
-    while source_side:
-        indeg = {v: 0 for v in source_side}
-        for (x, y) in arcs:
+    # Switch parents before children, smallest ready id first. A switch drops
+    # v's out-arcs and adds arcs into the target shore only, so the in-degrees
+    # counted here fall exactly along v's original children.
+    indeg = {v: 0 for v in source_side}
+    for (x, y) in arcs:
+        if y in indeg:
+            indeg[y] += 1
+    ready = sorted(v for v in source_side if indeg[v] == 0)
+    while ready:
+        v = heapq.heappop(ready)
+        for y in d._index.children[v]:
             if y in indeg:
-                indeg[y] += 1
-        ready = sorted(v for v in source_side if indeg[v] == 0)
-        v = ready[0]
+                indeg[y] -= 1
+                if indeg[y] == 0:
+                    heapq.heappush(ready, y)
         out_a = {(x, y) for (x, y) in arcs if x == v}
         out_c = {(x, y) for (x, y) in cedges if x == v}
         in_c = {(x, y) for (x, y) in cedges if y == v}
@@ -143,6 +153,9 @@ def shore_normalize(d: DagCompression, shores: ShorePartition) -> DagCompression
         arcs |= {(v, y) for (_, y) in out_c}
         cedges |= {(y, v) for (_, y) in out_a}
         source_side.discard(v)
+    if source_side:
+        raise ValueError(f"source-shore clusters {sorted(source_side)} have arcs from "
+                         "outside the source shore")
 
     removed = sorted(mixed_set)
     remap: dict[int, int] = {}

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .compression import DagCompression
-from .graphs import Graph, ShorePartition
+from .graphs import Graph, ShorePartition, _LineReader
 from .oracle import twinned_optimum
 
 
@@ -50,31 +50,16 @@ class SetCoverInstance:
 
 def read_setcover(text: str) -> SetCoverInstance:
     """Parse ``setcover <n> <|T|> <k>`` followed by ``s <id> <e1> <e2> ...`` lines."""
-    lines = [l.strip() for l in text.split("\n") if l.strip() and not l.strip().startswith("#")]
-    if not lines:
-        raise SetCoverFormatError("empty input")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "setcover":
-        raise SetCoverFormatError(f"malformed header: {lines[0]!r}")
-    try:
-        n, t, k = int(head[1]), int(head[2]), int(head[3])
-    except ValueError as exc:
-        raise SetCoverFormatError("non-integer header field") from exc
-    if len(lines) - 1 != t:
-        raise SetCoverFormatError(f"header declares {t} sets, found {len(lines) - 1}")
+    r = _LineReader(text, SetCoverFormatError)
+    n, t, k = r.record("setcover", 3)
+    r.nonnegative("setcover", n)
     sets = []
-    for i, line in enumerate(lines[1:], start=1):
-        parts = line.split()
-        if len(parts) < 3 or parts[0] != "s":
-            raise SetCoverFormatError(f"malformed set line: {line!r}")
-        try:
-            sid = int(parts[1])
-            elems = [int(x) for x in parts[2:]]
-        except ValueError as exc:
-            raise SetCoverFormatError(f"non-integer field in {line!r}") from exc
+    for i in range(1, r.nonnegative("setcover", t) + 1):
+        sid, *elems = r.record("s", 2, more=True)
         if sid != i:
             raise SetCoverFormatError(f"set ids must be 1..{t} in order, got {sid}")
         sets.append(frozenset(elems))
+    r.end()
     try:
         return SetCoverInstance(n=n, sets=tuple(sets), k=k)
     except ValueError as exc:

@@ -253,3 +253,73 @@ def test_weight_mismatch_exits_3(mst_file, capsys, monkeypatch):
     code, _, err = run_cli(["mst", mst_file, "--check"], capsys)
     assert code == 3
     assert "mismatch" in err
+
+
+def test_unwritable_output_exits_2(mst_file, capsys, tmp_path):
+    out = tmp_path / "missing" / "dir" / "out.mst"
+    code, _, err = run_cli(["mst", mst_file, "-o", str(out)], capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: cannot write")
+
+
+def test_mst_check_runs_each_pipeline_once(mst_file, capsys, monkeypatch):
+    import dagzip.cli as cli_mod
+
+    calls = []
+    for name in ("kruskal_compressed", "kruskal_baseline", "decompress"):
+        def counted(*args, _orig=getattr(cli_mod, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(cli_mod, name, counted)
+    for flags in (["--check"], ["--baseline", "--check"]):
+        calls.clear()
+        code, out, err = run_cli(["mst", *flags, mst_file], capsys)
+        assert code == 0, err
+        assert out.startswith("mst 7 6 7\n")
+        assert sorted(calls) == ["decompress", "kruskal_baseline", "kruskal_compressed"]
+
+
+def _one_line_error(code, err, needle):
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error:"), err
+    assert needle in err
+
+
+@pytest.mark.parametrize("tag", ["sinks", "clusters", "arcs", "cedges"])
+def test_negative_count_compression(tmp_path, capsys, tag):
+    counts = {"sinks": 2, "clusters": 0, "arcs": 0, "cedges": 0}
+    counts[tag] = -1
+    path = tmp_path / "neg.dagc"
+    path.write_text("dagc directed\n" + "".join(f"{t} {k}\n" for t, k in counts.items()))
+    for command in (["validate"], ["decompress"]):
+        code, out, err = run_cli([*command, str(path)], capsys)
+        _one_line_error(code, err, f"negative count -1 in {tag!r} line")
+        assert out == ""
+
+
+@pytest.mark.parametrize("header", ["graph directed -1 0", "graph undirected 3 -2"])
+def test_negative_count_graph(tmp_path, capsys, header):
+    path = tmp_path / "neg.graph"
+    path.write_text(header + "\n")
+    code, _, err = run_cli(["compress", "--strategy", "greedy", str(path)], capsys)
+    _one_line_error(code, err, "negative count")
+
+
+@pytest.mark.parametrize("header", ["setcover 2 -1 1", "setcover -2 0 0"])
+def test_negative_count_setcover(tmp_path, capsys, header):
+    path = tmp_path / "neg.setcover"
+    path.write_text(header + "\n")
+    code, _, err = run_cli(["reduce", "mindag", str(path), "--out-prefix",
+                            str(tmp_path / "red")], capsys)
+    _one_line_error(code, err, "negative count")
+    assert not list(tmp_path.glob("red.*"))
+
+
+def test_negative_count_shores(tmp_path, capsys, fig_compression):
+    comp = tmp_path / "fig.dagc"
+    comp.write_text(write_compression(fig_compression), encoding="ascii")
+    shores = tmp_path / "neg.shores"
+    shores.write_text("shore1 -1\nshore2 0\n")
+    code, _, err = run_cli(["normalize", "--pass", "twins", "--shores", str(shores),
+                            str(comp)], capsys)
+    _one_line_error(code, err, "negative count -1 in 'shore1' line")

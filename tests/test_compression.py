@@ -13,7 +13,7 @@ from dagzip import (
     read_compression,
     rook_canonical_compression,
     sink_representatives,
-    size,
+    topological_order,
     validate,
     write_compression,
 )
@@ -56,6 +56,37 @@ def test_validate_cluster_without_arc():
     d = DagCompression(directed=True, n_sinks=2, n_clusters=1,
                        arcs=frozenset(), cedges=frozenset({(1, 2)}))
     assert any("no outgoing arc" in v for v in validate(d))
+
+
+def test_validate_lists_every_violation():
+    # sink 1 has an arc, cluster 4 has none, clusters 2 and 3 form a cycle
+    d = DagCompression(directed=True, n_sinks=1, n_clusters=3,
+                       arcs=frozenset({(1, 2), (2, 3), (3, 2)}), cedges=frozenset())
+    assert validate(d) == [
+        "original vertex 1 has outgoing arc",
+        "cluster vertex 4 with no outgoing arc",
+        "cycle in cluster DAG",
+    ]
+    for query in (topological_order, sink_representatives, clusters, decompress):
+        with pytest.raises(ValueError):
+            query(d)
+
+
+def test_childless_cluster_has_no_representatives():
+    d = DagCompression(directed=True, n_sinks=2, n_clusters=1,
+                       arcs=frozenset(), cedges=frozenset({(1, 2)}))
+    assert topological_order(d) == [1, 2, 3]
+    with pytest.raises(ValueError):
+        sink_representatives(d)
+
+
+def test_query_results_are_callers_own(fig_compression):
+    order = topological_order(fig_compression)
+    order.reverse()
+    assert topological_order(fig_compression) == order[::-1]
+    rep = sink_representatives(fig_compression)
+    rep[9] = 99
+    assert sink_representatives(fig_compression)[9] == 1
 
 
 def test_validate_weight_coverage():
@@ -135,11 +166,11 @@ def test_decompress_weighted_minimum(mst_compression):
 
 
 def test_size_values(fig_compression):
-    assert size(fig_compression) == 17
+    assert fig_compression.size() == 17
     empty = DagCompression(directed=True, n_sinks=3, n_clusters=0,
                            arcs=frozenset(), cedges=frozenset())
-    assert size(empty) == 0
-    assert size(rook_canonical_compression(RookSpec(g=3))) == 24
+    assert empty.size() == 0
+    assert rook_canonical_compression(RookSpec(g=3)).size() == 24
 
 
 def test_compression_roundtrip(fig_compression, mst_compression):

@@ -15,7 +15,7 @@ from dagzip import (
     write_mst,
 )
 from dagzip.mst import MstRun, MstStats, add_edge, make_clean, spanning_forest_partition
-from dagzip.compression import out_arcs, sink_representatives
+from dagzip.compression import sink_representatives
 
 
 def brute_force_mst_weight(g: WeightedGraph) -> int:
@@ -98,12 +98,18 @@ def test_compressed_matches_baseline_on_fuzz():
 
 
 def test_clean_order_immaterial_for_weight():
+    # replay the run cleaning the second endpoint of each compression edge first
     for seed in range(60):
         d = random_compression(n_sinks=6, n_clusters=4, arc_density=0.4,
                                edge_count=5, max_weight=4, seed=seed)
-        a = kruskal_compressed(d)
-        b = kruskal_compressed(d, clean_larger_endpoint_first=True)
-        assert a.total_weight == b.total_weight
+        run = _run_for(d)
+        for (u, v) in sorted(d.cedges, key=lambda e: (d.weights[e], e)):
+            run.current_weight = d.weights[(u, v)]
+            make_clean(run, v, run.rep[u])
+            make_clean(run, u, run.rep[v])
+            add_edge(run, run.rep[u], run.rep[v])
+        swapped = sum(w for _, _, w in run.forest)
+        assert kruskal_compressed(d).total_weight == swapped
 
 
 def test_debug_invariant_checks_pass(mst_compression):
@@ -123,10 +129,13 @@ def test_disconnected_input_yields_forest():
 
 
 def _run_for(d):
+    children = {v: [] for v in range(1, d.n_vertices + 1)}
+    for u, v in sorted(d.arcs):
+        children[u].append(v)
     return MstRun(
         uf=UnionFind(d.n_sinks),
         rep=sink_representatives(d),
-        children=out_arcs(d),
+        children=children,
         clean=[False] + [v <= d.n_sinks for v in range(1, d.n_vertices + 1)],
         stats=MstStats(),
     )
