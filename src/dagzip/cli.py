@@ -177,15 +177,16 @@ def cmd_normalize(args) -> int:
         shores = read_shores(_read_text(args.shores))
     except GraphFormatError as exc:
         raise CliError(f"bad shore file: {exc}") from exc
-    pairs = sorted(tuple(sorted(p)) for p in twins(decompress(d)))
-    pairs = [p for p in pairs if p[0] in shores.shore1 and p[1] in shores.shore1]
     try:
-        if args.pass_name == "twins":
-            out = normalize.twin_normalize(d, pairs)
-        elif args.pass_name == "shore":
+        if args.pass_name == "shore":
             out = normalize.shore_normalize(d, shores)
         else:
-            out = normalize.twin_single_edge(d, shores, pairs)
+            pairs = sorted(tuple(sorted(p)) for p in twins(decompress(d)))
+            pairs = [p for p in pairs if p[0] in shores.shore1 and p[1] in shores.shore1]
+            if args.pass_name == "twins":
+                out = normalize.twin_normalize(d, pairs)
+            else:
+                out = normalize.twin_single_edge(d, shores, pairs)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     _write_text(args.output, write_compression(out))

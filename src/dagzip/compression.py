@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 
 from .graphs import Graph, WeightedGraph, _LineReader, canonical_edge
@@ -40,14 +40,18 @@ class DagCompression:
     weights: dict[tuple[int, int], int] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "arcs", frozenset(tuple(a) for a in self.arcs))
-        cedges = frozenset(canonical_edge(self.directed, u, v) for u, v in self.cedges)
-        object.__setattr__(self, "cedges", cedges)
+        # A directed frozenset is already canonical: canonical_edge is the
+        # identity on directed pairs, and a frozenset holds no lists.
+        if not (self.directed and isinstance(self.arcs, frozenset)):
+            object.__setattr__(self, "arcs", frozenset(tuple(a) for a in self.arcs))
+        if not (self.directed and isinstance(self.cedges, frozenset)):
+            cedges = frozenset(canonical_edge(self.directed, u, v) for u, v in self.cedges)
+            object.__setattr__(self, "cedges", cedges)
         if self.weights is not None:
             w = {canonical_edge(self.directed, u, v): x for (u, v), x in self.weights.items()}
             object.__setattr__(self, "weights", w)
         top = self.n_sinks + self.n_clusters
-        for u, v in list(self.arcs) + list(self.cedges):
+        for u, v in chain(self.arcs, self.cedges):
             if not (1 <= u <= top and 1 <= v <= top):
                 raise ValueError(f"vertex id ({u},{v}) out of range 1..{top}")
 

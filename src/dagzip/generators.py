@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .compression import DagCompression
 from .graphs import Graph, canonical_edge
 
@@ -53,10 +55,13 @@ def rook_coords(spec: RookSpec, v: int) -> tuple[int, ...]:
 def rook_hyperplanes(spec: RookSpec) -> list[list[int]]:
     """Vertex lists of the d*g axis-aligned hyperplanes, dimension-major order."""
     g, d, n = spec.g, spec.d, spec.n
+    ids = np.arange(n)
     planes = []
     for k in range(d):
-        for val in range(1, g + 1):
-            planes.append([v for v in range(1, n + 1) if rook_coords(spec, v)[k] == val])
+        # Coordinate k of v is ((v - 1) // g^k) % g + 1; a stable sort by it
+        # lists each plane's vertices in ascending order, n // g per plane.
+        by_coord = np.argsort(ids // g ** k % g, kind="stable") + 1
+        planes.extend(by_coord.reshape(g, n // g).tolist())
     return planes
 
 

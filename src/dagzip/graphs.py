@@ -38,8 +38,10 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
-        edges = frozenset(canonical_edge(self.directed, u, v) for u, v in self.edges)
-        object.__setattr__(self, "edges", edges)
+        edges = self.edges
+        if not (self.directed and isinstance(edges, frozenset)):
+            edges = frozenset(canonical_edge(self.directed, u, v) for u, v in edges)
+            object.__setattr__(self, "edges", edges)
         for u, v in edges:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"edge ({u},{v}) out of range 1..{self.n}")

@@ -3,12 +3,32 @@
 tree_compress builds a rooted binary merge tree over the vertices and then
 places as compression edges exactly the maximal admissible products: node
 pairs whose full cluster product lies inside the edge set, such that
-replacing either node by its parent breaks admissibility. Admissibility
-obeys a boolean recurrence over children (a product with an internal node
-is admissible iff it is admissible with both children), which turns the
-whole placement into a couple of vectorized passes over a node-pair matrix.
-Maximal products can overlap; every original edge lies under at least one of
-them because an admissible pair can always be climbed until maximal.
+replacing either node by its parent breaks admissibility. Maximal products
+can overlap; every original edge lies under at least one of them because an
+admissible pair can always be climbed until maximal.
+
+The tree is built in rounds, each pairing up the current level. The
+"similarity" policy scores two nodes by the overlap of their neighborhood
+signatures and takes the greedy matching over all pairs ordered by
+(-score, i, j). It never sorts those n^2/2 pairs. Each row's best partner is
+the first maximum of its row among the unmatched nodes, and a smallest index
+winning a tie is exactly that order. Every pair whose two rows name each
+other is matched, and the rows whose best partner was just matched look
+again. Under a strict order on pairs, matching these mutually best
+("locally dominant") pairs round by round gives exactly the greedy
+matching (Preis, STACS 1999): a mutually best pair outranks every other
+pair at either of its ends whose other end is still unmatched, and the
+greedy matched the rest earlier, so the greedy takes it as well; both
+matchings leave at most one node over. The pairs are then numbered in
+greedy acceptance order, so the node ids do not change.
+
+Admissibility obeys a boolean recurrence over children: a product with an
+internal node is admissible iff it is admissible with both children. A
+round's nodes have children from earlier rounds only, so each round is one
+row-major array step: first over the sink columns, then over the rows of
+the transposed node-pair matrix, whose rows are the columns. Maximality is
+then built in place in a second (2n)^2 bool matrix, so at most two such
+matrices are live at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +37,7 @@ import csv
 import io
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -47,47 +68,121 @@ def validate_tree_compression(d: DagCompression) -> list[str]:
 
 def _adjacency_matrix(g: Graph) -> np.ndarray:
     m = np.zeros((g.n + 1, g.n + 1), dtype=bool)
-    for u, v in g.edges:
-        m[u, v] = True
-        if not g.directed:
-            m[v, u] = True
+    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.m)
+    tails, heads = ends[0::2], ends[1::2]
+    m[tails, heads] = True
+    if not g.directed:
+        m[heads, tails] = True
     return m
 
 
-def _merge_balanced(level: list[int], pair_up) -> None:
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(pair_up(level[i], level[i + 1]))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level[:] = nxt
+def _rescan(scores: np.ndarray, rows: np.ndarray, best: np.ndarray,
+            top: np.ndarray, alive: np.ndarray) -> None:
+    """Move best/top of `rows`, whose best partner was just matched, to their alive argmax.
+
+    Every alive column left of the old best scores below top, and columns
+    only ever leave the alive set, so the first alive column right of it
+    that scores top is the new first maximum. That tie scan runs in windows
+    of doubling width; rows that reach their end without a tie take a
+    masked argmax.
+    """
+    size = len(scores)
+    flat = scores.reshape(-1)
+    start = best[rows] + 1
+    width = 8
+    while len(rows):
+        cols = np.minimum(start[:, None] + np.arange(width), size - 1)
+        hit = flat.take(cols + (rows * size)[:, None]) == top[rows, None]
+        hit &= alive.take(cols)
+        found = hit.any(axis=1)
+        best[rows[found]] = cols[found, hit[found].argmax(axis=1)]
+        start += width
+        width *= 2
+        more = ~found & (start < size)
+        spent = rows[~found & ~more]
+        if len(spent):
+            masked = np.where(alive, scores[spent], -1)
+            best[spent] = masked.argmax(axis=1)
+            top[spent] = masked[np.arange(len(spent)), best[spent]]
+        rows, start = rows[more], start[more]
 
 
-def _merge_similarity(level: list[int], signatures: np.ndarray, pair_up) -> None:
-    # signatures: rows indexed by node id, columns by sink; updated in place.
+def _greedy_pairs(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy matching over pairs i < j taken by descending score, then i, then j.
+
+    scores must be symmetric and non-negative; its diagonal is overwritten.
+    Returns the matched rows (i, j), i < j, in the order the greedy accepts
+    them. Computed in mutual-best rounds, never sorting all pairs.
+    """
+    size = len(scores)
+    np.fill_diagonal(scores, -1)
+    idx = np.arange(size)
+    alive = np.ones(size, dtype=bool)
+    best = scores.argmax(axis=1)
+    top = scores[idx, best]
+    firsts, seconds = [idx[:0]], [idx[:0]]
+    n_alive = size
+    while n_alive > 1:
+        i = np.flatnonzero(alive & (best[best] == idx) & (idx < best))
+        if not len(i):  # the top pair is always mutual; fail rather than spin
+            raise AssertionError("no mutually best pair among unmatched rows")
+        j = best[i]
+        firsts.append(i)
+        seconds.append(j)
+        alive[i] = False
+        alive[j] = False
+        n_alive -= 2 * len(i)
+        if n_alive > 1:
+            _rescan(scores, np.flatnonzero(alive & ~alive[best]), best, top, alive)
+    i = np.concatenate(firsts)
+    j = np.concatenate(seconds)
+    order = np.lexsort((j, i, -scores[i, j]))
+    return i[order], j[order]
+
+
+def _merge_tree(n: int, signatures: np.ndarray | None):
+    """Children of the merge tree's nodes n+1 .. 2n-1 and each round's id range.
+
+    Each round pairs up the current level: by position when signatures is
+    None ("balanced"), else by the greedy matching on signature overlap
+    ("similarity"), whose merged rows are the union of their halves. The new
+    nodes, numbered in pairing order, come first in the next level, then
+    the unpaired nodes in level order.
+    """
+    left = np.zeros(2 * n, dtype=np.int64)
+    right = np.zeros(2 * n, dtype=np.int64)
+    rounds = []
+    level = np.arange(1, n + 1)
+    next_id = n
     while len(level) > 1:
-        ids = np.array(level, dtype=np.int64)
-        sig = signatures[ids].astype(np.float32)
-        scores = sig @ sig.T
-        iu, ju = np.triu_indices(len(level), k=1)
-        order = np.lexsort((ju, iu, -scores[iu, ju]))
-        paired = np.zeros(len(level), dtype=bool)
-        nxt: list[int] = []
-        for idx in order:
-            a, b = int(iu[idx]), int(ju[idx])
-            if paired[a] or paired[b]:
-                continue
-            paired[a] = paired[b] = True
-            node = pair_up(level[a], level[b])
-            signatures[node] = signatures[level[a]] | signatures[level[b]]
-            nxt.append(node)
-            if paired.sum() >= len(level) - 1:
-                break
-        for i, node in enumerate(level):
-            if not paired[i]:
-                nxt.append(node)
-        level[:] = nxt
+        if signatures is None:
+            a = np.arange(0, len(level) - 1, 2)
+            b = a + 1
+        else:
+            sig32 = signatures.astype(np.float32)
+            a, b = _greedy_pairs(sig32 @ sig32.T)
+            del sig32
+        lo, hi = next_id + 1, next_id + 1 + len(a)
+        left[lo:hi] = level[a]
+        right[lo:hi] = level[b]
+        rest = np.ones(len(level), dtype=bool)
+        rest[a] = False
+        rest[b] = False
+        level = np.concatenate([np.arange(lo, hi), level[rest]])
+        if signatures is not None:
+            signatures = np.concatenate([signatures[a] | signatures[b], signatures[rest]])
+        rounds.append((lo, hi))
+        next_id = hi - 1
+    return left, right, rounds
+
+
+def _and_children(adm: np.ndarray, left: np.ndarray, right: np.ndarray, rounds) -> None:
+    # A round's nodes have children from earlier rounds only.
+    for lo, hi in rounds:
+        np.logical_and(adm[left[lo:hi]], adm[right[lo:hi]], out=adm[lo:hi])
+
+
+_ROW_BLOCK = 1024  # rows per gathered block, so the maximality pass adds no full matrix
 
 
 def tree_compress(g: Graph, merge_policy: str = "similarity") -> DagCompression:
@@ -103,63 +198,47 @@ def tree_compress(g: Graph, merge_policy: str = "similarity") -> DagCompression:
         raise ValueError(f"unknown merge policy {merge_policy!r}")
     n = g.n
     total = 2 * n - 1
-    left = np.zeros(total + 1, dtype=np.int64)
-    right = np.zeros(total + 1, dtype=np.int64)
-    next_id = n
-
-    def pair_up(a: int, b: int) -> int:
-        nonlocal next_id
-        next_id += 1
-        left[next_id] = a
-        right[next_id] = b
-        return next_id
-
-    level = list(range(1, n + 1))
     m = _adjacency_matrix(g)
-    if merge_policy == "balanced":
-        _merge_balanced(level, pair_up)
-    else:
-        signatures = np.zeros((total + 1, n + 1), dtype=bool)
-        signatures[1: n + 1, :] = (m | m.T)[1:, :]
-        _merge_similarity(level, signatures, pair_up)
-
+    signatures = None if merge_policy == "balanced" else (m | m.T)[1:, 1:]
+    left, right, rounds = _merge_tree(n, signatures)
+    del signatures
     parent = np.zeros(total + 1, dtype=np.int64)
-    for v in range(n + 1, next_id + 1):
-        parent[left[v]] = v
-        parent[right[v]] = v
+    parent[left[n + 1:]] = np.arange(n + 1, total + 1)
+    parent[right[n + 1:]] = np.arange(n + 1, total + 1)
 
-    adm = np.zeros((total + 1, total + 1), dtype=bool)
-    adm[1: n + 1, 1: n + 1] = m[1:, 1:]
-    for v in range(n + 1, next_id + 1):
-        adm[v, 1: n + 1] = adm[left[v], 1: n + 1] & adm[right[v], 1: n + 1]
-    for v in range(n + 1, next_id + 1):
-        adm[:, v] = adm[:, left[v]] & adm[:, right[v]]
+    # adm[u, v]: C(u) x C(v) lies inside the edge set. The sink columns come
+    # from row passes; the transpose's rows are adm's columns, so one more
+    # row pass completes it as adm_t[v, u] = adm[u, v].
+    sink_cols = np.zeros((total + 1, n + 1), dtype=bool)
+    sink_cols[: n + 1] = m
+    del m
+    _and_children(sink_cols, left, right, rounds)
+    adm_t = np.zeros((total + 1, total + 1), dtype=bool)
+    adm_t[: n + 1] = sink_cols.T
+    del sink_cols
+    _and_children(adm_t, left, right, rounds)
 
     # Maximal: admissible, and stepping either side up to its parent is not.
-    # Row/column 0 is identically false, which makes the root maximal-safe.
-    up_rows = adm[parent, :]
-    up_cols = adm[:, parent]
-    mx = adm & ~up_rows & ~up_cols
-    mx[0, :] = False
-    mx[:, 0] = False
+    # Row and column 0 are identically false, which makes the root maximal-safe.
+    mx_t = np.take(adm_t, parent, axis=1)
+    for lo in range(0, total + 1, _ROW_BLOCK):
+        mx_t[lo: lo + _ROW_BLOCK] |= adm_t[parent[lo: lo + _ROW_BLOCK]]
+    np.logical_not(mx_t, out=mx_t)
+    mx_t &= adm_t
+    del adm_t
 
-    pairs = np.argwhere(mx)
-    cedges = set()
-    for u, v in pairs:
-        u, v = int(u), int(v)
-        if not g.directed and v < u:
-            continue
-        cedges.add(canonical_edge(g.directed, u, v))
-    arcs = set()
-    for v in range(n + 1, next_id + 1):
-        arcs.add((v, int(left[v])))
-        arcs.add((v, int(right[v])))
+    # flatnonzero + divmod: np.nonzero on a 2-d bool matrix is several times slower
+    vs, us = np.divmod(np.flatnonzero(mx_t), total + 1)
+    if not g.directed:
+        keep = us <= vs
+        us, vs = us[keep], vs[keep]
+    heads = np.arange(n + 1, total + 1).tolist()
     return DagCompression(
         directed=g.directed,
         n_sinks=n,
-        n_clusters=next_id - n,
-        arcs=frozenset(arcs),
-        cedges=frozenset(cedges),
+        n_clusters=n - 1,
+        arcs=frozenset(zip(heads + heads, left[n + 1:].tolist() + right[n + 1:].tolist())),
+        cedges=frozenset(zip(us.tolist(), vs.tolist())),
     )
 
 

@@ -89,6 +89,27 @@ def test_query_results_are_callers_own(fig_compression):
     assert sink_representatives(fig_compression)[9] == 1
 
 
+def test_constructors_convert_lists_and_check_ranges():
+    edges = frozenset({(1, 2), (2, 2)})
+    assert Graph(directed=True, n=2, edges=[[1, 2], [2, 2]]) == Graph(directed=True, n=2, edges=edges)
+    assert Graph(directed=True, n=2, edges=edges).edges is edges
+    assert Graph(directed=False, n=2, edges=[[2, 1]]).edges == frozenset({(1, 2)})
+    arcs, cedges = frozenset({(3, 1), (3, 2)}), frozenset({(3, 1), (2, 3)})
+    d = DagCompression(directed=True, n_sinks=2, n_clusters=1, arcs=arcs, cedges=cedges)
+    assert d.arcs is arcs and d.cedges is cedges
+    assert DagCompression(directed=True, n_sinks=2, n_clusters=1,
+                          arcs=[[3, 1], [3, 2]], cedges=[[3, 1], [2, 3]]) == d
+    u = DagCompression(directed=False, n_sinks=2, n_clusters=1, arcs=[[3, 1], [3, 2]],
+                       cedges=[[3, 1], [3, 2]])
+    assert u.cedges == frozenset({(1, 3), (2, 3)})
+    with pytest.raises(ValueError):
+        Graph(directed=True, n=2, edges=[[1, 3]])
+    for bad_arcs, bad_cedges in ((arcs | {(4, 1)}, cedges), (arcs, cedges | {(0, 3)})):
+        with pytest.raises(ValueError):
+            DagCompression(directed=True, n_sinks=2, n_clusters=1,
+                           arcs=bad_arcs, cedges=bad_cedges)
+
+
 def test_validate_weight_coverage():
     d = DagCompression(directed=False, n_sinks=2, n_clusters=0,
                        arcs=frozenset(), cedges=frozenset({(1, 2)}), weights={})

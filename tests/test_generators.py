@@ -10,7 +10,7 @@ from dagzip import (
     validate,
     write_compression,
 )
-from dagzip.generators import rook_coords, rook_index
+from dagzip.generators import rook_coords, rook_hyperplanes, rook_index
 
 
 def test_rook_indexing_row_major():
@@ -20,6 +20,14 @@ def test_rook_indexing_row_major():
     assert rook_index(spec, (1, 2)) == 4
     for v in range(1, spec.n + 1):
         assert rook_index(spec, rook_coords(spec, v)) == v
+
+
+def test_rook_hyperplanes_match_coordinates():
+    for g, d in ((1, 2), (2, 2), (3, 2), (5, 2), (2, 3), (4, 3), (3, 4)):
+        spec = RookSpec(g=g, d=d)
+        want = [[v for v in range(1, spec.n + 1) if rook_coords(spec, v)[k] == val]
+                for k in range(d) for val in range(1, g + 1)]
+        assert rook_hyperplanes(spec) == want
 
 
 def test_rook_edge_counts():

@@ -1,4 +1,9 @@
+import hashlib
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagzip import (
     Graph,
@@ -15,7 +20,9 @@ from dagzip import (
     twins,
     validate,
     validate_tree_compression,
+    write_compression,
 )
+from dagzip.heuristics import _greedy_pairs
 
 
 def test_tree_two_vertices_single_edge():
@@ -154,3 +161,62 @@ def test_theorem_bound_vacuous_small_g():
         t = tree_compress(graph, merge_policy="balanced")
         bound = g_side ** 3 // 32 - g_side ** 2
         assert len(t.cedges) >= max(bound, 0)
+
+
+def _reference_greedy_pairs(scores):
+    # The sorted-all-pairs greedy that mutual-best rounds must reproduce.
+    size = len(scores)
+    iu, ju = np.triu_indices(size, k=1)
+    order = np.lexsort((ju, iu, -scores[iu, ju]))
+    paired = np.zeros(size, dtype=bool)
+    out = []
+    for idx in order:
+        a, b = int(iu[idx]), int(ju[idx])
+        if paired[a] or paired[b]:
+            continue
+        paired[a] = paired[b] = True
+        out.append((a, b))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_mutual_best_pairing_equals_sorted_greedy(size, seed):
+    # symmetric scores 0..2, so most rows tie at their maximum
+    upper = np.triu(np.random.default_rng(seed).integers(0, 3, (size, size)))
+    scores = upper + np.triu(upper, 1).T
+    a, b = _greedy_pairs(scores.astype(np.float32))
+    assert list(zip(a.tolist(), b.tolist())) == _reference_greedy_pairs(scores)
+
+
+def _pinned_cases(family, directed):
+    if family == "rook":
+        for g_side in range(2, 13):
+            g = rook_graph(RookSpec(g=g_side))
+            yield g if directed else Graph(directed=False, n=g.n, edges=g.edges)
+    else:
+        for seed in range(40):
+            yield random_graph(2 + seed % 23, (0.2, 0.5, 0.8)[seed % 3], seed=seed,
+                               directed=directed)
+
+
+# sha256 over the concatenated write_compression texts of each case family,
+# taken from the sorted-all-pairs implementation.
+TREE_DIGESTS = {
+    ("rook", "similarity", True): "2946243b18f8d8581c866d1c416745e65dd067f25728c828812350b2f3fbe248",
+    ("rook", "similarity", False): "8b4bc812c330ce06abce13b87b9dea7371c856dc86334cd6a93203375ebe6cb4",
+    ("rook", "balanced", True): "be49457d72b79401371d4cac506922baaa0e251ce326afde75117bed9a56cef6",
+    ("rook", "balanced", False): "03836f3ce7396056787d9750e96dea224b5f8239e07bf25ccae3d281ff2ebe85",
+    ("random", "similarity", True): "3c1746b220685b480d92e7e3a8a1168e4cdbd3f13d01e08623dc234281fef76e",
+    ("random", "similarity", False): "3c4272549f8382a3d971dfb05c9a878c62b47858f09ebe1f7bfa55a4b7206e6d",
+    ("random", "balanced", True): "26d15831187af6d463e5d0964904e43264f6c95cd036cf8423146f379db847c2",
+    ("random", "balanced", False): "46303803bad4cbdd05b9cf0626fb817bc0b20a5b0f39f58190ef1f58193e950c",
+}
+
+
+@pytest.mark.parametrize("family, policy, directed", sorted(TREE_DIGESTS))
+def test_tree_output_pinned(family, policy, directed):
+    h = hashlib.sha256()
+    for g in _pinned_cases(family, directed):
+        h.update(write_compression(tree_compress(g, merge_policy=policy)).encode())
+    assert h.hexdigest() == TREE_DIGESTS[(family, policy, directed)]
