@@ -5,7 +5,6 @@ from .compression import (
     CompressionFormatError,
     DagCompression,
     clusters,
-    compression_union,
     decompress,
     read_compression,
     sink_representatives,
@@ -44,13 +43,10 @@ from .heuristics import (
 )
 from .mst import (
     MstResult,
-    MstRun,
     MstStats,
     UnionFind,
-    add_edge,
     kruskal_baseline,
     kruskal_compressed,
-    make_clean,
     write_mst,
 )
 from .normalize import shore_normalize, twin_normalize, twin_single_edge

@@ -217,39 +217,6 @@ def decompress(d: DagCompression) -> Graph | WeightedGraph:
     return g
 
 
-def compression_union(d1: DagCompression, d2: DagCompression) -> DagCompression:
-    """Componentwise union of two compressions over the same sink set.
-
-    d2's cluster vertices are renumbered after d1's; the result decompresses
-    to the union of the two decompressed edge sets.
-    """
-    if d1.directed != d2.directed or d1.n_sinks != d2.n_sinks:
-        raise ValueError("compressions must share orientation and sink set")
-    if d1.weighted != d2.weighted:
-        raise ValueError("cannot mix weighted and unweighted compressions")
-    shift = d1.n_clusters
-
-    def relabel(v: int) -> int:
-        return v if v <= d2.n_sinks else v + shift
-
-    arcs = set(d1.arcs) | {(relabel(u), relabel(v)) for u, v in d2.arcs}
-    cedges = set(d1.cedges) | {(relabel(u), relabel(v)) for u, v in d2.cedges}
-    weights = None
-    if d1.weighted:
-        weights = dict(d1.weights)
-        for (u, v), w in d2.weights.items():
-            e = canonical_edge(d1.directed, relabel(u), relabel(v))
-            weights[e] = min(w, weights.get(e, w))
-    return DagCompression(
-        directed=d1.directed,
-        n_sinks=d1.n_sinks,
-        n_clusters=d1.n_clusters + d2.n_clusters,
-        arcs=frozenset(arcs),
-        cedges=frozenset(cedges),
-        weights=weights,
-    )
-
-
 def read_compression(text: str) -> DagCompression:
     """Parse the compression text format (see write_compression)."""
     r = _LineReader(text, CompressionFormatError)

@@ -1,17 +1,19 @@
 """Kruskal's algorithm on weighted undirected DAG compressions.
 
-The compressed variant iterates over compression edges in weight order and
-never expands a product: to process {u, v} it makes u and v "clean" (their
-whole clusters inside one union-find set) by walking the cluster DAG once,
-connecting each freshly visited child to a fixed representative sink of the
-other endpoint. Every arc is traversed at most once over the whole run, so
-the work is O((|A| + |E|) * alpha(n)) plus the sort of E.
+The compressed variant is one loop over the compression edges in weight
+order and never expands a product: to process {u, v} it makes u and then v
+"clean" (the whole cluster inside one union-find set) by walking the
+unclean part of the cluster DAG below it, linking each child, once its own
+subtree is clean, to a fixed representative sink of the other endpoint,
+and finally joins the two representatives. A vertex is marked clean when
+the walk first reaches it and stays clean, and a DAG vertex is not
+reachable from its own subtree, so each arc is walked at most once over the
+whole run: O((|A| + |E|) * alpha(n)) union-find work plus the sort of E.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .compression import DagCompression, clusters, decompress
 from .graphs import Graph, WeightedGraph, canonical_edge
@@ -64,23 +66,6 @@ class MstResult:
         return frozenset((u, v) for u, v, _ in self.edges)
 
 
-@dataclass
-class MstRun:
-    """Mutable per-run state for the compressed algorithm.
-
-    rep and children are read-only per-vertex lookups; kruskal_compressed
-    passes the compression's shared DAG index.
-    """
-
-    uf: UnionFind
-    rep: Sequence[int] | Mapping[int, int]
-    children: Sequence[Sequence[int]] | Mapping[int, Sequence[int]]
-    clean: list[bool]
-    forest: list[tuple[int, int, int]] = field(default_factory=list)
-    stats: MstStats = field(default_factory=MstStats)
-    current_weight: int = 0
-
-
 def kruskal_baseline(g: WeightedGraph) -> MstResult:
     """Plain Kruskal on the explicit graph; ties broken by canonical edge order."""
     stats = MstStats()
@@ -93,75 +78,55 @@ def kruskal_baseline(g: WeightedGraph) -> MstResult:
     return MstResult(edges=forest, total_weight=sum(w for _, _, w in forest), stats=stats)
 
 
-def add_edge(run: MstRun, u: int, v: int) -> None:
-    """Unite the components of sinks u and v and record the edge if they differed."""
-    run.stats.add_edge_calls += 1
-    if run.uf.unite(u, v):
-        a, b = (u, v) if u <= v else (v, u)
-        run.forest.append((a, b, run.current_weight))
-
-
-def make_clean(run: MstRun, v: int, r: int) -> None:
-    """Ensure C(v) lies in a single union-find set, connecting children to sink r.
-
-    Precondition (unchecked here): r is a sink and every edge in C(v) x {r}
-    exists in the decompressed graph. Children are visited in canonical arc
-    order; each arc is traversed at most once per run because vertices are
-    marked clean permanently. Iterative so deep cluster chains cannot blow
-    the recursion limit.
-    """
-    if run.clean[v]:
-        return
-    VISIT, EDGE, DONE = 0, 1, 2
-    work: list[tuple[int, int]] = [(VISIT, v)]
-    while work:
-        action, x = work.pop()
-        if action == EDGE:
-            add_edge(run, run.rep[x], r)
-        elif action == DONE:
-            run.clean[x] = True
-        else:
-            if run.clean[x]:
-                continue
-            work.append((DONE, x))
-            for w in reversed(run.children[x]):
-                run.stats.arcs_traversed += 1
-                work.append((EDGE, w))
-                work.append((VISIT, w))
-
-
 def kruskal_compressed(d: DagCompression, debug: bool = False) -> MstResult:
     """Kruskal directly on a weighted undirected compression.
 
     Returns a minimum spanning forest of decompress(d) without ever
     materializing cluster sets. With debug=True (small inputs only) the
-    make_clean precondition and the running spanning-forest invariant are
+    cleaning precondition and the running spanning-forest invariant are
     re-checked against the decompressed graph after every compression edge.
     """
     if not d.weighted or d.directed:
         raise ValueError("compressed Kruskal needs a weighted undirected compression")
-    run = MstRun(
-        uf=UnionFind(d.n_sinks),
-        rep=d._index.representatives(),
-        children=d._index.children,
-        clean=[False] + [v <= d.n_sinks for v in range(1, d.n_vertices + 1)],
-    )
+    rep = d._index.representatives()
+    children = d._index.children
+    clean = [False] + [v <= d.n_sinks for v in range(1, d.n_vertices + 1)]
+    unite = UnionFind(d.n_sinks).unite
+    weights = d.weights
+    forest: list[tuple[int, int, int]] = []
+    add_edge_calls = arcs_traversed = 0
     checker = _DebugChecker(d) if debug else None
-    order = sorted(d.cedges, key=lambda e: (d.weights[e], e))
-    for u, v in order:
-        run.current_weight = d.weights[(u, v)]
+    for u, v in sorted(d.cedges, key=lambda e: (weights[e], e)):
+        w = weights[(u, v)]
+        ru, rv = rep[u], rep[v]
         if checker:
-            checker.check_clean_precondition(u, run.rep[v])
-            checker.check_clean_precondition(v, run.rep[u])
-        make_clean(run, u, run.rep[v])
-        make_clean(run, v, run.rep[u])
-        add_edge(run, run.rep[u], run.rep[v])
+            checker.check_clean_precondition(u, rv)
+            checker.check_clean_precondition(v, ru)
+        # Clean u towards sink rv, then v towards ru. A popped x >= 1 is
+        # walked; a popped -x links rep(x) to r after x's subtree is clean.
+        for work, r in (([u], rv), ([v], ru)):
+            while work:
+                x = work.pop()
+                if x < 0:
+                    add_edge_calls += 1
+                    a = rep[-x]
+                    if unite(a, r):
+                        forest.append((a, r, w) if a <= r else (r, a, w))
+                elif not clean[x]:
+                    clean[x] = True
+                    for c in reversed(children[x]):
+                        arcs_traversed += 1
+                        work.append(-c)
+                        work.append(c)
+        add_edge_calls += 1
+        if unite(ru, rv):
+            forest.append((ru, rv, w) if ru <= rv else (rv, ru, w))
         if checker:
-            checker.check_invariant((u, v), run)
+            checker.check_invariant((u, v), forest)
     return MstResult(
-        edges=run.forest,
-        total_weight=sum(w for _, _, w in run.forest),
-        stats=run.stats,
+        edges=forest,
+        total_weight=sum(w for _, _, w in forest),
+        stats=MstStats(add_edge_calls=add_edge_calls, arcs_traversed=arcs_traversed),
     )
 
 
@@ -180,9 +145,9 @@ class _DebugChecker:
         for x in self.table.cluster[v]:
             e = canonical_edge(False, x, r)
             if x != r and e not in self.graph.edges:
-                raise AssertionError(f"make_clean precondition violated: {e} not an edge")
+                raise AssertionError(f"clean precondition violated: {e} not an edge")
 
-    def check_invariant(self, cedge: tuple[int, int], run: MstRun) -> None:
+    def check_invariant(self, cedge: tuple[int, int], forest: list[tuple[int, int, int]]) -> None:
         w = self.d.weights[cedge]
         cu = self.table.cluster[cedge[0]]
         cv = self.table.cluster[cedge[1]]
@@ -192,7 +157,7 @@ class _DebugChecker:
                     continue
                 e = canonical_edge(False, x, y)
                 self.processed[e] = min(w, self.processed.get(e, w))
-        forest_edges = {(u, v): fw for u, v, fw in run.forest}
+        forest_edges = {(u, v): fw for u, v, fw in forest}
         for e, fw in forest_edges.items():
             if e not in self.graph.edges:
                 raise AssertionError(f"forest edge {e} not in the decompressed graph")
@@ -218,14 +183,3 @@ def write_mst(result: MstResult, n: int) -> str:
     for u, v, w in edges:
         out.append(f"t {u} {v} {w}")
     return "\n".join(out) + "\n"
-
-
-def spanning_forest_partition(edges: list[tuple[int, int, int]], n: int) -> list[frozenset[int]]:
-    """Connected components induced by a forest, as a sorted list of vertex sets."""
-    uf = UnionFind(n)
-    for u, v, _ in edges:
-        uf.unite(u, v)
-    comps: dict[int, set[int]] = {}
-    for v in range(1, n + 1):
-        comps.setdefault(uf.find(v), set()).add(v)
-    return sorted((frozenset(c) for c in comps.values()), key=lambda s: min(s))

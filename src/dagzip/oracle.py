@@ -11,6 +11,11 @@ and singletons; compression edges by an exact minimum cover of the edge set
 by admissible products. The self-check against an enumeration that allows
 duplicate cluster sets and non-proper children lives in the tests.
 
+Every minimum cover here and in reductions.check_sandwich comes from one
+depth-first search (_min_cover): candidates largest first, branching on
+the smallest uncovered element, and a branch is cut when its count plus
+ceil(uncovered / largest candidate) cannot beat the best cover found.
+
 For directed bipartite graphs there is always a minimum-size compression in
 which every cluster vertex describes a subset of the sink shore and every
 compression edge leaves a source vertex directly (moving a source-side
@@ -25,7 +30,7 @@ sink budget, e.g. twinned incidence graphs of set families.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .compression import DagCompression
@@ -49,34 +54,42 @@ class OracleBudget:
             raise ValueError("max_sinks must be positive")
 
 
-def _min_exact_cover(
-    target: frozenset[int], candidates: list[frozenset[int]], upper: int
-) -> tuple[int, tuple[frozenset[int], ...]] | None:
-    """Fewest candidate sets (each a subset of target) whose union is target.
+def _min_cover(target: frozenset, cands: list[tuple], upper: int) -> tuple[int, tuple] | None:
+    """Fewest candidate sets whose union is the target, or None above `upper`.
 
-    Returns None if no cover within `upper` exists. Candidates must already
-    be subsets of the target.
+    cands are (key, set) pairs of subsets of the target, largest set first;
+    the chosen keys come back. The search branches on the smallest uncovered
+    element and prunes a branch once even the largest set could not finish
+    it below the best cover so far, so it returns the first minimum cover in
+    search order.
     """
-    cands = sorted(set(candidates), key=lambda s: (-len(s), sorted(s)))
-    best: list[int] = [upper + 1]
-    best_choice: list[tuple[frozenset[int], ...]] = [()]
+    best = [upper + 1, ()]
+    largest = len(cands[0][1]) if cands else 1
 
-    def dfs(uncovered: frozenset[int], used: int, chosen: tuple[frozenset[int], ...]):
-        if used >= best[0]:
-            return
+    def dfs(uncovered, used, chosen):
         if not uncovered:
-            best[0] = used
-            best_choice[0] = chosen
+            if used < best[0]:
+                best[:] = used, chosen
+            return
+        if used + -(-len(uncovered) // largest) >= best[0]:
             return
         e = min(uncovered)
-        for c in cands:
+        for key, c in cands:
             if e in c:
-                dfs(uncovered - c, used + 1, chosen + (c,))
+                dfs(uncovered - c, used + 1, chosen + (key,))
 
     dfs(target, 0, ())
-    if best[0] > upper:
-        return None
-    return best[0], best_choice[0]
+    return None if best[0] > upper else (best[0], best[1])
+
+
+def _standard_key(s: frozenset[int]):
+    return len(s), sorted(s)
+
+
+def _min_set_cover(target: frozenset[int], sets, upper: int):
+    """_min_cover by distinct subsets of the target, in (-len, sorted) order."""
+    cands = sorted(sets, key=lambda s: (-len(s), sorted(s)))
+    return _min_cover(target, [(c, c) for c in cands], upper)
 
 
 def _family_arc_cost(
@@ -87,7 +100,7 @@ def _family_arc_cost(
     children: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
     for x in family:
         cands = [y for y in family if y < x] + [frozenset((e,)) for e in x]
-        got = _min_exact_cover(x, cands, min(len(x), upper - total))
+        got = _min_set_cover(x, cands, min(len(x), upper - total))
         if got is None:
             return None
         cnt, chosen = got
@@ -96,6 +109,19 @@ def _family_arc_cost(
         if total >= upper:
             return None
     return total, children
+
+
+def _cluster_ids(family, n_sinks: int) -> dict[frozenset[int], int]:
+    """Witness vertex ids n_sinks+1.. for the family's sets, in (len, sorted) order."""
+    return {s: n_sinks + 1 + i for i, s in enumerate(sorted(family, key=_standard_key))}
+
+
+def _unit_id(cid: dict[frozenset[int], int], s: frozenset[int]) -> int:
+    return next(iter(s)) if len(s) == 1 else cid[s]
+
+
+def _witness_arcs(cid: dict[frozenset[int], int], children) -> frozenset[tuple[int, int]]:
+    return frozenset((cid[x], _unit_id(cid, ch)) for x in cid for ch in children[x])
 
 
 def _admissible_products(
@@ -119,68 +145,6 @@ def _admissible_products(
                 out.append(((iu, iv), prod))
     out.sort(key=lambda t: (-len(t[1]), t[0]))
     return out
-
-
-def _min_product_cover(
-    edge_set: frozenset[tuple[int, int]],
-    products: list[tuple[tuple[int, int], frozenset[tuple[int, int]]]],
-    upper: int,
-) -> tuple[int, tuple[tuple[int, int], ...]] | None:
-    """Exact minimum cover of the edge set by admissible products."""
-    best = [upper + 1]
-    best_choice: list[tuple[tuple[int, int], ...]] = [()]
-    if products:
-        biggest = len(products[0][1])
-    else:
-        biggest = 0
-
-    def dfs(uncovered, used, chosen):
-        if not uncovered:
-            if used < best[0]:
-                best[0] = used
-                best_choice[0] = chosen
-            return
-        if biggest == 0:
-            return
-        if used + (len(uncovered) + biggest - 1) // biggest >= best[0]:
-            return
-        e = min(uncovered)
-        for key, prod in products:
-            if e in prod:
-                dfs(uncovered - prod, used + 1, chosen + (key,))
-
-    dfs(edge_set, 0, ())
-    if best[0] > upper:
-        return None
-    return best[0], best_choice[0]
-
-
-def _build_witness(
-    g: Graph,
-    family: tuple[frozenset[int], ...],
-    children: dict[frozenset[int], tuple[frozenset[int], ...]],
-    chosen_products: tuple[tuple[int, int], ...],
-) -> DagCompression:
-    order = sorted(family, key=lambda s: (len(s), sorted(s)))
-    cid = {s: g.n + 1 + i for i, s in enumerate(order)}
-
-    def unit_id(s: frozenset[int]) -> int:
-        if len(s) == 1:
-            return next(iter(s))
-        return cid[s]
-
-    arcs = set()
-    for x in order:
-        for ch in children[x]:
-            arcs.add((cid[x], unit_id(ch)))
-    cedges = set(chosen_products)
-    return DagCompression(
-        directed=g.directed,
-        n_sinks=g.n,
-        n_clusters=len(order),
-        arcs=frozenset(arcs),
-        cedges=frozenset(cedges),
-    )
 
 
 def min_dag_size(g: Graph, budget: OracleBudget | None = None) -> tuple[int, DagCompression]:
@@ -207,7 +171,7 @@ def min_dag_size(g: Graph, budget: OracleBudget | None = None) -> tuple[int, Dag
         for r in range(2, g.n + 1)
         for c in itertools.combinations(sinks, r)
     ]
-    subsets.sort(key=lambda s: (len(s), sorted(s)))
+    subsets.sort(key=_standard_key)
     max_family = min(budget.max_nonsingleton_clusters, len(subsets))
     done = False
     for fam_size in range(0, max_family + 1):
@@ -218,17 +182,20 @@ def min_dag_size(g: Graph, budget: OracleBudget | None = None) -> tuple[int, Dag
             if got is None:
                 continue
             arc_cost, children = got
-            units = [(v, frozenset((v,))) for v in sinks]
-            units += [(g.n + 1 + i, s) for i, s in enumerate(sorted(fam, key=lambda s: (len(s), sorted(s))))]
+            cid = _cluster_ids(fam, g.n)
+            units = [(v, frozenset((v,))) for v in sinks] + [(i, s) for s, i in cid.items()]
             products = _admissible_products(edge_set, units, g.directed)
-            cover = _min_product_cover(edge_set, products, best_size - arc_cost - 1)
+            cover = _min_cover(edge_set, products, best_size - arc_cost - 1)
             if cover is None:
                 continue
             edge_cost, chosen = cover
             total = arc_cost + edge_cost
             if total < best_size:
                 best_size = total
-                best_witness = _build_witness(g, fam, children, chosen)
+                best_witness = DagCompression(
+                    directed=g.directed, n_sinks=g.n, n_clusters=len(cid),
+                    arcs=_witness_arcs(cid, children), cedges=frozenset(chosen),
+                )
                 if budget.size_cap is not None and best_size <= budget.size_cap:
                     done = True
                     break
@@ -239,13 +206,7 @@ def decide_mindag(
     g: Graph, k: int, budget: OracleBudget | None = None
 ) -> tuple[bool, DagCompression | None]:
     """Does g admit a compression of size at most k? Witness returned on yes."""
-    base = budget or OracleBudget()
-    capped = OracleBudget(
-        max_sinks=base.max_sinks,
-        max_nonsingleton_clusters=base.max_nonsingleton_clusters,
-        size_cap=k,
-    )
-    size, witness = min_dag_size(g, capped)
+    size, witness = min_dag_size(g, replace(budget or OracleBudget(), size_cap=k))
     if size <= k:
         return True, witness
     return False, None
@@ -279,19 +240,16 @@ def min_bipartite_size(
         for r in range(2, universe_size + 1)
         for c in itertools.combinations(elems, r)
     ]
-    subsets.sort(key=lambda s: (len(s), sorted(s)))
+    subsets.sort(key=_standard_key)
 
     @lru_cache(maxsize=None)
     def _cover_filtered(target: frozenset[int], avail: tuple[frozenset[int], ...]):
-        cands = list(avail) + [frozenset((e,)) for e in target]
-        return _min_exact_cover(target, cands, len(target))
+        return _min_set_cover(target, avail + tuple(frozenset((e,)) for e in target), len(target))
 
     def cover(target: frozenset[int], fam: tuple[frozenset[int], ...]):
         return _cover_filtered(target, tuple(y for y in fam if y < target))
 
-    distinct = sorted(
-        {s for s in neighborhoods if s}, key=lambda s: (len(s), sorted(s))
-    )
+    distinct = sorted({s for s in neighborhoods if s}, key=_standard_key)
     multiplicity = {s: sum(1 for nb in neighborhoods if nb == s) for s in distinct}
     # Every non-empty source pays at least one compression edge.
     floor_edges = sum(multiplicity.values())
@@ -342,28 +300,19 @@ def min_bipartite_size(
             break
     assert best is not None
     fam, children, per_source = best
-    order = sorted(fam, key=lambda s: (len(s), sorted(s)))
     n_sinks = universe_size + len(neighborhoods)
-    cid = {s: n_sinks + 1 + i for i, s in enumerate(order)}
-
-    def unit_id(s: frozenset[int]) -> int:
-        return next(iter(s)) if len(s) == 1 else cid[s]
-
-    arcs = set()
-    for x in order:
-        for ch in children[x]:
-            arcs.add((cid[x], unit_id(ch)))
-    cedges = set()
-    for i, chosen in enumerate(per_source):
-        src = universe_size + 1 + i
-        for piece in chosen:
-            cedges.add((src, unit_id(piece)))
+    cid = _cluster_ids(fam, n_sinks)
+    cedges = frozenset(
+        (universe_size + 1 + i, _unit_id(cid, piece))
+        for i, chosen in enumerate(per_source)
+        for piece in chosen
+    )
     witness = DagCompression(
         directed=True,
         n_sinks=n_sinks,
-        n_clusters=len(order),
-        arcs=frozenset(arcs),
-        cedges=frozenset(cedges),
+        n_clusters=len(cid),
+        arcs=_witness_arcs(cid, children),
+        cedges=cedges,
     )
     return best_size, witness
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .compression import DagCompression
 from .graphs import Graph, ShorePartition, _LineReader
-from .oracle import twinned_optimum
+from .oracle import _min_set_cover, twinned_optimum
 
 
 class SetCoverFormatError(ValueError):
@@ -118,6 +118,15 @@ def _close(sets, universe_size: int, origin_sets) -> ClosedFamily:
     return ClosedFamily(universe_size=universe_size, sets=ordered_sets, origin=origin)
 
 
+def _require_proper_cover(inst: SetCoverInstance) -> None:
+    """The reductions' precondition: the collection covers the universe and
+    the universe itself is not a member."""
+    if frozenset().union(*inst.sets) != inst.universe:
+        raise ValueError("collection does not cover the universe")
+    if inst.universe in inst.sets:
+        raise ValueError("universe must not be a member of the collection")
+
+
 def close_standard_order(inst: SetCoverInstance) -> ClosedFamily:
     """Standard-order closure of the instance's collection.
 
@@ -125,11 +134,7 @@ def close_standard_order(inst: SetCoverInstance) -> ClosedFamily:
     the universe and the universe itself is not a member. The added sets are
     unions of nothing new, so the minimum cover size is unchanged.
     """
-    union = frozenset().union(*inst.sets) if inst.sets else frozenset()
-    if union != inst.universe:
-        raise ValueError("collection does not cover the universe")
-    if inst.universe in inst.sets:
-        raise ValueError("universe must not be a member of the collection")
+    _require_proper_cover(inst)
     return _close(inst.sets, inst.n, inst.sets)
 
 
@@ -300,11 +305,7 @@ def reduce_add(inst: SetCoverInstance) -> AddInstance:
     edges stay direct in the optimal compression. Adding (s, 1) lets s reach
     the infected clusters of a minimum cover.
     """
-    union = frozenset().union(*inst.sets) if inst.sets else frozenset()
-    if union != inst.universe:
-        raise ValueError("collection does not cover the universe")
-    if inst.universe in inst.sets:
-        raise ValueError("universe must not be a member of the collection")
+    _require_proper_cover(inst)
     shifted = _shift_instance(inst)
     infected = tuple(s | {1} for s in shifted)
     family = _close(infected, inst.n + 1, infected)
@@ -394,11 +395,7 @@ def reduce_delete(inst: SetCoverInstance) -> DeleteInstance:
     cost is added: the full set's cluster disappears and its other twin
     switches to the longest proper prefix plus the top element.
     """
-    union = frozenset().union(*inst.sets) if inst.sets else frozenset()
-    if union != inst.universe:
-        raise ValueError("collection does not cover the universe")
-    if inst.universe in inst.sets:
-        raise ValueError("universe must not be a member of the collection")
+    _require_proper_cover(inst)
     shifted = _shift_instance(inst)
     full = frozenset(range(1, inst.n + 2))
     family = _close(shifted + (full,), inst.n + 1, shifted + (full,))
@@ -521,25 +518,9 @@ def check_sandwich(sets, new_set, universe_size: int) -> SandwichReport:
     if not r <= (frozenset().union(*sets) if sets else frozenset()):
         raise ValueError("new set not coverable by the family")
 
-    k_sup = None
-    for size in range(1, len(sets) + 1):
-        for combo in itertools.combinations(sets, size):
-            if frozenset().union(*combo) >= r:
-                k_sup = size
-                break
-        if k_sup is not None:
-            break
-    assert k_sup is not None
-
-    k_eq = None
-    inside = [s for s in sets if s <= r]
-    for size in range(1, len(inside) + 1):
-        for combo in itertools.combinations(inside, size):
-            if frozenset().union(*combo) == r:
-                k_eq = size
-                break
-        if k_eq is not None:
-            break
+    k_sup = _min_set_cover(r, {s & r for s in sets} - {frozenset()}, len(r))[0]
+    exact = _min_set_cover(r, [s for s in sets if s <= r], len(r))
+    k_eq = exact[0] if exact else None
 
     s, _ = twinned_optimum(sets, universe_size)
     s_prime, _ = twinned_optimum(sets + (r,), universe_size)

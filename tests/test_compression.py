@@ -7,7 +7,6 @@ from dagzip import (
     DagCompression,
     Graph,
     clusters,
-    compression_union,
     decompress,
     random_compression,
     read_compression,
@@ -237,19 +236,6 @@ def test_monotone_weights_under_edge_addition():
         after = decompress(bigger)
         for edge, w in before.weights.items():
             assert after.weights[edge] <= w
-
-
-def test_union_property():
-    for seed in range(20):
-        d1 = random_compression(n_sinks=6, n_clusters=3, arc_density=0.5,
-                                edge_count=3, max_weight=4, seed=seed)
-        d2 = random_compression(n_sinks=6, n_clusters=2, arc_density=0.5,
-                                edge_count=3, max_weight=4, seed=seed + 1000)
-        merged = compression_union(d1, d2)
-        assert validate(merged) == []
-        g1, g2 = decompress(d1), decompress(d2)
-        gm = decompress(merged)
-        assert gm.edges == g1.edges | g2.edges
 
 
 def test_isolated_sinks_are_legal():

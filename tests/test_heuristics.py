@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagzip import (
+    DagCompression,
     Graph,
     RookSpec,
     clusters,
@@ -43,6 +44,15 @@ def test_tree_clique_with_loops_gets_root_loop():
     assert t.cedges == frozenset({(root, root)})
     assert t.size() == 6 + 1
     assert decompress(t) == g
+
+
+def test_tree_shape_rejects_two_trees():
+    # C(5) = {1, 2} and C(6) = {3, 4}: each tree is binary, but neither root
+    # covers every sink
+    d = DagCompression(directed=True, n_sinks=4, n_clusters=2,
+                       arcs=frozenset({(5, 1), (5, 2), (6, 3), (6, 4)}),
+                       cedges=frozenset({(5, 6)}))
+    assert validate_tree_compression(d) == ["expected a unique root, found 2"]
 
 
 def test_tree_single_vertex():

@@ -1,6 +1,10 @@
+import hashlib
 import itertools
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagzip import (
     DagCompression,
@@ -14,7 +18,6 @@ from dagzip import (
     rook_mst_compression,
     write_mst,
 )
-from dagzip.mst import MstRun, MstStats, add_edge, make_clean, spanning_forest_partition
 from dagzip.compression import sink_representatives
 
 
@@ -71,9 +74,10 @@ def test_fig_run_weight_is_brute_force_minimum(mst_compression):
 def test_compressed_fig_run(mst_compression):
     res = kruskal_compressed(mst_compression, debug=True)
     assert res.total_weight == 7
-    assert res.edge_set == frozenset({(1, 4), (1, 5), (1, 6), (2, 4), (3, 4), (1, 7)})
-    assert res.stats.add_edge_calls <= 10
-    assert res.stats.arcs_traversed <= 8
+    # 4 of the 10 links fall inside one component, and no arc is walked twice
+    assert res.edges == [(1, 4, 1), (2, 4, 1), (3, 4, 1), (1, 5, 1), (1, 6, 1), (1, 7, 2)]
+    assert res.stats.add_edge_calls == 10
+    assert res.stats.arcs_traversed == 8
 
 
 def test_compressed_single_edge_between_sinks():
@@ -97,21 +101,6 @@ def test_compressed_matches_baseline_on_fuzz():
         assert mine.stats.arcs_traversed <= len(d.arcs), seed
 
 
-def test_clean_order_immaterial_for_weight():
-    # replay the run cleaning the second endpoint of each compression edge first
-    for seed in range(60):
-        d = random_compression(n_sinks=6, n_clusters=4, arc_density=0.4,
-                               edge_count=5, max_weight=4, seed=seed)
-        run = _run_for(d)
-        for (u, v) in sorted(d.cedges, key=lambda e: (d.weights[e], e)):
-            run.current_weight = d.weights[(u, v)]
-            make_clean(run, v, run.rep[u])
-            make_clean(run, u, run.rep[v])
-            add_edge(run, run.rep[u], run.rep[v])
-        swapped = sum(w for _, _, w in run.forest)
-        assert kruskal_compressed(d).total_weight == swapped
-
-
 def test_debug_invariant_checks_pass(mst_compression):
     for seed in range(40):
         d = random_compression(n_sinks=5 + seed % 6, n_clusters=3, arc_density=0.5,
@@ -119,56 +108,46 @@ def test_debug_invariant_checks_pass(mst_compression):
         kruskal_compressed(d, debug=True)
 
 
+def _partition(edges, n):
+    """Connected components of a forest on 1..n, ordered by smallest vertex."""
+    uf = UnionFind(n)
+    for u, v, _ in edges:
+        uf.unite(u, v)
+    comps = {}
+    for v in range(1, n + 1):
+        comps.setdefault(uf.find(v), set()).add(v)
+    return sorted((frozenset(c) for c in comps.values()), key=min)
+
+
 def test_disconnected_input_yields_forest():
     d = DagCompression(directed=False, n_sinks=4, n_clusters=0,
                        arcs=frozenset(), cedges=frozenset({(1, 2)}), weights={(1, 2): 3})
     res = kruskal_compressed(d)
     assert res.edges == [(1, 2, 3)]
-    parts = spanning_forest_partition(res.edges, 4)
-    assert parts == [frozenset({1, 2}), frozenset({3}), frozenset({4})]
+    assert _partition(res.edges, 4) == [frozenset({1, 2}), frozenset({3}), frozenset({4})]
 
 
-def _run_for(d):
-    children = {v: [] for v in range(1, d.n_vertices + 1)}
-    for u, v in sorted(d.arcs):
-        children[u].append(v)
-    return MstRun(
-        uf=UnionFind(d.n_sinks),
-        rep=sink_representatives(d),
-        children=children,
-        clean=[False] + [v <= d.n_sinks for v in range(1, d.n_vertices + 1)],
-        stats=MstStats(),
-    )
-
-
-def test_make_clean_noop_on_clean_vertex(mst_compression):
-    run = _run_for(mst_compression)
-    make_clean(run, 1, 4)
-    assert run.stats.arcs_traversed == 0
-    assert run.forest == []
+def _weight_order_prefixes(d):
+    # Kruskal on the first k compression edges in weight order replays the
+    # full run up to its k-th compression edge.
+    order = sorted(d.cedges, key=lambda e: (d.weights[e], e))
+    for k in range(1, len(order) + 1):
+        yield DagCompression(directed=False, n_sinks=d.n_sinks, n_clusters=d.n_clusters,
+                             arcs=d.arcs, cedges=frozenset(order[:k]),
+                             weights={e: d.weights[e] for e in order[:k]})
 
 
 def test_make_clean_fig_first_step(mst_compression):
     # processing {8, 9}: cleaning 8 connects children 1, 2, 3 to rep(9) = 4
-    run = _run_for(mst_compression)
-    run.current_weight = 1
-    assert run.rep[9] == 4
-    make_clean(run, 8, run.rep[9])
-    assert run.forest == [(1, 4, 1), (2, 4, 1), (3, 4, 1)]
-    assert run.clean[8]
+    assert sink_representatives(mst_compression)[9] == 4
+    first = next(_weight_order_prefixes(mst_compression))
+    assert kruskal_compressed(first).edges[:3] == [(1, 4, 1), (2, 4, 1), (3, 4, 1)]
 
 
 def test_fig_partition_evolution(mst_compression):
-    # replay the full run and snapshot the partition after each compression edge
+    # snapshot the partition after each compression edge
     d = mst_compression
-    run = _run_for(d)
-    snapshots = []
-    for (u, v) in sorted(d.cedges, key=lambda e: (d.weights[e], e)):
-        run.current_weight = d.weights[(u, v)]
-        make_clean(run, u, run.rep[v])
-        make_clean(run, v, run.rep[u])
-        add_edge(run, run.rep[u], run.rep[v])
-        snapshots.append(spanning_forest_partition(run.forest, d.n_sinks))
+    snapshots = [_partition(kruskal_compressed(p).edges, d.n_sinks) for p in _weight_order_prefixes(d)]
     assert snapshots[0] == [frozenset({1, 2, 3, 4, 5, 6}), frozenset({7})]
     assert snapshots[1] == [frozenset(range(1, 8))]
 
@@ -179,17 +158,6 @@ def test_arcs_traversed_at_most_once():
                                arc_density=0.5, edge_count=6, max_weight=3, seed=seed)
         res = kruskal_compressed(d)
         assert res.stats.arcs_traversed <= len(d.arcs)
-
-
-def test_add_edge_same_component_is_noop():
-    run = MstRun(uf=UnionFind(3), rep={v: v for v in range(1, 4)},
-                 children={v: [] for v in range(1, 4)},
-                 clean=[False, True, True, True])
-    run.current_weight = 1
-    add_edge(run, 1, 2)
-    add_edge(run, 2, 1)
-    assert run.forest == [(1, 2, 1)]
-    assert run.stats.add_edge_calls == 2
 
 
 def test_deterministic_output_text(mst_compression):
@@ -210,3 +178,50 @@ def test_rook_mst_compression_contract():
 def test_compressed_rejects_unweighted(fig_compression):
     with pytest.raises(ValueError):
         kruskal_compressed(fig_compression)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 10), st.sampled_from([0.2, 0.5, 0.8]),
+       st.integers(1, 14), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_mst_weight_matches_baseline_and_networkx(n_sinks, n_clusters, density, edge_count,
+                                                  max_weight, seed):
+    d = random_compression(n_sinks=n_sinks, n_clusters=n_clusters, arc_density=density,
+                           edge_count=edge_count, max_weight=max_weight, seed=seed)
+    mine = kruskal_compressed(d)
+    g = decompress(d)
+    ref = nx.Graph()
+    ref.add_nodes_from(range(1, g.n + 1))
+    ref.add_weighted_edges_from((u, v, w) for (u, v), w in g.weights.items())
+    nx_weight = sum(w for _, _, w in nx.minimum_spanning_tree(ref).edges(data="weight"))
+    assert mine.total_weight == kruskal_baseline(g).total_weight == nx_weight
+    assert mine.stats.add_edge_calls <= len(d.arcs) + len(d.cedges)
+    assert mine.stats.arcs_traversed <= len(d.arcs)
+
+
+def _pinned_compressions(family):
+    if family == "rook":
+        for g in range(5, 41):
+            yield rook_mst_compression(g, max_weight=1 if g % 2 else 7, seed=g)
+    else:
+        for seed in range(200):
+            yield random_compression(
+                n_sinks=3 + seed % 30, n_clusters=seed % 20,
+                arc_density=(0.2, 0.4, 0.6)[seed % 3], edge_count=2 + seed % 25,
+                max_weight=1 + seed % 6, seed=seed)
+
+
+# sha256 over repr((edges, total_weight, stats)) of each run, taken from the
+# step-level implementation (MstRun/make_clean/add_edge).
+MST_DIGESTS = {
+    "random": "38a9d5caa369351ee74e4e3ed96582fad446e215a484b651f37f383235881ec1",
+    "rook": "1f9d6b7008601fb7014a27a4057c48742be5d419b2e31e223df5528782331a09",
+}
+
+
+@pytest.mark.parametrize("family", sorted(MST_DIGESTS))
+def test_compressed_output_pinned(family):
+    h = hashlib.sha256()
+    for d in _pinned_compressions(family):
+        r = kruskal_compressed(d)
+        h.update(repr((r.edges, r.total_weight, r.stats)).encode())
+    assert h.hexdigest() == MST_DIGESTS[family]

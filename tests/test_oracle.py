@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -14,8 +16,9 @@ from dagzip import (
     random_graph,
     twinned_optimum,
     validate,
+    write_compression,
 )
-from dagzip.oracle import _min_exact_cover, _min_product_cover, _admissible_products
+from dagzip.oracle import _admissible_products, _min_cover, _min_set_cover
 
 
 def multiset_oracle(g: Graph, max_clusters: int = 4) -> int:
@@ -44,7 +47,7 @@ def multiset_oracle(g: Graph, max_clusters: int = 4) -> int:
         units = [(v, frozenset((v,))) for v in sinks]
         units += [(g.n + 1 + i, s) for i, s in enumerate(sorted(distinct, key=sorted))]
         products = _admissible_products(edge_set, units, g.directed)
-        got = _min_product_cover(edge_set, products, len(edge_set))
+        got = _min_cover(edge_set, products, len(edge_set))
         value = got[0] if got else len(edge_set) + 1
         cover_cache[distinct] = value
         return value if value <= upper else None
@@ -54,7 +57,7 @@ def multiset_oracle(g: Graph, max_clusters: int = 4) -> int:
         for i, x in enumerate(ordering):
             later = [y for y in ordering[i + 1:]] + [frozenset((e,)) for e in x]
             cands = [y for y in later if y <= x]
-            got = _min_exact_cover(x, cands, min(len(x), upper - total))
+            got = _min_set_cover(x, set(cands), min(len(x), upper - total))
             if got is None:
                 return None
             total += got[0]
@@ -80,9 +83,14 @@ def multiset_oracle(g: Graph, max_clusters: int = 4) -> int:
 
 def test_min_exact_cover_basics():
     target = frozenset({1, 2, 3})
-    out = _min_exact_cover(target, [frozenset({1, 2}), frozenset({3}),
-                                    frozenset({1}), frozenset({2})], 3)
-    assert out[0] == 2
+    out = _min_set_cover(target, [frozenset({1}), frozenset({3}),
+                                  frozenset({1, 2}), frozenset({2})], 3)
+    assert out == (2, (frozenset({1, 2}), frozenset({3})))
+    pairs = [("ab", frozenset({1, 2})), ("bc", frozenset({2, 3})), ("c", frozenset({3}))]
+    assert _min_cover(target, pairs, 3) == (2, ("ab", "bc"))
+    assert _min_cover(target, pairs, 1) is None
+    assert _min_cover(target, pairs[:1], 3) is None
+    assert _min_cover(frozenset(), [], 0) == (0, ())
 
 
 def test_oracle_edgeless():
@@ -210,3 +218,40 @@ def test_twinned_optimum_values():
 def test_bipartite_universe_budget():
     with pytest.raises(OracleBudgetExceeded):
         min_bipartite_size((frozenset({1}),), 6)
+
+
+def _pinned_graphs():
+    for seed in range(120):
+        yield random_graph(1 + seed % 4, (0.2, 0.45, 0.7)[seed % 3], seed=seed,
+                           directed=seed % 2 == 0)
+
+
+def _pinned_families():
+    rng = random.Random(5)
+    for _ in range(60):
+        u = rng.randint(2, 4)
+        yield tuple(frozenset(rng.sample(range(1, u + 1), rng.randint(1, u)))
+                    for _ in range(rng.randint(1, 4))), u
+
+
+# sha256 over the sizes and write_compression texts of the witnesses, taken
+# from the implementation with separate set-cover and product-cover searches.
+ORACLE_DIGESTS = {
+    "min_dag_size": "d487c0b7b4a827aadddc48fb4557412b83973cb9debd10648253951e48975e89",
+    "decide_mindag": "3490092615330505a0452f9b23a8958956eee4da0e7a18736059877b1c7854f2",
+    "twinned_optimum": "fca76c81e76ca28f3b5e1cff2249e70fa27c226b934cf47988d601cae7f1a781",
+}
+
+
+def test_oracle_witnesses_pinned():
+    got = {name: hashlib.sha256() for name in ORACLE_DIGESTS}
+    for g in _pinned_graphs():
+        size, w = min_dag_size(g)
+        got["min_dag_size"].update(f"{size}\n{write_compression(w)}".encode())
+        for k in (size - 1, size, size + 1):
+            yes, w = decide_mindag(g, k)
+            got["decide_mindag"].update((write_compression(w) if yes else "no\n").encode())
+    for sets, u in _pinned_families():
+        size, w = twinned_optimum(sets, u)
+        got["twinned_optimum"].update(f"{size}\n{write_compression(w)}".encode())
+    assert {name: h.hexdigest() for name, h in got.items()} == ORACLE_DIGESTS
