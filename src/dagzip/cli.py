@@ -23,7 +23,6 @@ from .compression import (
 )
 from .graphs import (
     GraphFormatError,
-    Graph,
     WeightedGraph,
     read_graph,
     read_shores,
@@ -147,27 +146,27 @@ def cmd_reduce(args) -> int:
         inst = read_setcover(_read_text(args.file))
     except SetCoverFormatError as exc:
         raise CliError(f"bad set-cover file: {exc}") from exc
-    prefix = args.out_prefix
     try:
         if args.problem == "mindag":
             out = reductions.reduce_mindag(inst)
-            _write_text(f"{prefix}.graph", write_graph(out.graph))
-            meta = dict(out.meta, k_prime=out.k_prime)
+            extra = {"k_prime": out.k_prime}
         elif args.problem == "add":
             out = reductions.reduce_add(inst)
-            _write_text(f"{prefix}.graph", write_graph(out.graph))
-            _write_text(f"{prefix}.dagc", write_compression(out.compression))
-            meta = dict(out.meta, k_new=out.k_new, new_edge=list(out.new_edge))
+            extra = {"k_new": out.k_new, "new_edge": list(out.new_edge)}
         else:
             out = reductions.reduce_delete(inst)
-            _write_text(f"{prefix}.graph", write_graph(out.graph))
-            _write_text(f"{prefix}.dagc", write_compression(out.compression))
-            meta = dict(out.meta, k_new=out.k_new, removed_edge=list(out.removed_edge))
+            extra = {"k_new": out.k_new, "removed_edge": list(out.removed_edge)}
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    lines = [f"{key} {meta[key]}" for key in sorted(meta)]
-    _write_text(f"{prefix}.meta", "\n".join(lines) + "\n")
-    print(f"wrote {prefix}.graph" + ("" if args.problem == "mindag" else f", {prefix}.dagc") + f", {prefix}.meta")
+    files = {"graph": write_graph(out.graph)}
+    if hasattr(out, "compression"):
+        files["dagc"] = write_compression(out.compression)
+    meta = dict(out.meta, **extra)
+    files["meta"] = "".join(f"{key} {meta[key]}\n" for key in sorted(meta))
+    paths = [f"{args.out_prefix}.{ext}" for ext in files]
+    for path, text in zip(paths, files.values()):
+        _write_text(path, text)
+    print("wrote " + ", ".join(paths))
     return 0
 
 

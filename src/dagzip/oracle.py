@@ -1,40 +1,50 @@
 """Exact minimum-size DAG compressions for tiny instances.
 
-The generic search enumerates families of distinct non-singleton sink
-subsets as candidate cluster sets. Restricting to one vertex per distinct
-cluster set and to proper-subset children loses nothing: vertices sharing a
-cluster set can be collapsed onto the topologically last one (redirecting
-incidences, dropping intra-class arcs) without growing the size, and after
-collapsing, an arc to an equal-set child would be a cycle. Arcs are costed
-per family member by an exact minimum cover of the set by smaller members
-and singletons; compression edges by an exact minimum cover of the edge set
-by admissible products. The self-check against an enumeration that allows
-duplicate cluster sets and non-proper children lives in the tests.
+Both oracles run one search (_family_search) over families of distinct
+non-singleton sink subsets as the cluster sets, by family size, keeping
+the first strict improvement and stopping at the bound 2 |F| + floor
+(every non-singleton cluster needs two arcs). A family pays arcs for an
+exact minimum cover of each member by smaller members and singletons,
+memoised per call; only the pricing of the compression edges differs.
 
-Every minimum cover here and in reductions.check_sandwich comes from one
-depth-first search (_min_cover): candidates largest first, branching on
-the smallest uncovered element, and a branch is cut when its count plus
-ceil(uncovered / largest candidate) cannot beat the best cover found.
+The generic oracle prices the compression edges by an exact minimum cover
+of the edge set by admissible products. Restricting to one vertex per
+distinct cluster set and to proper-subset children loses nothing: vertices
+sharing a cluster set can be collapsed onto the topologically last one
+(redirecting incidences, dropping intra-class arcs) without growing the
+size, and after collapsing, an arc to an equal-set child would be a cycle.
+The self-check against an enumeration that allows duplicate cluster sets
+and non-proper children lives in the tests.
 
 For directed bipartite graphs there is always a minimum-size compression in
 which every cluster vertex describes a subset of the sink shore and every
 compression edge leaves a source vertex directly (moving a source-side
 cluster's incidences across, arcs becoming edges and vice versa, is
-size-neutral and removes it from the source side). Minimizing then reduces
-to choosing a helper family of sink subsets: each source pays an exact
-cover of its out-neighborhood, each helper pays an exact cover by smaller
-helpers and singletons. That search handles graphs far beyond the generic
-sink budget, e.g. twinned incidence graphs of set families.
+size-neutral and removes it from the source side). The bipartite oracle
+therefore prices each source by an exact cover of its out-neighborhood by
+the family's members and singletons. That search handles graphs far beyond
+the generic sink budget, e.g. twinned incidence graphs of set families.
+
+Every minimum cover here and in reductions.check_sandwich comes from one
+depth-first search (_min_cover): candidates largest first, branching on
+the smallest uncovered element, and a branch is cut when its count plus
+ceil(uncovered / largest candidate) cannot beat the best cover found.
+Every witness, here and in reductions, is built by _family_compression,
+which numbers the cluster vertices.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from .compression import DagCompression
 from .graphs import Graph, canonical_edge
+
+# The generic search tries families of at most this many cluster sets.
+_MAX_CLUSTERS = 6
+# The bipartite search enumerates subsets of a universe of at most this size.
+_MAX_UNIVERSE = 5
 
 
 class OracleBudgetExceeded(ValueError):
@@ -44,7 +54,6 @@ class OracleBudgetExceeded(ValueError):
 @dataclass(frozen=True)
 class OracleBudget:
     max_sinks: int = 4
-    max_nonsingleton_clusters: int = 6
     size_cap: int | None = None
 
     def __post_init__(self):
@@ -61,7 +70,7 @@ def _min_cover(target: frozenset, cands: list[tuple], upper: int) -> tuple[int, 
     the chosen keys come back. The search branches on the smallest uncovered
     element and prunes a branch once even the largest set could not finish
     it below the best cover so far, so it returns the first minimum cover in
-    search order.
+    search order, whatever `upper` is as long as that cover fits under it.
     """
     best = [upper + 1, ()]
     largest = len(cands[0][1]) if cands else 1
@@ -92,58 +101,93 @@ def _min_set_cover(target: frozenset[int], sets, upper: int):
     return _min_cover(target, [(c, c) for c in cands], upper)
 
 
-def _family_arc_cost(
-    family: tuple[frozenset[int], ...], upper: int
-) -> tuple[int, dict[frozenset[int], tuple[frozenset[int], ...]]] | None:
-    """Total arcs to realize every family set from proper subsets and singletons."""
+def _sink_subsets(n: int) -> list[frozenset[int]]:
+    """Every subset of 1..n with at least two elements, in (len, sorted) order."""
+    sinks = range(1, n + 1)
+    return [frozenset(c) for r in range(2, n + 1) for c in itertools.combinations(sinks, r)]
+
+
+def _family_arc_cost(family, upper: int, cover):
+    """Total arcs to realize every family set from proper subsets and
+    singletons, with each set's children, or None unless below `upper`."""
     total = 0
     children: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
     for x in family:
-        cands = [y for y in family if y < x] + [frozenset((e,)) for e in x]
-        got = _min_set_cover(x, cands, min(len(x), upper - total))
+        got = cover(x, family, upper - total - 1)
         if got is None:
             return None
-        cnt, chosen = got
-        total += cnt
-        children[x] = chosen
-        if total >= upper:
-            return None
+        total += got[0]
+        children[x] = got[1]
     return total, children
 
 
-def _cluster_ids(family, n_sinks: int) -> dict[frozenset[int], int]:
-    """Witness vertex ids n_sinks+1.. for the family's sets, in (len, sorted) order."""
-    return {s: n_sinks + 1 + i for i, s in enumerate(sorted(family, key=_standard_key))}
+def _family_search(subsets, max_family: int, floor: int, best_size: int, best,
+                   size_cap: int | None, price_edges):
+    """The first family of subsets, by family size, that beats best_size.
 
+    price_edges(family, cover, upper) gives the compression edges' count and
+    their (unit, unit) pairs, or None above `upper`; floor is a lower bound
+    on that count for every family. Each improvement replaces best by
+    (family, children, pairs); the search ends once the bound 2 |F| + floor
+    reaches the best size, or at the first improvement within size_cap.
+    """
+    memo: dict = {}
 
-def _unit_id(cid: dict[frozenset[int], int], s: frozenset[int]) -> int:
-    return next(iter(s)) if len(s) == 1 else cid[s]
+    def cover(x, family, upper):
+        # First minimum cover of x by the family's proper subsets of x and singletons.
+        avail = tuple(filter(x.__gt__, family))
+        key = x, avail
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = _min_set_cover(x, avail + tuple(frozenset((e,)) for e in x), len(x))
+        return got if got[0] <= upper else None
 
-
-def _witness_arcs(cid: dict[frozenset[int], int], children) -> frozenset[tuple[int, int]]:
-    return frozenset((cid[x], _unit_id(cid, ch)) for x in cid for ch in children[x])
-
-
-def _admissible_products(
-    edge_set: frozenset[tuple[int, int]],
-    units: list[tuple[int, frozenset[int]]],
-    directed: bool,
-) -> list[tuple[tuple[int, int], frozenset[tuple[int, int]]]]:
-    """All unit pairs whose full product lies inside the edge set."""
-    out = []
-    for iu, cu in units:
-        for iv, cv in units:
-            if not directed and iv < iu:
+    for fam_size in range(max_family + 1):
+        if 2 * fam_size + floor >= best_size:
+            break
+        for family in itertools.combinations(subsets, fam_size):
+            arcs = _family_arc_cost(family, best_size - floor, cover)
+            if arcs is None:
                 continue
-            prod = frozenset(
-                canonical_edge(directed, x, y) for x in cu for y in cv if directed or x != y
-            )
-            if not directed:
-                loops = frozenset((x, x) for x in cu & cv)
-                prod = prod | loops
-            if prod and prod <= edge_set:
-                out.append(((iu, iv), prod))
-    out.sort(key=lambda t: (-len(t[1]), t[0]))
+            edges = price_edges(family, cover, best_size - arcs[0] - 1)
+            if edges is None:
+                continue
+            best_size, best = arcs[0] + edges[0], (family, arcs[1], edges[1])
+            if size_cap is not None and best_size <= size_cap:
+                return best_size, best
+    return best_size, best
+
+
+def _family_compression(directed: bool, n_sinks: int, family, children, pairs) -> DagCompression:
+    """The compression whose cluster vertices n_sinks+1.. realize the
+    family's sets in (len, sorted) order, each with an arc to every one of
+    its children, and whose compression edges join the two units of each
+    pair. A unit is a family set or a singleton, which is its own sink."""
+    cid = {s: n_sinks + 1 + i for i, s in enumerate(sorted(family, key=_standard_key))}
+
+    def unit(s):
+        return next(iter(s)) if len(s) == 1 else cid[s]
+
+    return DagCompression(
+        directed=directed,
+        n_sinks=n_sinks,
+        n_clusters=len(cid),
+        arcs=frozenset((cid[x], unit(ch)) for x in cid for ch in children[x]),
+        cedges=frozenset((unit(a), unit(b)) for a, b in pairs),
+    )
+
+
+def _admissible_products(edge_set: frozenset[tuple[int, int]], units, directed: bool):
+    """(a, b, product) for every pair of units whose full product lies inside
+    the edge set, largest product first, then in `units` order (b after a
+    when undirected)."""
+    out = []
+    for i, a in enumerate(units):
+        for b in units if directed else units[i:]:
+            prod = frozenset(canonical_edge(directed, x, y) for x in a for y in b)
+            if prod <= edge_set:
+                out.append((a, b, prod))
+    out.sort(key=lambda t: -len(t[2]))
     return out
 
 
@@ -157,49 +201,23 @@ def min_dag_size(g: Graph, budget: OracleBudget | None = None) -> tuple[int, Dag
     if g.n > budget.max_sinks:
         raise OracleBudgetExceeded(f"{g.n} sinks exceed the budget of {budget.max_sinks}")
     edge_set = g.edges
-    direct = DagCompression(
-        directed=g.directed, n_sinks=g.n, n_clusters=0,
-        arcs=frozenset(), cedges=edge_set,
+    singles = [frozenset((v,)) for v in range(1, g.n + 1)]
+    subsets = _sink_subsets(g.n)
+    # Units in (len, sorted) order are in witness-id order for every family,
+    # so one stable sort here orders each family's products by (-len, ids).
+    products = _admissible_products(edge_set, singles + subsets, g.directed)
+
+    def price_edges(family, cover, upper):
+        units = set(singles).union(family)
+        cands = [((a, b), prod) for a, b, prod in products if a in units and b in units]
+        return _min_cover(edge_set, cands, upper)
+
+    direct = ((), {}, [(frozenset((u,)), frozenset((v,))) for u, v in edge_set])
+    size, (family, children, pairs) = _family_search(
+        subsets, min(_MAX_CLUSTERS, len(subsets)), 0, len(edge_set), direct,
+        budget.size_cap, price_edges,
     )
-    best_size = len(edge_set)
-    best_witness = direct
-    if not edge_set:
-        return 0, direct
-    sinks = list(range(1, g.n + 1))
-    subsets = [
-        frozenset(c)
-        for r in range(2, g.n + 1)
-        for c in itertools.combinations(sinks, r)
-    ]
-    subsets.sort(key=_standard_key)
-    max_family = min(budget.max_nonsingleton_clusters, len(subsets))
-    done = False
-    for fam_size in range(0, max_family + 1):
-        if done or 2 * fam_size >= best_size:
-            break
-        for fam in itertools.combinations(subsets, fam_size):
-            got = _family_arc_cost(fam, best_size)
-            if got is None:
-                continue
-            arc_cost, children = got
-            cid = _cluster_ids(fam, g.n)
-            units = [(v, frozenset((v,))) for v in sinks] + [(i, s) for s, i in cid.items()]
-            products = _admissible_products(edge_set, units, g.directed)
-            cover = _min_cover(edge_set, products, best_size - arc_cost - 1)
-            if cover is None:
-                continue
-            edge_cost, chosen = cover
-            total = arc_cost + edge_cost
-            if total < best_size:
-                best_size = total
-                best_witness = DagCompression(
-                    directed=g.directed, n_sinks=g.n, n_clusters=len(cid),
-                    arcs=_witness_arcs(cid, children), cedges=frozenset(chosen),
-                )
-                if budget.size_cap is not None and best_size <= budget.size_cap:
-                    done = True
-                    break
-    return best_size, best_witness
+    return size, _family_compression(g.directed, g.n, family, children, pairs)
 
 
 def decide_mindag(
@@ -216,7 +234,6 @@ def min_bipartite_size(
     neighborhoods: tuple[frozenset[int], ...],
     universe_size: int,
     size_cap: int | None = None,
-    max_universe: int = 5,
 ) -> tuple[int, DagCompression]:
     """Exact optimum for a directed bipartite graph given per-source neighborhoods.
 
@@ -226,95 +243,40 @@ def min_bipartite_size(
     running best. Sound for any number of sources, so twinned incidence
     graphs of set families are in scope.
     """
-    if universe_size > max_universe:
+    if universe_size > _MAX_UNIVERSE:
         raise OracleBudgetExceeded(
-            f"universe of {universe_size} exceeds the bipartite budget of {max_universe}"
+            f"universe of {universe_size} exceeds the bipartite budget of {_MAX_UNIVERSE}"
         )
-    elems = list(range(1, universe_size + 1))
+    universe = frozenset(range(1, universe_size + 1))
     neighborhoods = tuple(frozenset(s) for s in neighborhoods)
     for s in neighborhoods:
-        if not s <= set(elems):
+        if not s <= universe:
             raise ValueError("neighborhood outside the universe")
-    subsets = [
-        frozenset(c)
-        for r in range(2, universe_size + 1)
-        for c in itertools.combinations(elems, r)
-    ]
-    subsets.sort(key=_standard_key)
-
-    @lru_cache(maxsize=None)
-    def _cover_filtered(target: frozenset[int], avail: tuple[frozenset[int], ...]):
-        return _min_set_cover(target, avail + tuple(frozenset((e,)) for e in target), len(target))
-
-    def cover(target: frozenset[int], fam: tuple[frozenset[int], ...]):
-        return _cover_filtered(target, tuple(y for y in fam if y < target))
-
     distinct = sorted({s for s in neighborhoods if s}, key=_standard_key)
-    multiplicity = {s: sum(1 for nb in neighborhoods if nb == s) for s in distinct}
-    # Every non-empty source pays at least one compression edge.
-    floor_edges = sum(multiplicity.values())
+    multiplicity = {s: neighborhoods.count(s) for s in distinct}
+    sources = [(frozenset((universe_size + 1 + i,)), nb)
+               for i, nb in enumerate(neighborhoods) if nb]
 
-    best_size: int | None = None
-    best = None
-    for fam_size in range(0, len(subsets) + 1):
-        if best_size is not None and 2 * fam_size + floor_edges >= best_size:
-            break
-        stop = False
-        for fam in itertools.combinations(subsets, fam_size):
-            total = 0
-            children: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
-            feasible = True
-            for x in fam:
-                cnt, chosen = cover(x, fam)
-                total += cnt
-                children[x] = chosen
-                if best_size is not None and total + floor_edges >= best_size:
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            fam_set = set(fam)
-            source_pick: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
-            for nb in distinct:
-                if nb in fam_set:
-                    cnt, chosen = 1, (nb,)
-                else:
-                    cnt, chosen = cover(nb, fam)
-                total += cnt * multiplicity[nb]
-                source_pick[nb] = chosen
-                if best_size is not None and total >= best_size:
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            if best_size is None or total < best_size:
-                best_size = total
-                per_source = tuple(
-                    source_pick[nb] if nb else () for nb in neighborhoods
-                )
-                best = (fam, children, per_source)
-                if size_cap is not None and best_size <= size_cap:
-                    stop = True
-                    break
-        if stop:
-            break
-    assert best is not None
-    fam, children, per_source = best
+    def price_edges(family, cover, upper):
+        total = 0
+        picks = {}
+        for nb in distinct:
+            cnt, picks[nb] = (1, (nb,)) if nb in family else cover(nb, family, len(nb))
+            total += cnt * multiplicity[nb]
+            if total > upper:
+                return None
+        return total, [(src, piece) for src, nb in sources for piece in picks[nb]]
+
+    # Every non-empty source pays at least one compression edge. The empty
+    # family prices the direct compression, so one more than its size means
+    # that nothing has been found yet.
+    subsets = _sink_subsets(universe_size)
+    direct = sum(len(nb) for nb in neighborhoods)
+    size, (family, children, pairs) = _family_search(
+        subsets, len(subsets), len(sources), direct + 1, None, size_cap, price_edges,
+    )
     n_sinks = universe_size + len(neighborhoods)
-    cid = _cluster_ids(fam, n_sinks)
-    cedges = frozenset(
-        (universe_size + 1 + i, _unit_id(cid, piece))
-        for i, chosen in enumerate(per_source)
-        for piece in chosen
-    )
-    witness = DagCompression(
-        directed=True,
-        n_sinks=n_sinks,
-        n_clusters=len(cid),
-        arcs=_witness_arcs(cid, children),
-        cedges=cedges,
-    )
-    return best_size, witness
+    return size, _family_compression(True, n_sinks, family, children, pairs)
 
 
 def twinned_optimum(

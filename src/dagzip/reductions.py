@@ -7,17 +7,22 @@ family, and emit the three machine-checkable reduction outputs: a
 minimum-compression decision instance, an edge-addition update instance,
 and an edge-deletion update instance. An exhaustive set-cover solver and
 the two-sided growth check for adding one set to a family serve as the
-verification oracles.
+verification oracles. Every compression built here comes from the
+oracle's _family_compression, so cluster vertices are numbered as in the
+oracles' witnesses: n_sinks+1.. in (len, sorted) order of their sets.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .compression import DagCompression
 from .graphs import Graph, ShorePartition, _LineReader
-from .oracle import _min_set_cover, twinned_optimum
+from .oracle import _family_compression, _min_set_cover, _standard_key, twinned_optimum
+
+# setcover_exhaustive refuses collections with more sets than this.
+_MAX_SETS = 20
 
 
 class SetCoverFormatError(ValueError):
@@ -73,10 +78,6 @@ def write_setcover(inst: SetCoverInstance) -> str:
     return "\n".join(out) + "\n"
 
 
-def _standard_sort(sets) -> tuple[frozenset[int], ...]:
-    return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
-
-
 @dataclass(frozen=True)
 class ClosedFamily:
     """Sets in standard order: all singletons of the universe, then every
@@ -84,7 +85,6 @@ class ClosedFamily:
 
     universe_size: int
     sets: tuple[frozenset[int], ...]
-    origin: tuple[bool, ...]
 
     @property
     def m(self) -> int:
@@ -103,19 +103,17 @@ class ClosedFamily:
             for i in range(1, len(ordered)):
                 if frozenset(ordered[:i]) not in present:
                     raise ValueError(f"initial segment {ordered[:i]} of {ordered} missing")
-        if list(self.sets) != list(_standard_sort(self.sets)):
+        if list(self.sets) != sorted(self.sets, key=_standard_key):
             raise ValueError("family not in standard order")
 
 
-def _close(sets, universe_size: int, origin_sets) -> ClosedFamily:
+def _close(sets, universe_size: int) -> ClosedFamily:
     family: set[frozenset[int]] = {frozenset((e,)) for e in range(1, universe_size + 1)}
     for s in sets:
         ordered = sorted(s)
         for i in range(1, len(ordered) + 1):
             family.add(frozenset(ordered[:i]))
-    ordered_sets = _standard_sort(family)
-    origin = tuple(s in set(origin_sets) for s in ordered_sets)
-    return ClosedFamily(universe_size=universe_size, sets=ordered_sets, origin=origin)
+    return ClosedFamily(universe_size=universe_size, sets=tuple(sorted(family, key=_standard_key)))
 
 
 def _require_proper_cover(inst: SetCoverInstance) -> None:
@@ -135,7 +133,7 @@ def close_standard_order(inst: SetCoverInstance) -> ClosedFamily:
     unions of nothing new, so the minimum cover size is unchanged.
     """
     _require_proper_cover(inst)
-    return _close(inst.sets, inst.n, inst.sets)
+    return _close(inst.sets, inst.n)
 
 
 @dataclass(frozen=True)
@@ -152,10 +150,15 @@ class TwinnedGraph:
     universe_size: int
 
     def a_vertex(self, i: int) -> int:
-        return self.universe_size + 2 * i + 1
+        return _twin_vertices(self.universe_size, i)[0]
 
     def b_vertex(self, i: int) -> int:
-        return self.universe_size + 2 * i + 2
+        return _twin_vertices(self.universe_size, i)[1]
+
+
+def _twin_vertices(universe_size: int, i: int) -> tuple[int, int]:
+    """The two source vertices of set i (0-based) in a twinned incidence graph."""
+    return universe_size + 2 * i + 1, universe_size + 2 * i + 2
 
 
 def twinned_incidence(sets, universe_size: int | None = None) -> TwinnedGraph:
@@ -169,11 +172,8 @@ def twinned_incidence(sets, universe_size: int | None = None) -> TwinnedGraph:
     n = universe_size + 2 * len(sets)
     edges: set[tuple[int, int]] = set()
     for i, s in enumerate(sets):
-        a = universe_size + 2 * i + 1
-        b = a + 1
-        for e in s:
-            edges.add((a, e))
-            edges.add((b, e))
+        for t in _twin_vertices(universe_size, i):
+            edges.update((t, e) for e in s)
     graph = Graph(directed=True, n=n, edges=frozenset(edges))
     shores = ShorePartition(
         shore1=frozenset(range(universe_size + 1, n + 1)),
@@ -189,48 +189,26 @@ def closure_compression_size(family: ClosedFamily) -> int:
     return 2 * family.m + 2 * q
 
 
-def canonical_closure_compression(
-    family: ClosedFamily, extra_sinks: int = 0
-) -> DagCompression:
-    """Compression of the twinned incidence graph of a closed family.
+def _closure_parts(family: ClosedFamily):
+    """Clusters, their children and the compression-edge pairs of the
+    canonical compression of a closed family's twinned incidence graph.
 
     Each singleton's twins connect straight to the element; each larger set
-    S gets a cluster vertex with two arcs, one to the cluster of the initial
-    segment missing max(S) and one to the sink max(S), plus one compression
-    edge from each twin. extra_sinks appends unconnected sink ids (used by
-    the update reductions for their distinguished vertex).
+    S is a cluster with two children, the initial segment missing max(S) and
+    the sink max(S), plus one compression edge from each twin.
     """
     family.check_closed()
-    u = family.universe_size
-    m = family.m
-    n_sinks = u + 2 * m + extra_sinks
-    non_singletons = [i for i, s in enumerate(family.sets) if len(s) >= 2]
-    cid = {family.sets[i]: n_sinks + 1 + j for j, i in enumerate(non_singletons)}
+    clusters = [s for s in family.sets if len(s) >= 2]
+    children = {s: (s - {max(s)}, frozenset((max(s),))) for s in clusters}
+    pairs = [(frozenset((t,)), s) for i, s in enumerate(family.sets)
+             for t in _twin_vertices(family.universe_size, i)]
+    return clusters, children, pairs
 
-    def rep(s: frozenset[int]) -> int:
-        if len(s) == 1:
-            return next(iter(s))
-        return cid[s]
 
-    arcs: set[tuple[int, int]] = set()
-    cedges: set[tuple[int, int]] = set()
-    for i, s in enumerate(family.sets):
-        a = u + 2 * i + 1
-        b = a + 1
-        target = rep(s)
-        cedges.add((a, target))
-        cedges.add((b, target))
-        if len(s) >= 2:
-            top = max(s)
-            segment = s - {top}
-            arcs.add((cid[s], rep(segment)))
-            arcs.add((cid[s], top))
-    return DagCompression(
-        directed=True,
-        n_sinks=n_sinks,
-        n_clusters=len(non_singletons),
-        arcs=frozenset(arcs),
-        cedges=frozenset(cedges),
+def canonical_closure_compression(family: ClosedFamily) -> DagCompression:
+    """Compression of the twinned incidence graph of a closed family."""
+    return _family_compression(
+        True, family.universe_size + 2 * family.m, *_closure_parts(family)
     )
 
 
@@ -292,6 +270,16 @@ class AddInstance:
     meta: dict = field(default_factory=dict)
 
 
+def _closure_and_source(family: ClosedFamily, s_vertex: int, targets) -> DagCompression:
+    """The canonical closure compression with one more sink, s_vertex, and a
+    compression edge from it to each target set."""
+    clusters, children, pairs = _closure_parts(family)
+    s_unit = frozenset((s_vertex,))
+    return _family_compression(
+        True, s_vertex, clusters, children, pairs + [(s_unit, t) for t in targets]
+    )
+
+
 def _shift_instance(inst: SetCoverInstance) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(e + 1 for e in s) for s in inst.sets)
 
@@ -308,26 +296,20 @@ def reduce_add(inst: SetCoverInstance) -> AddInstance:
     _require_proper_cover(inst)
     shifted = _shift_instance(inst)
     infected = tuple(s | {1} for s in shifted)
-    family = _close(infected, inst.n + 1, infected)
+    family = _close(infected, inst.n + 1)
     twinned = twinned_incidence(family)
     s_vertex = twinned.graph.n + 1
-    extra_edges = {(s_vertex, e) for e in range(2, inst.n + 2)}
     graph = Graph(
         directed=True,
         n=s_vertex,
-        edges=twinned.graph.edges | frozenset(extra_edges),
+        edges=twinned.graph.edges | {(s_vertex, e) for e in range(2, inst.n + 2)},
     )
     shores = ShorePartition(
         shore1=twinned.shores.shore1 | {s_vertex},
         shore2=twinned.shores.shore2,
     )
-    base = canonical_closure_compression(family, extra_sinks=1)
-    compression = DagCompression(
-        directed=True,
-        n_sinks=base.n_sinks,
-        n_clusters=base.n_clusters,
-        arcs=base.arcs,
-        cedges=base.cedges | frozenset(extra_edges),
+    compression = _closure_and_source(
+        family, s_vertex, [frozenset((e,)) for e in range(2, inst.n + 2)]
     )
     b_size = closure_compression_size(family)
     meta = {
@@ -352,22 +334,8 @@ def reduce_add(inst: SetCoverInstance) -> AddInstance:
 def add_witness(ai: AddInstance, cover_indices: tuple[int, ...], inst: SetCoverInstance) -> DagCompression:
     """The yes-direction compression after adding (s, 1): s keeps one
     compression edge per cover set, pointed at the set's infected cluster."""
-    family = ai.family
-    d = ai.compression
-    drop = {(ai.s_vertex, e) for e in range(2, inst.n + 2)}
-    cedges = set(d.cedges) - drop
-    non_singletons = [i for i, s in enumerate(family.sets) if len(s) >= 2]
-    cid = {family.sets[i]: d.n_sinks + 1 + j for j, i in enumerate(non_singletons)}
-    for idx in cover_indices:
-        infected = frozenset(e + 1 for e in inst.sets[idx]) | {1}
-        cedges.add((ai.s_vertex, cid[infected]))
-    return DagCompression(
-        directed=True,
-        n_sinks=d.n_sinks,
-        n_clusters=d.n_clusters,
-        arcs=d.arcs,
-        cedges=frozenset(cedges),
-    )
+    infected = [frozenset(e + 1 for e in inst.sets[idx]) | {1} for idx in cover_indices]
+    return _closure_and_source(ai.family, ai.s_vertex, infected)
 
 
 @dataclass
@@ -398,7 +366,7 @@ def reduce_delete(inst: SetCoverInstance) -> DeleteInstance:
     _require_proper_cover(inst)
     shifted = _shift_instance(inst)
     full = frozenset(range(1, inst.n + 2))
-    family = _close(shifted + (full,), inst.n + 1, shifted + (full,))
+    family = _close(shifted + (full,), inst.n + 1)
     twinned = twinned_incidence(family)
     compression = canonical_closure_compression(family)
     b_size = closure_compression_size(family)
@@ -428,53 +396,25 @@ def delete_witness(
 ) -> DagCompression:
     """The yes-direction compression after deleting the edge.
 
-    The full set's cluster is dropped; its b-twin covers the universe via the
-    longest proper prefix plus the top sink, and the a-twin covers 2..n+1 via
-    the clusters of the chosen (uninfected) cover sets.
+    The full set, always the family's last member, loses its cluster: the
+    rest is the canonical compression of the other sets, the b-twin covers
+    the universe via the longest proper prefix plus the top sink, and the
+    a-twin covers 2..n+1 via the clusters of the chosen (uninfected) cover
+    sets.
     """
     family = di.family
     u = family.universe_size
-    full = frozenset(range(1, u + 1))
-    n_sinks = di.compression.n_sinks
-    non_singletons = [
-        i for i, s in enumerate(family.sets) if len(s) >= 2 and s != full
-    ]
-    cid = {family.sets[i]: n_sinks + 1 + j for j, i in enumerate(non_singletons)}
-
-    def rep(s: frozenset[int]) -> int:
-        return next(iter(s)) if len(s) == 1 else cid[s]
-
-    arcs: set[tuple[int, int]] = set()
-    cedges: set[tuple[int, int]] = set()
-    for i, s in enumerate(family.sets):
-        a = u + 2 * i + 1
-        b = a + 1
-        if s == full:
-            prefix = full - {u}
-            cedges.add((b, rep(prefix)))
-            cedges.add((b, u))
-            for idx in cover_indices:
-                cedges.add((a, rep(frozenset(e + 1 for e in inst.sets[idx]))))
-            continue
-        cedges.add((a, rep(s)))
-        cedges.add((b, rep(s)))
-        if len(s) >= 2:
-            top = max(s)
-            arcs.add((cid[s], rep(s - {top})))
-            arcs.add((cid[s], top))
-    return DagCompression(
-        directed=True,
-        n_sinks=n_sinks,
-        n_clusters=len(non_singletons),
-        arcs=frozenset(arcs),
-        cedges=frozenset(cedges),
-    )
+    clusters, children, pairs = _closure_parts(replace(family, sets=family.sets[:-1]))
+    a, b = (frozenset((t,)) for t in _twin_vertices(u, di.full_set_index))
+    pairs += [(b, frozenset(range(1, u))), (b, frozenset((u,)))]
+    pairs += [(a, frozenset(e + 1 for e in inst.sets[idx])) for idx in cover_indices]
+    return _family_compression(True, u + 2 * family.m, clusters, children, pairs)
 
 
-def setcover_exhaustive(inst: SetCoverInstance, max_sets: int = 20) -> tuple[int, tuple[int, ...]]:
+def setcover_exhaustive(inst: SetCoverInstance) -> tuple[int, tuple[int, ...]]:
     """Exact minimum cover size with a witness of 0-based set indices."""
-    if len(inst.sets) > max_sets:
-        raise ValueError(f"instance has more than {max_sets} sets")
+    if len(inst.sets) > _MAX_SETS:
+        raise ValueError(f"instance has more than {_MAX_SETS} sets")
     universe = inst.universe
     covered_all = frozenset().union(*inst.sets) if inst.sets else frozenset()
     if not covered_all >= universe:

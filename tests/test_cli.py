@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 
 import pytest
@@ -178,6 +179,30 @@ def test_reduce_cli_add_and_delete(tmp_path, capsys):
         assert code == 0
         assert comp.size() > 0
 
+
+
+# sha256 over stdout and the written files of `dagzip reduce` on the worked
+# example, taken from the implementation with one write branch per problem.
+REDUCE_CLI_DIGEST = "742b00f10f65844f77714ae3f3eb151e3b28400a98c55c6865afa5e59bf92e4b"
+
+
+def test_reduce_cli_outputs_pinned(tmp_path, capsys):
+    inst = SetCoverInstance(
+        n=7, sets=(frozenset({1, 4, 5, 6}), frozenset({2, 3, 5, 7})), k=2
+    )
+    src = tmp_path / "sc.txt"
+    src.write_text(write_setcover(inst), encoding="ascii")
+    h = hashlib.sha256()
+    for problem in ("mindag", "add", "delete"):
+        prefix = tmp_path / problem
+        argv = ["reduce", problem, str(src), "--out-prefix", str(prefix)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        h.update(out.replace(str(tmp_path), "DIR").encode())
+        for ext in ("graph", "dagc", "meta"):
+            path = tmp_path / f"{problem}.{ext}"
+            h.update(path.read_bytes() if path.exists() else b"-")
+    assert h.hexdigest() == REDUCE_CLI_DIGEST
 
 def test_normalize_cli(tmp_path, capsys):
     from dagzip import twinned_incidence, DagCompression

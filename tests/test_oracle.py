@@ -18,7 +18,29 @@ from dagzip import (
     validate,
     write_compression,
 )
-from dagzip.oracle import _admissible_products, _min_cover, _min_set_cover
+from dagzip.graphs import canonical_edge
+from dagzip.oracle import _min_cover, _min_set_cover
+
+
+def _reference_admissible_products(edge_set, units, directed):
+    """All (id, set) unit pairs whose full product lies inside the edge set,
+    built pair by pair; the oracle's product table before it was built once
+    per call."""
+    out = []
+    for iu, cu in units:
+        for iv, cv in units:
+            if not directed and iv < iu:
+                continue
+            prod = frozenset(
+                canonical_edge(directed, x, y) for x in cu for y in cv if directed or x != y
+            )
+            if not directed:
+                loops = frozenset((x, x) for x in cu & cv)
+                prod = prod | loops
+            if prod and prod <= edge_set:
+                out.append(((iu, iv), prod))
+    out.sort(key=lambda t: (-len(t[1]), t[0]))
+    return out
 
 
 def multiset_oracle(g: Graph, max_clusters: int = 4) -> int:
@@ -46,7 +68,7 @@ def multiset_oracle(g: Graph, max_clusters: int = 4) -> int:
             return got if got <= upper else None
         units = [(v, frozenset((v,))) for v in sinks]
         units += [(g.n + 1 + i, s) for i, s in enumerate(sorted(distinct, key=sorted))]
-        products = _admissible_products(edge_set, units, g.directed)
+        products = _reference_admissible_products(edge_set, units, g.directed)
         got = _min_cover(edge_set, products, len(edge_set))
         value = got[0] if got else len(edge_set) + 1
         cover_cache[distinct] = value

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -22,6 +23,8 @@ from dagzip import (
     twinned_optimum,
     twins,
     validate,
+    write_compression,
+    write_graph,
     write_setcover,
 )
 
@@ -382,3 +385,51 @@ def test_sandwich_random_sweep():
         assert rep.holds, (fam, r, rep)
         done += 1
     assert done >= 20
+
+
+def _meta_text(meta) -> str:
+    return "".join(f"{key} {meta[key]}\n" for key in sorted(meta))
+
+
+def _pinned_instances():
+    for n, combo in all_tiny_instances():
+        yield SetCoverInstance(n=n, sets=combo, k=1)
+    yield WORKED
+
+
+# sha256 over the write_graph / write_compression / meta texts of every
+# construction, taken from the implementation that numbered the cluster
+# vertices of each construction by hand.
+REDUCTION_DIGESTS = {
+    "canonical_closure_compression":
+        "d2765d1d96372350bb4236f9a3267de163109f83ebaa9381c8d32566984ead90",
+    "reduce_mindag": "7fa3f442732f26abe9ffcca5b85a7c10fe497479ad493d18f5e10df09c28904c",
+    "reduce_add": "0236d642d63552a40964e6853e680366e23d80ff685fff3481f10e9bee5ef9c2",
+    "add_witness": "5ba1334ee5a1b04ec0fd8c18dab5db7b31097aae1a22cbec7790efbe52125b0f",
+    "reduce_delete": "c583d3124724227e576b060818f5a76fa7e45945619f671ed2f8767afdf71278",
+    "delete_witness": "2e86e1fd2ab2a28e4e980fadef672d878dffff5c0f79e17388865ea188009d0b",
+}
+
+
+def test_reduction_outputs_pinned():
+    got = {name: hashlib.sha256() for name in REDUCTION_DIGESTS}
+
+    def put(name, *texts):
+        got[name].update("".join(texts).encode())
+
+    for inst in _pinned_instances():
+        put("canonical_closure_compression",
+            write_compression(canonical_closure_compression(close_standard_order(inst))))
+        out = reduce_mindag(inst)
+        put("reduce_mindag", write_graph(out.graph),
+            _meta_text(dict(out.meta, k_prime=out.k_prime)))
+        _, cover = setcover_exhaustive(inst)
+        ai = reduce_add(inst)
+        put("reduce_add", write_graph(ai.graph), write_compression(ai.compression),
+            _meta_text(dict(ai.meta, k_new=ai.k_new, new_edge=ai.new_edge)))
+        put("add_witness", write_compression(add_witness(ai, cover, inst)))
+        di = reduce_delete(inst)
+        put("reduce_delete", write_graph(di.graph), write_compression(di.compression),
+            _meta_text(dict(di.meta, k_new=di.k_new, removed_edge=di.removed_edge)))
+        put("delete_witness", write_compression(delete_witness(di, cover, inst)))
+    assert {name: h.hexdigest() for name, h in got.items()} == REDUCTION_DIGESTS
