@@ -8,11 +8,21 @@ and a compression edge (u, v) encodes every original edge in C(u) x C(v)
 (the unordered product for undirected compressions). The size of a
 compression is |A| + |E|.
 
-Every pass over (V, A) reads one index, built on first use and cached on the
-frozen compression: children in canonical arc order, in-degrees, the Kahn
-topological order and a representative sink per vertex, all O(|V| + |A|).
-validate, topological_order, sink_representatives, clusters, compressed
-Kruskal, the shore pass and the tree-shape check share it. Cluster sets are
+A DagCompression stores A and E as read-only int64 columns: the arcs
+(arc_u, arc_v) sorted by (u, v), and the compression edges (cedge_u,
+cedge_v), canonical (u <= v when undirected) and sorted the same way, with
+their weights in cedge_w. The text reader and writer, the index and
+compressed Kruskal work on these arrays. The tuple views arcs, cedges and
+weights are built on first use and cached; the small-instance modules
+(oracle, reductions, normalize, heuristics) and the tests read those.
+
+Every pass over (V, A) reads one index, built on first use and cached on
+the compression: the arcs in CSR form (indptr from the out-degrees of the
+sorted arc sources, indices the arc targets, so each vertex's children come
+in ascending order), in-degrees, the Kahn topological order and a
+representative sink per vertex, all O(|V| + |A|). validate,
+topological_order, sink_representatives, clusters, compressed Kruskal, the
+shore pass and the tree-shape check share it. Cluster sets are
 Theta(n * |clusters|) and stay per call (clusters(), decompress()).
 """
 
@@ -20,40 +30,102 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import repeat
+from types import MappingProxyType
 
-from .graphs import Graph, WeightedGraph, _LineReader, canonical_edge
+import numpy as np
+
+from .graphs import INT64_MAX, Graph, WeightedGraph, _LineReader, _lex_order, _text_rows, canonical_edge
 
 
 class CompressionFormatError(ValueError):
     """Raised for malformed compression text."""
 
 
-@dataclass(frozen=True, eq=False)
-class DagCompression:
-    directed: bool
-    n_sinks: int
-    n_clusters: int
-    arcs: frozenset[tuple[int, int]]
-    cedges: frozenset[tuple[int, int]]
-    weights: dict[tuple[int, int], int] | None = None
+def _pair_columns(pairs, undirected: bool, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical, sorted, distinct int64 (u, v) columns of pairs with ids in
+    1..top. An array is sorted with numpy; other iterables (the small-instance
+    modules' sets) as tuples, cheaper than numpy calls on a few pairs."""
+    if not isinstance(pairs, np.ndarray):
+        pairs = sorted({tuple(sorted(p)) if undirected else tuple(p) for p in pairs})
+    a = np.array(pairs, dtype=np.int64) if len(pairs) else np.empty((0, 2), dtype=np.int64)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError("arcs and compression edges must be (u, v) pairs")
+    if a.size and (a.min() < 1 or a.max() > top):
+        u, v = a[((a < 1) | (a > top)).any(axis=1)][0]
+        raise ValueError(f"vertex id ({u},{v}) out of range 1..{top}")
+    u, v = a[:, 0], a[:, 1]
+    if isinstance(pairs, np.ndarray):
+        u, v = (np.minimum(u, v), np.maximum(u, v)) if undirected else (u, v)
+        if (order := _lex_order(u, v)) is not None:
+            u, v = u[order], v[order]
+            keep = np.r_[True, (u[1:] != u[:-1]) | (v[1:] != v[:-1])]
+            u, v = u[keep], v[keep]
+    return u, v
 
-    def __post_init__(self):
-        # A directed frozenset is already canonical: canonical_edge is the
-        # identity on directed pairs, and a frozenset holds no lists.
-        if not (self.directed and isinstance(self.arcs, frozenset)):
-            object.__setattr__(self, "arcs", frozenset(tuple(a) for a in self.arcs))
-        if not (self.directed and isinstance(self.cedges, frozenset)):
-            cedges = frozenset(canonical_edge(self.directed, u, v) for u, v in self.cedges)
-            object.__setattr__(self, "cedges", cedges)
-        if self.weights is not None:
-            w = {canonical_edge(self.directed, u, v): x for (u, v), x in self.weights.items()}
-            object.__setattr__(self, "weights", w)
-        top = self.n_sinks + self.n_clusters
-        for u, v in chain(self.arcs, self.cedges):
-            if not (1 <= u <= top and 1 <= v <= top):
-                raise ValueError(f"vertex id ({u},{v}) out of range 1..{top}")
+
+class DagCompression:
+    """A compression (V, A, E), immutable: its arrays are read-only.
+
+    The constructor takes iterables of (u, v) pairs and, when weighted, a
+    {(u, v): weight} map; undirected pairs are canonicalized and repeats
+    merged. A map that misses a compression edge or has extra keys is kept
+    as the weights view, and validate() reports it.
+    """
+
+    def __init__(self, directed: bool, n_sinks: int, n_clusters: int, arcs, cedges,
+                 weights: dict[tuple[int, int], int] | None = None):
+        au, av = _pair_columns(arcs, False, n_sinks + n_clusters)
+        cu, cv = _pair_columns(cedges, not directed, n_sinks + n_clusters)
+        cw = None
+        if weights is not None:
+            w = {canonical_edge(directed, a, b): x for (a, b), x in weights.items()}
+            keys = list(zip(cu.tolist(), cv.tolist()))
+            try:
+                cw = np.fromiter(map(w.get, keys, repeat(0)), np.int64, len(keys))
+            except OverflowError:
+                raise ValueError("compression-edge weight does not fit in int64") from None
+        self._set(directed, n_sinks, n_clusters, au, av, cu, cv, cw)
+        # A directed frozenset is canonical already: it serves as its own view.
+        if isinstance(arcs, frozenset):
+            self.__dict__["arcs"] = arcs
+        if isinstance(cedges, frozenset) and directed:
+            self.__dict__["cedges"] = cedges
+        if weights is not None and not len(w) == len(keys) == sum(map(w.__contains__, keys)):
+            self._weights_cover = False
+            self.__dict__["weights"] = MappingProxyType(w)
+
+    @classmethod
+    def _from_arrays(cls, directed, n_sinks, n_clusters, *columns) -> DagCompression:
+        """From int64 columns that are canonical, sorted, distinct and in range already."""
+        d = cls.__new__(cls)
+        d._set(directed, n_sinks, n_clusters, *columns)
+        return d
+
+    def _set(self, directed, n_sinks, n_clusters, *columns) -> None:
+        self.directed, self.n_sinks, self.n_clusters = directed, n_sinks, n_clusters
+        self.arc_u, self.arc_v, self.cedge_u, self.cedge_v, self.cedge_w = columns
+        self._weights_cover = True
+        for a in self._columns:
+            a.flags.writeable = False
+
+    @property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        cols = (self.arc_u, self.arc_v, self.cedge_u, self.cedge_v)
+        return cols + (self.cedge_w,) if self.weighted else cols
+
+    @cached_property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(zip(self.arc_u.tolist(), self.arc_v.tolist()))
+
+    @cached_property
+    def cedges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(zip(self.cedge_u.tolist(), self.cedge_v.tolist()))
+
+    @cached_property
+    def weights(self) -> MappingProxyType[tuple[int, int], int] | None:
+        pairs = zip(self.cedge_u.tolist(), self.cedge_v.tolist())
+        return MappingProxyType(dict(zip(pairs, self.cedge_w.tolist()))) if self.weighted else None
 
     @property
     def n_vertices(self) -> int:
@@ -61,30 +133,25 @@ class DagCompression:
 
     @property
     def weighted(self) -> bool:
-        return self.weights is not None
+        return self.cedge_w is not None
 
     def is_sink(self, v: int) -> bool:
         return v <= self.n_sinks
 
     def size(self) -> int:
-        return len(self.arcs) + len(self.cedges)
+        return len(self.arc_u) + len(self.cedge_u)
 
     @cached_property
     def _index(self) -> _DagIndex:
-        # Built on first use; valid for good because arcs and counts are frozen.
+        # Built on first use; valid for good because the arrays are read-only.
         return _DagIndex(self)
 
     def __eq__(self, other):
         if not isinstance(other, DagCompression):
             return NotImplemented
-        return (
-            self.directed == other.directed
-            and self.n_sinks == other.n_sinks
-            and self.n_clusters == other.n_clusters
-            and self.arcs == other.arcs
-            and self.cedges == other.cedges
-            and self.weights == other.weights
-        )
+        return ((self.directed, self.n_sinks, self.n_clusters, self.weighted)
+                == (other.directed, other.n_sinks, other.n_clusters, other.weighted)
+                and all(map(np.array_equal, self._columns, other._columns)))
 
 
 @dataclass
@@ -96,45 +163,45 @@ class ClusterTable:
 
 
 class _DagIndex:
-    """The cluster DAG (V, A) of one compression, in the form every pass reads.
+    """The cluster DAG (V, A) of one compression in CSR form, as every pass reads it.
 
-    children[v] holds v's arc targets in canonical (ascending) order and
-    indegree[v] counts v's in-arcs; slot 0 is unused. order is Kahn's
-    topological order (FIFO, smallest id first), or None when (V, A) has a
-    cycle. rep[v] is the sink reached from v by always taking the first
-    child; it is None when there is no order or some cluster vertex has no
-    child. Cluster sets are not kept: they can be quadratic in size.
+    The children of v are indices[indptr[v]:indptr[v + 1]], ascending;
+    outdegree and indegree count arcs per vertex (slot 0 unused). order is
+    Kahn's topological order (FIFO, smallest id first), or None on a cycle.
+    rep[v] is the sink reached from v by always taking the first child; it
+    is None without an order or when some cluster vertex has no child.
+    Cluster sets are not kept: they can be quadratic in size.
     """
 
-    __slots__ = ("children", "indegree", "order", "rep")
+    __slots__ = ("indptr", "indices", "outdegree", "indegree", "order", "rep")
 
     def __init__(self, d: DagCompression):
-        n = d.n_vertices
-        arcs = sorted(d.arcs)
-        children: list[tuple[int, ...]] = [()] * (n + 1)
-        for u, group in groupby(arcs, key=itemgetter(0)):
-            children[u] = tuple(v for _, v in group)
-        indegree = [0] * (n + 1)
-        for _, v in arcs:
-            indegree[v] += 1
-        self.children = tuple(children)
-        self.indegree = tuple(indegree)
-        order = [v for v in range(1, n + 1) if not indegree[v]]
+        n, s = d.n_vertices, d.n_sinks
+        self.outdegree = np.bincount(d.arc_u, minlength=n + 1)
+        self.indptr = np.concatenate(([0], np.cumsum(self.outdegree)))
+        self.indices = d.arc_v
+        self.indegree = np.bincount(d.arc_v, minlength=n + 1)
+        ptr, ind, indeg = self.indptr.tolist(), self.indices.tolist(), self.indegree.tolist()
+        order = (np.flatnonzero(self.indegree[1:] == 0) + 1).tolist()
         for x in order:  # the list grows while it is read: Kahn's FIFO queue
-            for y in children[x]:
-                indegree[y] -= 1
-                if not indegree[y]:
+            for y in ind[ptr[x]:ptr[x + 1]]:
+                indeg[y] -= 1
+                if not indeg[y]:
                     order.append(y)
-        self.order = tuple(order) if len(order) == n else None
+        self.order = order if len(order) == n else None
         self.rep = None
-        if self.order is not None and all(children[d.n_sinks + 1:]):
-            rep = list(range(n + 1))
-            for v in reversed(order):
-                if v > d.n_sinks:
-                    rep[v] = rep[children[v][0]]
-            self.rep = tuple(rep)
+        if self.order is not None and self.outdegree[s + 1:].all():
+            # Pointer jumping along first children ends at sinks: no cycle, no childless cluster.
+            rep = np.arange(n + 1)
+            rep[s + 1:] = self.indices[self.indptr[s + 1: n + 1]]
+            while not np.array_equal(jumped := rep[rep], rep):
+                rep = jumped
+            self.rep = rep.tolist()
 
-    def representatives(self) -> tuple[int, ...]:
+    def children(self, v: int) -> list[int]:
+        return self.indices[self.indptr[v]: self.indptr[v + 1]].tolist()
+
+    def representatives(self) -> list[int]:
         if self.rep is None:
             raise ValueError("cluster DAG has a cycle or a cluster vertex without arcs")
         return self.rep
@@ -142,18 +209,17 @@ class _DagIndex:
 
 def validate(d: DagCompression) -> list[str]:
     """Empty list iff the compression invariants hold; violations otherwise."""
-    children = d._index.children
+    index, s = d._index, d.n_sinks
     violations = [f"original vertex {v} has outgoing arc"
-                  for v in range(1, d.n_sinks + 1) if children[v]]
+                  for v in (np.flatnonzero(index.outdegree[1:s + 1]) + 1).tolist()]
     violations += [f"cluster vertex {v} with no outgoing arc"
-                   for v in range(d.n_sinks + 1, d.n_vertices + 1) if not children[v]]
-    if d._index.order is None:
+                   for v in (np.flatnonzero(index.outdegree[s + 1:] == 0) + s + 1).tolist()]
+    if index.order is None:
         violations.append("cycle in cluster DAG")
-    if d.weights is not None:
-        if set(d.weights) != set(d.cedges):
-            violations.append("weights do not cover exactly the compression edges")
-        elif any(w < 0 for w in d.weights.values()):
-            violations.append("negative compression-edge weight")
+    if d.weighted and not d._weights_cover:
+        violations.append("weights do not cover exactly the compression edges")
+    elif d.weighted and (d.cedge_w < 0).any():
+        violations.append("negative compression-edge weight")
     return violations
 
 
@@ -165,29 +231,25 @@ def topological_order(d: DagCompression) -> list[int]:
 
 
 def sink_representatives(d: DagCompression) -> dict[int, int]:
-    """A reachable sink per vertex, from one reverse-topological pass.
+    """A reachable sink per vertex, following first children.
 
     A vertex with several out-arcs copies the representative of the target that
     comes first in canonical arc order, so runs are deterministic. Cluster sets
     are never materialized here.
     """
     rep = d._index.representatives()
-    return {v: rep[v] for v in range(1, d.n_vertices + 1)}
+    return dict(zip(range(1, d.n_vertices + 1), rep[1:]))
 
 
 def clusters(d: DagCompression) -> ClusterTable:
     """Materialize every C(v) plus the representative function."""
     index = d._index
     rep = sink_representatives(d)
+    ptr, ind = index.indptr.tolist(), index.indices.tolist()
     cluster: dict[int, frozenset[int]] = {}
     for v in reversed(index.order):
-        if d.is_sink(v):
-            cluster[v] = frozenset((v,))
-        else:
-            acc: set[int] = set()
-            for u in index.children[v]:
-                acc |= cluster[u]
-            cluster[v] = frozenset(acc)
+        cluster[v] = (frozenset((v,)) if d.is_sink(v)
+                      else frozenset().union(*map(cluster.__getitem__, ind[ptr[v]:ptr[v + 1]])))
     return ClusterTable(cluster=cluster, representative=rep)
 
 
@@ -201,10 +263,9 @@ def decompress(d: DagCompression) -> Graph | WeightedGraph:
     table = clusters(d)
     edges: set[tuple[int, int]] = set()
     weights: dict[tuple[int, int], int] = {}
-    items = sorted(d.cedges)
-    for u, v in items:
+    ws = d.cedge_w.tolist() if d.weighted else repeat(None)
+    for u, v, w in zip(d.cedge_u.tolist(), d.cedge_v.tolist(), ws):
         cu, cv = table.cluster[u], table.cluster[v]
-        w = d.weights[(u, v)] if d.weighted else None
         for x in cu:
             for y in cv:
                 e = canonical_edge(d.directed, x, y)
@@ -212,43 +273,27 @@ def decompress(d: DagCompression) -> Graph | WeightedGraph:
                 if w is not None and (e not in weights or w < weights[e]):
                     weights[e] = w
     g = Graph(directed=d.directed, n=d.n_sinks, edges=frozenset(edges))
-    if d.weighted:
-        return WeightedGraph(graph=g, weights=weights)
-    return g
+    return WeightedGraph(graph=g, weights=weights) if d.weighted else g
 
 
 def read_compression(text: str) -> DagCompression:
     """Parse the compression text format (see write_compression)."""
     r = _LineReader(text, CompressionFormatError)
     directed, _, weighted = r.header("dagc", 0)
-    n_sinks = r.counted("sinks")
-    n_clusters = r.counted("clusters")
+    n_sinks, n_clusters = r.counted("sinks"), r.counted("clusters")
     top = n_sinks + n_clusters
-    arcs = r.edges("a", r.counted("arcs"), top, True, False)
-    cedges = r.edges("c", r.counted("cedges"), top, directed, weighted)
+    if top > INT64_MAX:
+        raise CompressionFormatError(f"vertex count {top} does not fit in int64")
+    au, av, _ = r.edges("a", r.counted("arcs"), top, True, False)
+    cu, cv, cw = r.edges("c", r.counted("cedges"), top, directed, weighted)
     r.end()
-    return DagCompression(
-        directed=directed,
-        n_sinks=n_sinks,
-        n_clusters=n_clusters,
-        arcs=frozenset(arcs),
-        cedges=frozenset(cedges),
-        weights=cedges if weighted else None,
-    )
+    return DagCompression._from_arrays(directed, n_sinks, n_clusters, au, av, cu, cv, cw)
 
 
 def write_compression(d: DagCompression) -> str:
     """Canonical serialization: arcs, then compression edges, each sorted."""
-    head = "dagc " + ("directed" if d.directed else "undirected")
-    if d.weighted:
-        head += " weighted"
-    out = [head, f"sinks {d.n_sinks}", f"clusters {d.n_clusters}", f"arcs {len(d.arcs)}"]
-    for u, v in sorted(d.arcs):
-        out.append(f"a {u} {v}")
-    out.append(f"cedges {len(d.cedges)}")
-    for u, v in sorted(d.cedges):
-        if d.weighted:
-            out.append(f"c {u} {v} {d.weights[(u, v)]}")
-        else:
-            out.append(f"c {u} {v}")
-    return "\n".join(out) + "\n"
+    head = "dagc " + ("directed" if d.directed else "undirected") + (" weighted" if d.weighted else "")
+    arcs = _text_rows("a", zip(d.arc_u.tolist(), d.arc_v.tolist()), 2)
+    cedges = _text_rows("c", zip(*(c.tolist() for c in d._columns[2:])), 2 + d.weighted)
+    return "\n".join([head, f"sinks {d.n_sinks}", f"clusters {d.n_clusters}",
+                      f"arcs {len(arcs)}", *arcs, f"cedges {len(cedges)}", *cedges, ""])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain, product
 
 import numpy as np
 
@@ -70,15 +71,12 @@ def rook_graph(spec: RookSpec) -> Graph:
 
     Built as the union of the full products of the axis-aligned hyperplanes,
     which is the same set of pairs but avoids the quadratic all-pairs test.
+    The products run in C and share the planes' int objects.
     """
-    edges: set[tuple[int, int]] = set()
-    for plane in rook_hyperplanes(spec):
-        for u in plane:
-            for v in plane:
-                edges.add((u, v))
+    edges = frozenset(chain.from_iterable(product(p, repeat=2) for p in rook_hyperplanes(spec)))
     if not spec.include_loops:
         edges -= {(v, v) for v in range(1, spec.n + 1)}
-    return Graph(directed=True, n=spec.n, edges=frozenset(edges))
+    return Graph(directed=True, n=spec.n, edges=edges)
 
 
 def rook_canonical_compression(spec: RookSpec) -> DagCompression:
@@ -88,22 +86,11 @@ def rook_canonical_compression(spec: RookSpec) -> DagCompression:
     arcs into its grid line, giving size 2g^2 + 2g; in general d*g clusters,
     d*g^d arcs and d*g loops. Decompresses to the rook graph with loops on.
     """
-    g, d, n = spec.g, spec.d, spec.n
-    arcs: set[tuple[int, int]] = set()
-    cedges: set[tuple[int, int]] = set()
-    cid = n
-    for plane in rook_hyperplanes(spec):
-        cid += 1
-        for v in plane:
-            arcs.add((cid, v))
-        cedges.add((cid, cid))
-    return DagCompression(
-        directed=True,
-        n_sinks=n,
-        n_clusters=d * g,
-        arcs=frozenset(arcs),
-        cedges=frozenset(cedges),
-    )
+    planes = np.array(rook_hyperplanes(spec))
+    cids = np.arange(spec.n + 1, spec.n + 1 + len(planes))
+    return DagCompression(directed=True, n_sinks=spec.n, n_clusters=spec.d * spec.g,
+                          arcs=np.column_stack((cids.repeat(planes.shape[1]), planes.ravel())),
+                          cedges=np.column_stack((cids, cids)))
 
 
 def rook_mst_compression(g: int, max_weight: int = 1, seed: int = 0) -> DagCompression:
@@ -113,21 +100,13 @@ def rook_mst_compression(g: int, max_weight: int = 1, seed: int = 0) -> DagCompr
     max_weight is 1, otherwise seeded uniform draws) so the result is a valid
     input for the compressed MST run.
     """
-    spec = RookSpec(g=g, d=2)
-    base = rook_canonical_compression(spec)
+    base = rook_canonical_compression(RookSpec(g=g, d=2))
     rng = random.Random(seed)
-    weights = {
-        e: 1 if max_weight <= 1 else rng.randint(1, max_weight)
-        for e in sorted(base.cedges)
-    }
-    return DagCompression(
-        directed=False,
-        n_sinks=base.n_sinks,
-        n_clusters=base.n_clusters,
-        arcs=base.arcs,
-        cedges=base.cedges,
-        weights=weights,
-    )
+    cedges = list(zip(base.cedge_u.tolist(), base.cedge_v.tolist()))
+    weights = {e: 1 if max_weight <= 1 else rng.randint(1, max_weight) for e in cedges}
+    return DagCompression(directed=False, n_sinks=base.n_sinks, n_clusters=base.n_clusters,
+                          arcs=np.column_stack((base.arc_u, base.arc_v)), cedges=cedges,
+                          weights=weights)
 
 
 def random_graph(n: int, p: float, seed: int, directed: bool = True) -> Graph:
@@ -140,16 +119,10 @@ def random_graph(n: int, p: float, seed: int, directed: bool = True) -> Graph:
         raise ValueError("p must lie in [0, 1]")
     rng = random.Random(seed)
     edges: set[tuple[int, int]] = set()
-    if directed:
-        for u in range(1, n + 1):
-            for v in range(1, n + 1):
-                if rng.random() < p:
-                    edges.add((u, v))
-    else:
-        for u in range(1, n + 1):
-            for v in range(u + 1, n + 1):
-                if rng.random() < p:
-                    edges.add((u, v))
+    for u in range(1, n + 1):
+        for v in range(1 if directed else u + 1, n + 1):
+            if rng.random() < p:
+                edges.add((u, v))
     return Graph(directed=directed, n=n, edges=frozenset(edges))
 
 
@@ -188,11 +161,5 @@ def random_compression(
         v = rng.randint(1, total)
         cedges.add(canonical_edge(False, u, v))
     weights = {e: rng.randint(1, max_weight) for e in sorted(cedges)}
-    return DagCompression(
-        directed=False,
-        n_sinks=n_sinks,
-        n_clusters=n_clusters,
-        arcs=frozenset(arcs),
-        cedges=frozenset(cedges),
-        weights=weights,
-    )
+    return DagCompression(directed=False, n_sinks=n_sinks, n_clusters=n_clusters,
+                          arcs=frozenset(arcs), cedges=frozenset(cedges), weights=weights)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
+
+import numpy as np
 
 
 class GraphFormatError(ValueError):
@@ -158,6 +160,24 @@ def is_connected(g: Graph | WeightedGraph) -> bool:
     return len(seen) == g.n
 
 
+INT64_MAX = 2 ** 63 - 1  # counts, vertex ids and weights must fit in int64
+
+
+def _lex_order(u: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """An order that sorts the pairs (u[i], v[i]), or None when they strictly
+    increase already, as canonical text lists them."""
+    if ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
+        return None
+    if min(u.min(), v.min()) >= 0 and (int(u.max()) + 1) * (int(v.max()) + 1) <= INT64_MAX:
+        return np.argsort(u * (int(v.max()) + 1) + v)  # one int64 key: several times faster
+    return np.lexsort((v, u))
+
+
+def _text_rows(tag: str, rows, width: int) -> list[str]:
+    """One ``tag x1 ... x_width`` line per row of integers."""
+    return list(map((tag + " %d" * width).__mod__, rows))
+
+
 class _LineReader:
     """The content lines of one text file, read front to back as integer records.
 
@@ -166,8 +186,9 @@ class _LineReader:
     """
 
     def __init__(self, text: str, error: type[ValueError]):
-        self.lines = [line for line in (raw.strip() for raw in text.split("\n"))
-                      if line and not line.startswith("#")]
+        self.lines = list(filter(None, map(str.strip, text.split("\n"))))
+        if "#" in text:
+            self.lines = [line for line in self.lines if not line.startswith("#")]
         self.pos = 0
         self.error = error
         if not self.lines:
@@ -191,6 +212,8 @@ class _LineReader:
     def nonnegative(self, tag: str, k: int) -> int:
         if k < 0:
             raise self.error(f"negative count {k} in {tag!r} line")
+        if k > INT64_MAX:
+            raise self.error(f"count {k} in {tag!r} line does not fit in int64")
         return k
 
     def counted(self, tag: str) -> int:
@@ -214,36 +237,55 @@ class _LineReader:
         return parts[1] == "directed", [self.nonnegative(tag, k) for k in counts], weighted
 
     def edges(self, tag: str, k: int, top: int, directed: bool,
-              weighted: bool) -> dict[tuple[int, int], int | None]:
+              weighted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """k lines ``tag <u> <v> [<w>]``: ids in 1..top, canonical, distinct, w >= 0.
 
-        The hot loop of every large file, so it splits the lines itself
-        rather than calling record() per line.
+        Returns int64 columns u, v, w sorted by (u, v), w None unless weighted.
+        The block is split once and checked as arrays; only a block that
+        fails is read again line by line, to report its first bad line.
         """
         lines = self.lines[self.pos: self.pos + k]
         if len(lines) < k:
             raise self.error(f"missing {tag!r} line")
         self.pos += k
-        out: dict[tuple[int, int], int | None] = {}
         width = 3 + weighted
-        for line in lines:
-            parts = line.split()
-            if len(parts) != width or parts[0] != tag:
-                raise self.error(f"expected {tag!r} line with {width - 1} fields, got {line!r}")
+        block = "\n".join(lines)
+        tokens = block.split()
+        cols = []
+        # Every line starts with the tag and no number equals it, so k tags at
+        # every width-th token mean k lines of exactly width tokens.
+        if (len(tokens) == k * width and ("\n" + block).count("\n" + tag) == k
+                and tokens[::width].count(tag) == k):
             try:
-                u, v = int(parts[1]), int(parts[2])
-                w = int(parts[3]) if weighted else None
-            except ValueError:
-                raise self.error(f"non-integer field in {line!r}") from None
+                cols = [np.fromiter(map(int, tokens[j::width]), np.int64, k) for j in range(1, width)]
+            except (ValueError, OverflowError):
+                pass
+        if cols:
+            u, v, *w = cols
+            u, v = (u, v) if directed else (np.minimum(u, v), np.maximum(u, v))
+            if (order := _lex_order(u, v)) is not None:
+                u, v, w = u[order], v[order], [x[order] for x in w]
+            if not (((u < 1) | (u > top) | (v < 1) | (v > top)).any() or (w and (w[0] < 0).any())
+                    or order is not None and ((u[1:] == u[:-1]) & (v[1:] == v[:-1])).any()):
+                return u, v, (w[0] if w else None)
+        self.pos -= k
+        self._raise_first_fault(tag, k, top, directed, weighted)
+
+    def _raise_first_fault(self, tag: str, k: int, top: int, directed: bool, weighted: bool) -> None:
+        """Read a block that failed the array checks line by line, up to its first bad line."""
+        seen: set[tuple[int, int]] = set()
+        for line in self.lines[self.pos: self.pos + k]:
+            u, v, *w = self.record(tag, 2 + weighted)
             if not (1 <= u <= top and 1 <= v <= top):
                 raise self.error(f"vertex id out of range in {line!r}")
             e = canonical_edge(directed, u, v)
-            if e in out:
+            if e in seen:
                 raise self.error(f"duplicate {tag!r} line for {e}")
-            if weighted and w < 0:
-                raise self.error(f"negative weight in {line!r}")
-            out[e] = w
-        return out
+            seen.add(e)
+            if w and not 0 <= w[0] <= INT64_MAX:
+                what = "negative weight" if w[0] < 0 else "weight too large for int64"
+                raise self.error(f"{what} in {line!r}")
+        raise AssertionError("a block that fails the array checks has a bad line")
 
     def end(self) -> None:
         if self.pos != len(self.lines):
@@ -260,10 +302,11 @@ def read_graph(text: str) -> Graph | WeightedGraph:
     directed, (n, m), weighted = r.header("graph", 2)
     if weighted and directed:
         raise GraphFormatError("weighted graphs must be undirected")
-    edges = r.edges("e", m, n, directed, weighted)
+    u, v, w = r.edges("e", m, n, directed, weighted)
     r.end()
+    edges = list(zip(u.tolist(), v.tolist()))
     g = Graph(directed=directed, n=n, edges=frozenset(edges))
-    return WeightedGraph(graph=g, weights=edges) if weighted else g
+    return WeightedGraph(graph=g, weights=dict(zip(edges, w.tolist()))) if weighted else g
 
 
 def write_graph(g: Graph | WeightedGraph) -> str:
@@ -272,13 +315,14 @@ def write_graph(g: Graph | WeightedGraph) -> str:
     base = g.graph if weighted else g
     kind = "directed" if base.directed else "undirected"
     head = f"graph {kind} {base.n} {base.m}" + (" weighted" if weighted else "")
-    out = [head]
-    for u, v in sorted(base.edges):
-        if weighted:
-            out.append(f"e {u} {v} {g.weights[(u, v)]}")
-        else:
-            out.append(f"e {u} {v}")
-    return "\n".join(out) + "\n"
+    ends = np.fromiter(chain.from_iterable(base.edges), np.int64, 2 * base.m)
+    u, v = ends[0::2], ends[1::2]
+    if (order := _lex_order(u, v)) is not None:
+        u, v = u[order], v[order]
+    rows = list(zip(u.tolist(), v.tolist()))
+    if weighted:
+        rows = zip(u.tolist(), v.tolist(), map(g.weights.__getitem__, rows))
+    return "\n".join([head, *_text_rows("e", rows, 2 + weighted), ""])
 
 
 def read_shores(text: str) -> ShorePartition:

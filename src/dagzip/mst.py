@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .compression import DagCompression, clusters, decompress
 from .graphs import Graph, WeightedGraph, canonical_edge
 
@@ -88,16 +90,17 @@ def kruskal_compressed(d: DagCompression, debug: bool = False) -> MstResult:
     """
     if not d.weighted or d.directed:
         raise ValueError("compressed Kruskal needs a weighted undirected compression")
-    rep = d._index.representatives()
-    children = d._index.children
-    clean = [False] + [v <= d.n_sinks for v in range(1, d.n_vertices + 1)]
+    index = d._index
+    rep = index.representatives()
+    ptr, ind = index.indptr.tolist(), index.indices.tolist()
+    clean = [False] + [True] * d.n_sinks + [False] * d.n_clusters
     unite = UnionFind(d.n_sinks).unite
-    weights = d.weights
     forest: list[tuple[int, int, int]] = []
     add_edge_calls = arcs_traversed = 0
     checker = _DebugChecker(d) if debug else None
-    for u, v in sorted(d.cedges, key=lambda e: (weights[e], e)):
-        w = weights[(u, v)]
+    # cedges are sorted by (u, v), so a stable sort by weight gives the (w, (u, v)) order.
+    order = np.argsort(d.cedge_w, kind="stable")
+    for u, v, w in zip(*(c[order].tolist() for c in (d.cedge_u, d.cedge_v, d.cedge_w))):
         ru, rv = rep[u], rep[v]
         if checker:
             checker.check_clean_precondition(u, rv)
@@ -114,7 +117,8 @@ def kruskal_compressed(d: DagCompression, debug: bool = False) -> MstResult:
                         forest.append((a, r, w) if a <= r else (r, a, w))
                 elif not clean[x]:
                     clean[x] = True
-                    for c in reversed(children[x]):
+                    for i in range(ptr[x + 1] - 1, ptr[x] - 1, -1):
+                        c = ind[i]
                         arcs_traversed += 1
                         work.append(-c)
                         work.append(c)
@@ -178,8 +182,5 @@ class _DebugChecker:
 
 def write_mst(result: MstResult, n: int) -> str:
     """Serialize a spanning forest: header then edges sorted canonically."""
-    edges = sorted(result.edges)
-    out = [f"mst {n} {len(edges)} {result.total_weight}"]
-    for u, v, w in edges:
-        out.append(f"t {u} {v} {w}")
-    return "\n".join(out) + "\n"
+    rows = [f"t {u} {v} {w}" for u, v, w in sorted(result.edges)]
+    return "\n".join([f"mst {n} {len(rows)} {result.total_weight}", *rows, ""])

@@ -12,6 +12,7 @@ from dagzip import (
     SetCoverInstance,
     ShorePartition,
     WeightedGraph,
+    kruskal_compressed,
     read_compression,
     read_graph,
     read_setcover,
@@ -63,15 +64,16 @@ def compression_texts(draw):
     weighted = not directed and draw(st.booleans())
     n_sinks, n_clusters = draw(st.integers(0, 6)), draw(st.integers(0, 4))
     top = n_sinks + n_clusters
-    arcs = _pairs(draw, top)
-    cedges = {canonical_edge(directed, u, v) for u, v in _pairs(draw, top)}
+    arcs, pairs = _pairs(draw, top), _pairs(draw, top)
+    cedges = {canonical_edge(directed, u, v) for u, v in pairs}
     weights = {e: draw(st.integers(0, 9)) for e in sorted(cedges)} if weighted else None
+    # lists, not frozensets: the constructor sorts, canonicalizes and merges them
     d = DagCompression(directed=directed, n_sinks=n_sinks, n_clusters=n_clusters,
-                       arcs=frozenset(arcs), cedges=frozenset(cedges), weights=weights)
+                       arcs=list(arcs), cedges=list(pairs), weights=weights)
     text = write_compression(d)
     c_start = 5 + len(arcs)
     free = [(4, 4 + len(arcs), False), (c_start, c_start + len(cedges), not directed)]
-    return text, _noisy(draw, text.splitlines(), free)
+    return text, _noisy(draw, text.splitlines(), free), d
 
 
 @st.composite
@@ -83,7 +85,7 @@ def graph_texts(draw):
     if not directed and draw(st.booleans()):
         g = WeightedGraph(graph=g, weights={e: draw(st.integers(0, 99)) for e in sorted(edges)})
     text = write_graph(g)
-    return text, _noisy(draw, text.splitlines(), [(1, 1 + len(edges), not directed)])
+    return text, _noisy(draw, text.splitlines(), [(1, 1 + len(edges), not directed)]), g
 
 
 @st.composite
@@ -106,17 +108,20 @@ def shore_texts(draw):
 @SETTINGS
 @given(compression_texts())
 def test_compression_text_round_trip(texts):
-    text, noisy = texts
+    text, noisy, d = texts
     assert write_compression(read_compression(text)) == text
     assert write_compression(read_compression(noisy)) == text
+    # the arrays the reader builds equal the ones the constructor builds from pairs
+    assert read_compression(text) == d == read_compression(noisy)
 
 
 @SETTINGS
 @given(graph_texts())
 def test_graph_text_round_trip(texts):
-    text, noisy = texts
+    text, noisy, g = texts
     assert write_graph(read_graph(text)) == text
     assert write_graph(read_graph(noisy)) == text
+    assert read_graph(text) == g == read_graph(noisy)
 
 
 @SETTINGS
@@ -135,52 +140,109 @@ def test_shore_text_round_trip(texts):
     assert write_shores(read_shores(noisy)) == text
 
 
-DAGC = [
-    "",
-    "# only a comment\n",
-    "graph directed 2 1\ne 1 2\n",
-    "dagc sideways\nsinks 1\nclusters 0\narcs 0\ncedges 0\n",
-    "dagc directed extra\nsinks 1\nclusters 0\narcs 0\ncedges 0\n",
-    "dagc directed\nsinks -3\nclusters 5\narcs 0\ncedges 0\n",
-    "dagc directed\nsinks 2\nclusters -1\narcs 0\ncedges 0\n",
-    "dagc directed\nsinks 2\nclusters 0\narcs -1\ncedges 0\n",
-    "dagc directed\nsinks 2\nclusters 0\narcs 0\ncedges -1\n",
-    "dagc directed\nsinks two\nclusters 0\narcs 0\ncedges 0\n",
-    "dagc directed\nsinks 2 3\nclusters 0\narcs 0\ncedges 0\n",
-    "dagc directed\nclusters 0\nsinks 2\narcs 0\ncedges 0\n",
-    "dagc directed\nsinks 2\nclusters 0\n",
-    "dagc directed\nsinks 2\nclusters 1\narcs 2\na 3 1\ncedges 0\n",
-    "dagc directed\nsinks 2\nclusters 1\narcs 1\na 3 4\ncedges 0\n",
-    "dagc directed\nsinks 2\nclusters 1\narcs 1\na 3 x\ncedges 0\n",
-    "dagc directed\nsinks 2\nclusters 1\narcs 2\na 3 1\na 3 1\ncedges 0\n",
-    "dagc directed\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2\nc 2 1\n",
-    "dagc undirected\nsinks 2\nclusters 0\narcs 0\ncedges 2\nc 1 2\nc 2 1\n",
-    "dagc undirected weighted\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2\n",
-    "dagc undirected weighted\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2 -4\n",
-    "dagc directed\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2 4\n",
-    "dagc directed\nsinks 1\nclusters 2\narcs 4\na 2 3\na 3 2\na 2 1\na 3 1\ncedges 0\n",
-    "dagc directed\nsinks 2\nclusters 2\narcs 2\na 1 3\na 3 2\ncedges 1\nc 4 1\n",
-]
+# Each malformed text with the one stderr line it gets; the lines of the
+# entries before the int64 ones are as the line-by-line reader wrote them.
+DAGC = {
+    '':
+        'error: bad compression file: empty input',
+    '# only a comment\n':
+        'error: bad compression file: empty input',
+    'graph directed 2 1\ne 1 2\n':
+        "error: bad compression file: malformed header: 'graph directed 2 1'",
+    'dagc sideways\nsinks 1\nclusters 0\narcs 0\ncedges 0\n':
+        "error: bad compression file: unknown orientation 'sideways'",
+    'dagc directed extra\nsinks 1\nclusters 0\narcs 0\ncedges 0\n':
+        "error: bad compression file: malformed header: 'dagc directed extra'",
+    'dagc directed\nsinks -3\nclusters 5\narcs 0\ncedges 0\n':
+        "error: bad compression file: negative count -3 in 'sinks' line",
+    'dagc directed\nsinks 2\nclusters -1\narcs 0\ncedges 0\n':
+        "error: bad compression file: negative count -1 in 'clusters' line",
+    'dagc directed\nsinks 2\nclusters 0\narcs -1\ncedges 0\n':
+        "error: bad compression file: negative count -1 in 'arcs' line",
+    'dagc directed\nsinks 2\nclusters 0\narcs 0\ncedges -1\n':
+        "error: bad compression file: negative count -1 in 'cedges' line",
+    'dagc directed\nsinks two\nclusters 0\narcs 0\ncedges 0\n':
+        "error: bad compression file: non-integer field in 'sinks two'",
+    'dagc directed\nsinks 2 3\nclusters 0\narcs 0\ncedges 0\n':
+        "error: bad compression file: expected 'sinks' line with 1 fields, got 'sinks 2 3'",
+    'dagc directed\nclusters 0\nsinks 2\narcs 0\ncedges 0\n':
+        "error: bad compression file: expected 'sinks' line with 1 fields, got 'clusters 0'",
+    'dagc directed\nsinks 2\nclusters 0\n':
+        "error: bad compression file: missing 'arcs' line",
+    'dagc directed\nsinks 2\nclusters 1\narcs 2\na 3 1\ncedges 0\n':
+        "error: bad compression file: expected 'a' line with 2 fields, got 'cedges 0'",
+    'dagc directed\nsinks 2\nclusters 1\narcs 1\na 3 4\ncedges 0\n':
+        "error: bad compression file: vertex id out of range in 'a 3 4'",
+    'dagc directed\nsinks 2\nclusters 1\narcs 1\na 3 x\ncedges 0\n':
+        "error: bad compression file: non-integer field in 'a 3 x'",
+    'dagc directed\nsinks 2\nclusters 1\narcs 2\na 3 1\na 3 1\ncedges 0\n':
+        "error: bad compression file: duplicate 'a' line for (3, 1)",
+    'dagc directed\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2\nc 2 1\n':
+        "error: bad compression file: more lines than declared, from 'c 2 1'",
+    'dagc undirected\nsinks 2\nclusters 0\narcs 0\ncedges 2\nc 1 2\nc 2 1\n':
+        "error: bad compression file: duplicate 'c' line for (1, 2)",
+    'dagc undirected weighted\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2\n':
+        "error: bad compression file: expected 'c' line with 3 fields, got 'c 1 2'",
+    'dagc undirected weighted\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2 -4\n':
+        "error: bad compression file: negative weight in 'c 1 2 -4'",
+    'dagc directed\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2 4\n':
+        "error: bad compression file: expected 'c' line with 2 fields, got 'c 1 2 4'",
+    'dagc directed\nsinks 1\nclusters 2\narcs 4\na 2 3\na 3 2\na 2 1\na 3 1\ncedges 0\n':
+        'error: invalid compression: cycle in cluster DAG',
+    'dagc directed\nsinks 2\nclusters 2\narcs 2\na 1 3\na 3 2\ncedges 1\nc 4 1\n':
+        'error: invalid compression: original vertex 1 has outgoing arc; cluster vertex 4 with no outgoing arc',
+    'dagc directed\nsinks 99999999999999999999\nclusters 0\narcs 0\ncedges 0\n':
+        "error: bad compression file: count 99999999999999999999 in 'sinks' line does not fit in int64",
+    'dagc directed\nsinks 9223372036854775807\nclusters 1\narcs 0\ncedges 0\n':
+        'error: bad compression file: vertex count 9223372036854775808 does not fit in int64',
+    'dagc directed\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 99999999999999999999\n':
+        "error: bad compression file: vertex id out of range in 'c 1 99999999999999999999'",
+    'dagc undirected weighted\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2 9223372036854775808\n':
+        "error: bad compression file: weight too large for int64 in 'c 1 2 9223372036854775808'",
+}
 
-GRAPH = [
-    "",
-    "graph directed 2\n",
-    "graph sideways 2 0\n",
-    "graph directed -1 0\n",
-    "graph directed 2 -1\n",
-    "graph directed 2 x\n",
-    "graph directed 2 1 weighted\ne 1 2 3\n",
-    "graph undirected 2 1 heavy\ne 1 2\n",
-    "graph directed 2 1\ne 1 3\n",
-    "graph directed 2 1\ne 0 1\n",
-    "graph directed 2 1\ne 1 2 5\n",
-    "graph directed 2 2\ne 1 2\n",
-    "graph directed 2 1\ne 1 2\ne 2 1\n",
-    "graph undirected 2 2\ne 1 2\ne 2 1\n",
-    "graph undirected 2 1 weighted\ne 1 2\n",
-    "graph undirected 2 1 weighted\ne 1 2 -1\n",
-    "graph directed 2 1\nf 1 2\n",
-]
+GRAPH = {
+    '':
+        'error: bad graph file: empty input',
+    'graph directed 2\n':
+        "error: bad graph file: malformed header: 'graph directed 2'",
+    'graph sideways 2 0\n':
+        "error: bad graph file: unknown orientation 'sideways'",
+    'graph directed -1 0\n':
+        "error: bad graph file: negative count -1 in 'graph' line",
+    'graph directed 2 -1\n':
+        "error: bad graph file: negative count -1 in 'graph' line",
+    'graph directed 2 x\n':
+        "error: bad graph file: non-integer count in header 'graph directed 2 x'",
+    'graph directed 2 1 weighted\ne 1 2 3\n':
+        'error: bad graph file: weighted graphs must be undirected',
+    'graph undirected 2 1 heavy\ne 1 2\n':
+        "error: bad graph file: malformed header: 'graph undirected 2 1 heavy'",
+    'graph directed 2 1\ne 1 3\n':
+        "error: bad graph file: vertex id out of range in 'e 1 3'",
+    'graph directed 2 1\ne 0 1\n':
+        "error: bad graph file: vertex id out of range in 'e 0 1'",
+    'graph directed 2 1\ne 1 2 5\n':
+        "error: bad graph file: expected 'e' line with 2 fields, got 'e 1 2 5'",
+    'graph directed 2 2\ne 1 2\n':
+        "error: bad graph file: missing 'e' line",
+    'graph directed 2 1\ne 1 2\ne 2 1\n':
+        "error: bad graph file: more lines than declared, from 'e 2 1'",
+    'graph undirected 2 2\ne 1 2\ne 2 1\n':
+        "error: bad graph file: duplicate 'e' line for (1, 2)",
+    'graph undirected 2 1 weighted\ne 1 2\n':
+        "error: bad graph file: expected 'e' line with 3 fields, got 'e 1 2'",
+    'graph undirected 2 1 weighted\ne 1 2 -1\n':
+        "error: bad graph file: negative weight in 'e 1 2 -1'",
+    'graph directed 2 1\nf 1 2\n':
+        "error: bad graph file: expected 'e' line with 2 fields, got 'f 1 2'",
+    'graph directed 99999999999999999999 0\n':
+        "error: bad graph file: count 99999999999999999999 in 'graph' line does not fit in int64",
+    'graph directed 2 1\ne 99999999999999999999 1\n':
+        "error: bad graph file: vertex id out of range in 'e 99999999999999999999 1'",
+    'graph undirected 2 1 weighted\ne 1 2 9223372036854775808\n':
+        "error: bad graph file: weight too large for int64 in 'e 1 2 9223372036854775808'",
+}
 
 SETCOVER = [
     "",
@@ -223,18 +285,31 @@ def _assert_one_line_exit_2(code, err, text):
     assert err.count("\n") == 1 and err.startswith("error: "), (text, err)
 
 
-@pytest.mark.parametrize("text", DAGC)
+@pytest.mark.parametrize("text", list(DAGC))
 def test_malformed_compression(monkeypatch, capsys, tmp_path, text):
-    for argv in (["decompress", "-"], ["mst", "-"]):
-        code, err = _piped(monkeypatch, capsys, text, [*argv, "-o", str(tmp_path / "out")])
+    out = ["-o", str(tmp_path / "out")]
+    commands = [["decompress", "-", *out], ["mst", "-", *out]]
+    if "bad compression file" in DAGC[text]:  # validate lists violations on stdout instead
+        commands.append(["validate", "-"])
+    for argv in commands:
+        code, err = _piped(monkeypatch, capsys, text, argv)
         _assert_one_line_exit_2(code, err, text)
+        assert err == DAGC[text] + "\n", argv
 
 
-@pytest.mark.parametrize("text", GRAPH)
+@pytest.mark.parametrize("text", list(GRAPH))
 def test_malformed_graph(monkeypatch, capsys, text):
     for argv in (["compress", "--strategy", "greedy", "-"], ["oracle", "-"]):
         code, err = _piped(monkeypatch, capsys, text, argv)
         _assert_one_line_exit_2(code, err, text)
+        assert err == GRAPH[text] + "\n", argv
+
+
+def test_int64_limits_are_inclusive():
+    text = "dagc undirected weighted\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2 9223372036854775807\n"
+    d = read_compression(text)
+    assert write_compression(d) == text
+    assert kruskal_compressed(d).total_weight == 2 ** 63 - 1
 
 
 @pytest.mark.parametrize("text", SETCOVER)

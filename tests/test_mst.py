@@ -15,7 +15,10 @@ from dagzip import (
     kruskal_baseline,
     kruskal_compressed,
     random_compression,
+    read_compression,
     rook_mst_compression,
+    validate,
+    write_compression,
     write_mst,
 )
 from dagzip.compression import sink_representatives
@@ -173,6 +176,24 @@ def test_rook_mst_compression_contract():
     res = kruskal_compressed(d)
     base = kruskal_baseline(decompress(d))
     assert res.total_weight == base.total_weight == 35
+
+
+@pytest.mark.parametrize("d", [
+    rook_mst_compression(12, max_weight=9, seed=3),
+    random_compression(n_sinks=60, n_clusters=20, arc_density=0.2, edge_count=80,
+                       max_weight=9, seed=5),
+], ids=["rook", "random"])
+def test_mst_path_stays_on_the_arrays(d):
+    """Parsing, validation and compressed Kruskal never build the tuple views
+    (work stays O(|A| + |E|) on arrays) and hand back Python ints only."""
+    read = read_compression(write_compression(d))
+    assert validate(read) == []
+    res = kruskal_compressed(read)
+    assert write_mst(res, read.n_sinks) == write_mst(kruskal_compressed(d), d.n_sinks)
+    assert not {"arcs", "cedges", "weights"} & vars(read).keys()
+    values = [x for e in res.edges for x in e]
+    values += [res.total_weight, res.stats.add_edge_calls, res.stats.arcs_traversed]
+    assert len(values) > 3 and all(type(x) is int for x in values)
 
 
 def test_compressed_rejects_unweighted(fig_compression):
