@@ -14,10 +14,23 @@ import sys
 import time
 
 from . import generators, heuristics, normalize, oracle, reductions
-from .compression import decompress, read_compression, validate, write_compression
-from .graphs import WeightedGraph, read_graph, read_shores, twins, write_graph
+from .compression import (
+    CompressionFormatError,
+    decompress,
+    read_compression,
+    validate,
+    write_compression,
+)
+from .graphs import (
+    GraphFormatError,
+    WeightedGraph,
+    read_graph,
+    read_shores,
+    twins,
+    write_graph,
+)
 from .mst import kruskal_baseline, kruskal_compressed, write_mst
-from .reductions import read_setcover
+from .reductions import SetCoverFormatError, read_setcover
 
 USAGE_ERROR = 2
 CONTRACT_ERROR = 3
@@ -50,28 +63,16 @@ def _write_text(path: str | None, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _parse(read, path: str, what: str):
-    """read() of the file's text; a format error becomes a one-line CliError."""
-    try:
-        return read(_read_text(path))
-    except ValueError as exc:
-        raise CliError(f"bad {what} file: {exc}") from exc
-
-
 def _load_compression(path: str, check: bool = True):
-    d = _parse(read_compression, path, "compression")
+    try:
+        d = read_compression(_read_text(path))
+    except (CompressionFormatError, ValueError) as exc:
+        raise CliError(f"bad compression file: {exc}") from exc
     if check:
         violations = validate(d)
         if violations:
             raise CliError("invalid compression: " + "; ".join(violations))
     return d
-
-
-def _load_graph(path: str, who: str):
-    g = _parse(read_graph, path, "graph")
-    if isinstance(g, WeightedGraph):
-        raise CliError(f"{who} on unweighted graphs")
-    return g
 
 
 def _default_seed(args) -> int:
@@ -141,7 +142,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    inst = _parse(read_setcover, args.file, "set-cover")
+    try:
+        inst = read_setcover(_read_text(args.file))
+    except SetCoverFormatError as exc:
+        raise CliError(f"bad set-cover file: {exc}") from exc
     try:
         if args.problem == "mindag":
             out = reductions.reduce_mindag(inst)
@@ -168,7 +172,10 @@ def cmd_reduce(args) -> int:
 
 def cmd_normalize(args) -> int:
     d = _load_compression(args.file)
-    shores = _parse(read_shores, args.shores, "shore")
+    try:
+        shores = read_shores(_read_text(args.shores))
+    except GraphFormatError as exc:
+        raise CliError(f"bad shore file: {exc}") from exc
     try:
         if args.pass_name == "shore":
             out = normalize.shore_normalize(d, shores)
@@ -186,24 +193,36 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g = _load_graph(args.file, "the oracle works")
+    try:
+        g = read_graph(_read_text(args.file))
+    except GraphFormatError as exc:
+        raise CliError(f"bad graph file: {exc}") from exc
+    if isinstance(g, WeightedGraph):
+        raise CliError("the oracle works on unweighted graphs")
     budget = oracle.OracleBudget(max_sinks=args.max_sinks)
     try:
         if args.k is not None:
             yes, witness = oracle.decide_mindag(g, args.k, budget)
             print(f"size <= {args.k}: {'yes' if yes else 'no'}")
+            if yes and args.witness:
+                _write_text(args.witness, write_compression(witness))
         else:
             best, witness = oracle.min_dag_size(g, budget)
             print(f"minimum compression size: {best}")
-        if witness is not None and args.witness:
-            _write_text(args.witness, write_compression(witness))
+            if args.witness:
+                _write_text(args.witness, write_compression(witness))
     except oracle.OracleBudgetExceeded as exc:
         raise CliError(str(exc)) from exc
     return 0
 
 
 def cmd_compress(args) -> int:
-    g = _load_graph(args.file, "compression strategies work")
+    try:
+        g = read_graph(_read_text(args.file))
+    except GraphFormatError as exc:
+        raise CliError(f"bad graph file: {exc}") from exc
+    if isinstance(g, WeightedGraph):
+        raise CliError("compression strategies work on unweighted graphs")
     if args.strategy == "tree":
         d = heuristics.tree_compress(g, merge_policy=args.policy)
     else:

@@ -28,14 +28,14 @@ Theta(n * |clusters|) and stay per call (clusters(), decompress()).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import repeat
 from types import MappingProxyType
 
 import numpy as np
 
-from .graphs import INT64_MAX, Graph, WeightedGraph, _LineReader, _lex_order, _text_rows, canonical_edge
+from .graphs import INT64_MAX, Graph, WeightedGraph, _LineReader, _lex_sorted, _text_rows, canonical_edge
 
 
 class CompressionFormatError(ValueError):
@@ -43,34 +43,35 @@ class CompressionFormatError(ValueError):
 
 
 def _pair_columns(pairs, undirected: bool, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical, sorted, distinct int64 (u, v) columns of pairs with ids in
-    1..top. An array is sorted with numpy; other iterables (the small-instance
-    modules' sets) as tuples, cheaper than numpy calls on a few pairs."""
-    if not isinstance(pairs, np.ndarray):
-        pairs = sorted({tuple(sorted(p)) if undirected else tuple(p) for p in pairs})
-    a = np.array(pairs, dtype=np.int64) if len(pairs) else np.empty((0, 2), dtype=np.int64)
+    """Canonical, sorted, distinct int64 (u, v) columns of pairs (an iterable
+    or a (k, 2) array) with ids in 1..top."""
+    try:
+        a = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"vertex id out of range 1..{top}") from None
+    if a.size == 0:
+        a = a.reshape(0, 2)
     if a.ndim != 2 or a.shape[1] != 2:
         raise ValueError("arcs and compression edges must be (u, v) pairs")
     if a.size and (a.min() < 1 or a.max() > top):
         u, v = a[((a < 1) | (a > top)).any(axis=1)][0]
         raise ValueError(f"vertex id ({u},{v}) out of range 1..{top}")
     u, v = a[:, 0], a[:, 1]
-    if isinstance(pairs, np.ndarray):
-        u, v = (np.minimum(u, v), np.maximum(u, v)) if undirected else (u, v)
-        if (order := _lex_order(u, v)) is not None:
-            u, v = u[order], v[order]
-            keep = np.r_[True, (u[1:] != u[:-1]) | (v[1:] != v[:-1])]
-            u, v = u[keep], v[keep]
-    return u, v
+    u, v = _lex_sorted(np.minimum(u, v), np.maximum(u, v)) if undirected else _lex_sorted(u, v)
+    keep = np.ones(len(u), dtype=bool)
+    keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    return u[keep], v[keep]
 
 
 class DagCompression:
-    """A compression (V, A, E), immutable: its arrays are read-only.
+    """A compression (V, A, E), immutable: attributes cannot be rebound and
+    the arrays are read-only.
 
-    The constructor takes iterables of (u, v) pairs and, when weighted, a
-    {(u, v): weight} map; undirected pairs are canonicalized and repeats
-    merged. A map that misses a compression edge or has extra keys is kept
-    as the weights view, and validate() reports it.
+    The constructor takes (u, v) pairs, as iterables or (k, 2) arrays, and,
+    when weighted, a {(u, v): weight} map; undirected pairs are canonicalized
+    and repeats merged. A map that misses a compression edge or has extra
+    keys is kept as the weights view: validate() reports it, and cedge_w (so
+    compressed Kruskal, decompress and write_compression) raises ValueError.
     """
 
     def __init__(self, directed: bool, n_sinks: int, n_clusters: int, arcs, cedges,
@@ -92,8 +93,7 @@ class DagCompression:
         if isinstance(cedges, frozenset) and directed:
             self.__dict__["cedges"] = cedges
         if weights is not None and not len(w) == len(keys) == sum(map(w.__contains__, keys)):
-            self._weights_cover = False
-            self.__dict__["weights"] = MappingProxyType(w)
+            self.__dict__.update(_weights_cover=False, weights=MappingProxyType(w))
 
     @classmethod
     def _from_arrays(cls, directed, n_sinks, n_clusters, *columns) -> DagCompression:
@@ -102,17 +102,30 @@ class DagCompression:
         d._set(directed, n_sinks, n_clusters, *columns)
         return d
 
-    def _set(self, directed, n_sinks, n_clusters, *columns) -> None:
-        self.directed, self.n_sinks, self.n_clusters = directed, n_sinks, n_clusters
-        self.arc_u, self.arc_v, self.cedge_u, self.cedge_v, self.cedge_w = columns
-        self._weights_cover = True
+    def _set(self, directed, n_sinks, n_clusters, au, av, cu, cv, cw) -> None:
+        self.__dict__.update(directed=directed, n_sinks=n_sinks, n_clusters=n_clusters,
+                             arc_u=au, arc_v=av, cedge_u=cu, cedge_v=cv, _cedge_w=cw,
+                             _weights_cover=True)
         for a in self._columns:
             a.flags.writeable = False
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def _columns(self) -> tuple[np.ndarray, ...]:
         cols = (self.arc_u, self.arc_v, self.cedge_u, self.cedge_v)
-        return cols + (self.cedge_w,) if self.weighted else cols
+        return cols + (self._cedge_w,) if self.weighted else cols
+
+    @property
+    def cedge_w(self) -> np.ndarray | None:
+        """The weights aligned with cedge_u/cedge_v, None when unweighted."""
+        if not self._weights_cover:
+            raise ValueError("weights do not cover exactly the compression edges")
+        return self._cedge_w
 
     @cached_property
     def arcs(self) -> frozenset[tuple[int, int]]:
@@ -125,7 +138,7 @@ class DagCompression:
     @cached_property
     def weights(self) -> MappingProxyType[tuple[int, int], int] | None:
         pairs = zip(self.cedge_u.tolist(), self.cedge_v.tolist())
-        return MappingProxyType(dict(zip(pairs, self.cedge_w.tolist()))) if self.weighted else None
+        return MappingProxyType(dict(zip(pairs, self._cedge_w.tolist()))) if self.weighted else None
 
     @property
     def n_vertices(self) -> int:
@@ -133,7 +146,7 @@ class DagCompression:
 
     @property
     def weighted(self) -> bool:
-        return self.cedge_w is not None
+        return self._cedge_w is not None
 
     def is_sink(self, v: int) -> bool:
         return v <= self.n_sinks
@@ -151,7 +164,8 @@ class DagCompression:
             return NotImplemented
         return ((self.directed, self.n_sinks, self.n_clusters, self.weighted)
                 == (other.directed, other.n_sinks, other.n_clusters, other.weighted)
-                and all(map(np.array_equal, self._columns, other._columns)))
+                and all(map(np.array_equal, self._columns, other._columns))
+                and (self._weights_cover and other._weights_cover or self.weights == other.weights))
 
 
 @dataclass
@@ -260,10 +274,10 @@ def decompress(d: DagCompression) -> Graph | WeightedGraph:
     clusters; in the weighted case an original edge gets the minimum weight
     over all compression edges covering it.
     """
+    ws = d.cedge_w.tolist() if d.weighted else repeat(None)
     table = clusters(d)
     edges: set[tuple[int, int]] = set()
     weights: dict[tuple[int, int], int] = {}
-    ws = d.cedge_w.tolist() if d.weighted else repeat(None)
     for u, v, w in zip(d.cedge_u.tolist(), d.cedge_v.tolist(), ws):
         cu, cv = table.cluster[u], table.cluster[v]
         for x in cu:
@@ -282,8 +296,8 @@ def read_compression(text: str) -> DagCompression:
     directed, _, weighted = r.header("dagc", 0)
     n_sinks, n_clusters = r.counted("sinks"), r.counted("clusters")
     top = n_sinks + n_clusters
-    if top > INT64_MAX:
-        raise CompressionFormatError(f"vertex count {top} does not fit in int64")
+    if top >= INT64_MAX:  # the index has n + 1 slots, so n + 1 must fit in int64 too
+        raise CompressionFormatError(f"vertex count {top} is above the limit {INT64_MAX - 1}")
     au, av, _ = r.edges("a", r.counted("arcs"), top, True, False)
     cu, cv, cw = r.edges("c", r.counted("cedges"), top, directed, weighted)
     r.end()
@@ -294,6 +308,7 @@ def write_compression(d: DagCompression) -> str:
     """Canonical serialization: arcs, then compression edges, each sorted."""
     head = "dagc " + ("directed" if d.directed else "undirected") + (" weighted" if d.weighted else "")
     arcs = _text_rows("a", zip(d.arc_u.tolist(), d.arc_v.tolist()), 2)
-    cedges = _text_rows("c", zip(*(c.tolist() for c in d._columns[2:])), 2 + d.weighted)
+    columns = (d.cedge_u, d.cedge_v) + ((d.cedge_w,) if d.weighted else ())
+    cedges = _text_rows("c", zip(*(c.tolist() for c in columns)), 2 + d.weighted)
     return "\n".join([head, f"sinks {d.n_sinks}", f"clusters {d.n_clusters}",
                       f"arcs {len(arcs)}", *arcs, f"cedges {len(cedges)}", *cedges, ""])

@@ -88,9 +88,13 @@ def rook_canonical_compression(spec: RookSpec) -> DagCompression:
     """
     planes = np.array(rook_hyperplanes(spec))
     cids = np.arange(spec.n + 1, spec.n + 1 + len(planes))
-    return DagCompression(directed=True, n_sinks=spec.n, n_clusters=spec.d * spec.g,
-                          arcs=np.column_stack((cids.repeat(planes.shape[1]), planes.ravel())),
-                          cedges=np.column_stack((cids, cids)))
+    return DagCompression(
+        directed=True,
+        n_sinks=spec.n,
+        n_clusters=spec.d * spec.g,
+        arcs=np.column_stack((cids.repeat(planes.shape[1]), planes.ravel())),
+        cedges=np.column_stack((cids, cids)),
+    )
 
 
 def rook_mst_compression(g: int, max_weight: int = 1, seed: int = 0) -> DagCompression:
@@ -100,13 +104,21 @@ def rook_mst_compression(g: int, max_weight: int = 1, seed: int = 0) -> DagCompr
     max_weight is 1, otherwise seeded uniform draws) so the result is a valid
     input for the compressed MST run.
     """
-    base = rook_canonical_compression(RookSpec(g=g, d=2))
+    spec = RookSpec(g=g, d=2)
+    base = rook_canonical_compression(spec)
     rng = random.Random(seed)
-    cedges = list(zip(base.cedge_u.tolist(), base.cedge_v.tolist()))
-    weights = {e: 1 if max_weight <= 1 else rng.randint(1, max_weight) for e in cedges}
-    return DagCompression(directed=False, n_sinks=base.n_sinks, n_clusters=base.n_clusters,
-                          arcs=np.column_stack((base.arc_u, base.arc_v)), cedges=cedges,
-                          weights=weights)
+    weights = {
+        e: 1 if max_weight <= 1 else rng.randint(1, max_weight)
+        for e in sorted(base.cedges)
+    }
+    return DagCompression(
+        directed=False,
+        n_sinks=base.n_sinks,
+        n_clusters=base.n_clusters,
+        arcs=base.arcs,
+        cedges=base.cedges,
+        weights=weights,
+    )
 
 
 def random_graph(n: int, p: float, seed: int, directed: bool = True) -> Graph:
@@ -119,10 +131,16 @@ def random_graph(n: int, p: float, seed: int, directed: bool = True) -> Graph:
         raise ValueError("p must lie in [0, 1]")
     rng = random.Random(seed)
     edges: set[tuple[int, int]] = set()
-    for u in range(1, n + 1):
-        for v in range(1 if directed else u + 1, n + 1):
-            if rng.random() < p:
-                edges.add((u, v))
+    if directed:
+        for u in range(1, n + 1):
+            for v in range(1, n + 1):
+                if rng.random() < p:
+                    edges.add((u, v))
+    else:
+        for u in range(1, n + 1):
+            for v in range(u + 1, n + 1):
+                if rng.random() < p:
+                    edges.add((u, v))
     return Graph(directed=directed, n=n, edges=frozenset(edges))
 
 
@@ -161,5 +179,11 @@ def random_compression(
         v = rng.randint(1, total)
         cedges.add(canonical_edge(False, u, v))
     weights = {e: rng.randint(1, max_weight) for e in sorted(cedges)}
-    return DagCompression(directed=False, n_sinks=n_sinks, n_clusters=n_clusters,
-                          arcs=frozenset(arcs), cedges=frozenset(cedges), weights=weights)
+    return DagCompression(
+        directed=False,
+        n_sinks=n_sinks,
+        n_clusters=n_clusters,
+        arcs=frozenset(arcs),
+        cedges=frozenset(cedges),
+        weights=weights,
+    )

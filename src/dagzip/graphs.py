@@ -163,14 +163,10 @@ def is_connected(g: Graph | WeightedGraph) -> bool:
 INT64_MAX = 2 ** 63 - 1  # counts, vertex ids and weights must fit in int64
 
 
-def _lex_order(u: np.ndarray, v: np.ndarray) -> np.ndarray | None:
-    """An order that sorts the pairs (u[i], v[i]), or None when they strictly
-    increase already, as canonical text lists them."""
-    if ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
-        return None
-    if min(u.min(), v.min()) >= 0 and (int(u.max()) + 1) * (int(v.max()) + 1) <= INT64_MAX:
-        return np.argsort(u * (int(v.max()) + 1) + v)  # one int64 key: several times faster
-    return np.lexsort((v, u))
+def _lex_sorted(u: np.ndarray, v: np.ndarray, *more: np.ndarray) -> list[np.ndarray]:
+    """The columns u, v, *more reordered so that the pairs (u[i], v[i]) ascend."""
+    order = np.lexsort((v, u))
+    return [c[order] for c in (u, v, *more)]
 
 
 def _text_rows(tag: str, rows, width: int) -> list[str]:
@@ -186,9 +182,8 @@ class _LineReader:
     """
 
     def __init__(self, text: str, error: type[ValueError]):
-        self.lines = list(filter(None, map(str.strip, text.split("\n"))))
-        if "#" in text:
-            self.lines = [line for line in self.lines if not line.startswith("#")]
+        self.lines = [line for line in filter(None, map(str.strip, text.split("\n")))
+                      if line[0] != "#"]
         self.pos = 0
         self.error = error
         if not self.lines:
@@ -263,10 +258,9 @@ class _LineReader:
         if cols:
             u, v, *w = cols
             u, v = (u, v) if directed else (np.minimum(u, v), np.maximum(u, v))
-            if (order := _lex_order(u, v)) is not None:
-                u, v, w = u[order], v[order], [x[order] for x in w]
+            u, v, *w = _lex_sorted(u, v, *w)
             if not (((u < 1) | (u > top) | (v < 1) | (v > top)).any() or (w and (w[0] < 0).any())
-                    or order is not None and ((u[1:] == u[:-1]) & (v[1:] == v[:-1])).any()):
+                    or ((u[1:] == u[:-1]) & (v[1:] == v[:-1])).any()):
                 return u, v, (w[0] if w else None)
         self.pos -= k
         self._raise_first_fault(tag, k, top, directed, weighted)
@@ -316,9 +310,7 @@ def write_graph(g: Graph | WeightedGraph) -> str:
     kind = "directed" if base.directed else "undirected"
     head = f"graph {kind} {base.n} {base.m}" + (" weighted" if weighted else "")
     ends = np.fromiter(chain.from_iterable(base.edges), np.int64, 2 * base.m)
-    u, v = ends[0::2], ends[1::2]
-    if (order := _lex_order(u, v)) is not None:
-        u, v = u[order], v[order]
+    u, v = _lex_sorted(ends[0::2], ends[1::2])
     rows = list(zip(u.tolist(), v.tolist()))
     if weighted:
         rows = zip(u.tolist(), v.tolist(), map(g.weights.__getitem__, rows))

@@ -49,13 +49,14 @@ from .graphs import Graph, canonical_edge, neighborhoods
 def validate_tree_compression(d: DagCompression) -> list[str]:
     """Violations of the binary-cluster-tree shape (on top of validate())."""
     violations = list(validate(d))
-    outdeg, indeg = d._index.outdegree.tolist(), d._index.indegree[1:]
-    violations += [f"cluster vertex {v} has {outdeg[v]} children, want 2"
-                   for v in range(d.n_sinks + 1, d.n_vertices + 1) if outdeg[v] != 2]
-    roots = int((indeg == 0).sum())
-    if d.n_vertices > 1 and roots != 1:
-        violations.append(f"expected a unique root, found {roots}")
-    if (indeg > 1).any():
+    outdeg, indeg = d._index.outdegree.tolist(), d._index.indegree.tolist()
+    for v in range(d.n_sinks + 1, d.n_vertices + 1):
+        if outdeg[v] != 2:
+            violations.append(f"cluster vertex {v} has {outdeg[v]} children, want 2")
+    roots = [v for v in range(1, d.n_vertices + 1) if indeg[v] == 0]
+    if d.n_vertices > 1 and len(roots) != 1:
+        violations.append(f"expected a unique root, found {len(roots)}")
+    if any(c > 1 for c in indeg):
         violations.append("a vertex has two parents")
     # With none of these violations every parent chain ends at the one root,
     # so the root's cluster is the whole sink set.
@@ -229,9 +230,13 @@ def tree_compress(g: Graph, merge_policy: str = "similarity") -> DagCompression:
         keep = us <= vs
         us, vs = us[keep], vs[keep]
     heads = np.arange(n + 1, total + 1)
-    arcs = np.column_stack((np.r_[heads, heads], np.r_[left[n + 1:], right[n + 1:]]))
-    return DagCompression(directed=g.directed, n_sinks=n, n_clusters=n - 1,
-                          arcs=arcs, cedges=np.column_stack((us, vs)))
+    return DagCompression(
+        directed=g.directed,
+        n_sinks=n,
+        n_clusters=n - 1,
+        arcs=np.column_stack((np.r_[heads, heads], np.r_[left[n + 1:], right[n + 1:]])),
+        cedges=np.column_stack((us, vs)),
+    )
 
 
 def dag_compress_greedy(g: Graph) -> DagCompression:
@@ -245,8 +250,10 @@ def dag_compress_greedy(g: Graph) -> DagCompression:
     encoding whenever that is smaller, so the result never exceeds |E|.
     """
     n = g.n
-    direct = DagCompression(directed=g.directed, n_sinks=n, n_clusters=0,
-                            arcs=frozenset(), cedges=g.edges)
+    direct = DagCompression(
+        directed=g.directed, n_sinks=n, n_clusters=0,
+        arcs=frozenset(), cedges=g.edges,
+    )
     if n == 0 or not g.edges:
         return direct
 
@@ -318,8 +325,13 @@ def dag_compress_greedy(g: Graph) -> DagCompression:
     for u in units:
         for v in out_nb[u]:
             cedges.add(canonical_edge(g.directed, u, v))
-    result = DagCompression(directed=g.directed, n_sinks=n, n_clusters=n_clusters,
-                            arcs=frozenset(arcs), cedges=frozenset(cedges))
+    result = DagCompression(
+        directed=g.directed,
+        n_sinks=n,
+        n_clusters=n_clusters,
+        arcs=frozenset(arcs),
+        cedges=frozenset(cedges),
+    )
     if result.size() > direct.size():
         return direct
     return result

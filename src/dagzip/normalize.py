@@ -80,8 +80,14 @@ def twin_normalize(d: DagCompression, twin_pairs) -> DagCompression:
             cedges.add(mirrored)
             if weights is not None:
                 weights[mirrored] = d.weights[e]
-    return DagCompression(directed=d.directed, n_sinks=d.n_sinks, n_clusters=d.n_clusters,
-                          arcs=frozenset(arcs), cedges=frozenset(cedges), weights=weights)
+    return DagCompression(
+        directed=d.directed,
+        n_sinks=d.n_sinks,
+        n_clusters=d.n_clusters,
+        arcs=frozenset(arcs),
+        cedges=frozenset(cedges),
+        weights=weights,
+    )
 
 
 def shore_normalize(d: DagCompression, shores: ShorePartition) -> DagCompression:
@@ -151,14 +157,26 @@ def shore_normalize(d: DagCompression, shores: ShorePartition) -> DagCompression
         raise ValueError(f"source-shore clusters {sorted(source_side)} have arcs from "
                          "outside the source shore")
 
-    # Only cluster vertices are dropped, so the sinks keep their ids.
-    survivors = [v for v in range(1, d.n_vertices + 1) if v not in mixed_set]
-    remap = dict(zip(survivors, range(1, len(survivors) + 1)))
+    removed = sorted(mixed_set)
+    remap: dict[int, int] = {}
+    next_id = d.n_sinks
+    for v in range(1, d.n_vertices + 1):
+        if v in mixed_set:
+            continue
+        if v <= d.n_sinks:
+            remap[v] = v
+        else:
+            next_id += 1
+            remap[v] = next_id
     arcs = {(remap[u], remap[v]) for (u, v) in arcs}
     cedges = {(remap[u], remap[v]) for (u, v) in cedges}
-    return DagCompression(directed=d.directed, n_sinks=d.n_sinks,
-                          n_clusters=d.n_clusters - len(mixed_set),
-                          arcs=frozenset(arcs), cedges=frozenset(cedges))
+    return DagCompression(
+        directed=d.directed,
+        n_sinks=d.n_sinks,
+        n_clusters=d.n_clusters - len(removed),
+        arcs=frozenset(arcs),
+        cedges=frozenset(cedges),
+    )
 
 
 def twin_single_edge(
@@ -203,5 +221,10 @@ def twin_single_edge(
             arcs.add((c, u))
             arcs.add((c, v))
             targets = sorted(set(targets) - {u, v} | {c})
-    return DagCompression(directed=d.directed, n_sinks=d.n_sinks, n_clusters=n_clusters,
-                          arcs=frozenset(arcs), cedges=frozenset(cedges))
+    return DagCompression(
+        directed=d.directed,
+        n_sinks=d.n_sinks,
+        n_clusters=n_clusters,
+        arcs=frozenset(arcs),
+        cedges=frozenset(cedges),
+    )

@@ -168,9 +168,13 @@ def _family_compression(directed: bool, n_sinks: int, family, children, pairs) -
     def unit(s):
         return next(iter(s)) if len(s) == 1 else cid[s]
 
-    return DagCompression(directed=directed, n_sinks=n_sinks, n_clusters=len(cid),
-                          arcs=frozenset((cid[x], unit(ch)) for x in cid for ch in children[x]),
-                          cedges=frozenset((unit(a), unit(b)) for a, b in pairs))
+    return DagCompression(
+        directed=directed,
+        n_sinks=n_sinks,
+        n_clusters=len(cid),
+        arcs=frozenset((cid[x], unit(ch)) for x in cid for ch in children[x]),
+        cedges=frozenset((unit(a), unit(b)) for a, b in pairs),
+    )
 
 
 def _admissible_products(edge_set: frozenset[tuple[int, int]], units, directed: bool):

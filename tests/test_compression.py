@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -8,6 +9,7 @@ from dagzip import (
     Graph,
     clusters,
     decompress,
+    kruskal_compressed,
     random_compression,
     read_compression,
     rook_canonical_compression,
@@ -113,6 +115,18 @@ def test_validate_weight_coverage():
     d = DagCompression(directed=False, n_sinks=2, n_clusters=0,
                        arcs=frozenset(), cedges=frozenset({(1, 2)}), weights={})
     assert any("weights" in v for v in validate(d))
+    # no caller gets a weight that was never given
+    for use in (kruskal_compressed, decompress, write_compression):
+        with pytest.raises(ValueError, match="weights do not cover"):
+            use(d)
+
+
+def test_compression_attributes_cannot_be_rebound(fig_compression):
+    for name in ("n_sinks", "arc_u", "cedges", "_index"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(fig_compression, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(fig_compression, name)
 
 
 def test_clusters_fig_values(fig_compression):

@@ -194,7 +194,9 @@ DAGC = {
     'dagc directed\nsinks 99999999999999999999\nclusters 0\narcs 0\ncedges 0\n':
         "error: bad compression file: count 99999999999999999999 in 'sinks' line does not fit in int64",
     'dagc directed\nsinks 9223372036854775807\nclusters 1\narcs 0\ncedges 0\n':
-        'error: bad compression file: vertex count 9223372036854775808 does not fit in int64',
+        'error: bad compression file: vertex count 9223372036854775808 is above the limit 9223372036854775806',
+    'dagc directed\nsinks 9223372036854775807\nclusters 0\narcs 0\ncedges 0\n':
+        'error: bad compression file: vertex count 9223372036854775807 is above the limit 9223372036854775806',
     'dagc directed\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 99999999999999999999\n':
         "error: bad compression file: vertex id out of range in 'c 1 99999999999999999999'",
     'dagc undirected weighted\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2 9223372036854775808\n':
