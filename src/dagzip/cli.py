@@ -7,11 +7,8 @@ Exit codes: 0 success, 2 input or usage error, 3 contract violation
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
-import time
 
 from . import generators, heuristics, normalize, oracle, reductions
 from .compression import (
@@ -244,62 +241,6 @@ def cmd_gap(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    try:
-        sizes = [int(x) for x in args.sizes.split(",") if x]
-    except ValueError as exc:
-        raise CliError(f"bad --sizes list {args.sizes!r}") from exc
-    seed = _default_seed(args)
-    rows = []
-    for size in sizes:
-        per_size = []
-        for trial in range(args.trials):
-            if args.family == "rook":
-                d = generators.rook_mst_compression(size, seed=seed + trial)
-                params = f"g={size}"
-            else:
-                d = generators.random_compression(
-                    n_sinks=size,
-                    n_clusters=max(1, size // 4),
-                    arc_density=0.3,
-                    edge_count=max(1, size // 2),
-                    max_weight=10,
-                    seed=seed + trial,
-                )
-                params = f"sinks={size}"
-            t0 = time.monotonic()
-            mine = kruskal_compressed(d)
-            t_comp = (time.monotonic() - t0) * 1000.0
-            g = decompress(d)
-            t0 = time.monotonic()
-            base = kruskal_baseline(g)
-            t_base = (time.monotonic() - t0) * 1000.0
-            if base.total_weight != mine.total_weight:
-                raise CliError("weight mismatch between pipelines", CONTRACT_ERROR)
-            if mine.stats.add_edge_calls > d.size():
-                raise CliError("work bound violated", CONTRACT_ERROR)
-            rows.append([
-                args.family, params, trial, d.n_sinks, g.graph.m,
-                len(d.arc_u), len(d.cedge_u),
-                f"{t_comp:.3f}", f"{t_base:.3f}",
-                mine.total_weight, mine.stats.add_edge_calls,
-            ])
-            per_size.append(t_comp)
-        if per_size:
-            med = sorted(per_size)[len(per_size) // 2]
-            print(f"{args.family} size={size}: median compressed {med:.3f} ms over {args.trials} trials")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        "family", "parameters", "trial", "n_sinks", "n_edges",
-        "arcs", "cedges", "t_compressed_ms", "t_baseline_ms",
-        "weight", "add_edge_calls",
-    ])
-    writer.writerows(rows)
-    _write_text(args.out, buf.getvalue())
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dagzip",
@@ -385,14 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=["similarity", "balanced"], default="similarity")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gap)
-
-    p = sub.add_parser("bench", help="compressed vs baseline Kruskal timings")
-    p.add_argument("--family", choices=["random-compression", "rook"], required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated instance sizes")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

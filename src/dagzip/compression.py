@@ -11,59 +11,35 @@ compression is |A| + |E|.
 A DagCompression stores A and E as read-only int64 columns: the arcs
 (arc_u, arc_v) sorted by (u, v), and the compression edges (cedge_u,
 cedge_v), canonical (u <= v when undirected) and sorted the same way, with
-their weights in cedge_w. The text reader and writer, the index and
-compressed Kruskal work on these arrays. The tuple views arcs, cedges and
-weights are built on first use and cached; the small-instance modules
-(oracle, reductions, normalize, heuristics) and the tests read those.
+their weights in cedge_w. The tuple views arcs, cedges and weights are
+built on first use and cached, for the small-instance code and the tests.
 
-Every pass over (V, A) reads one index, built on first use and cached on
-the compression: the arcs in CSR form (indptr from the out-degrees of the
-sorted arc sources, indices the arc targets, so each vertex's children come
-in ascending order), in-degrees, the Kahn topological order and a
-representative sink per vertex, all O(|V| + |A|). validate,
-topological_order, sink_representatives, clusters, compressed Kruskal, the
-shore pass and the tree-shape check share it. Cluster sets are
-Theta(n * |clusters|) and stay per call (clusters(), decompress()).
+Every pass over (V, A) reads one index, built on first use and cached: the
+arcs in CSR form (children in ascending order), in-degrees, the Kahn
+topological order and a representative sink per vertex, all O(|V| + |A|).
+The cluster sets, Theta(n * |clusters|), are built per call, once, as a
+CSR of sorted sink arrays (_cluster_csr); clusters() and decompress() read
+it, and decompress expands every product in one ragged numpy pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
 
-from .graphs import INT64_MAX, Graph, WeightedGraph, _LineReader, _lex_sorted, _text_rows, canonical_edge
+from .graphs import (INT64_MAX, Graph, WeightedGraph, _Frozen, _LineReader, _pair_columns,
+                     _text_rows, _weight_column)
 
 
 class CompressionFormatError(ValueError):
     """Raised for malformed compression text."""
 
 
-def _pair_columns(pairs, undirected: bool, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical, sorted, distinct int64 (u, v) columns of pairs (an iterable
-    or a (k, 2) array) with ids in 1..top."""
-    try:
-        a = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"vertex id out of range 1..{top}") from None
-    if a.size == 0:
-        a = a.reshape(0, 2)
-    if a.ndim != 2 or a.shape[1] != 2:
-        raise ValueError("arcs and compression edges must be (u, v) pairs")
-    if a.size and (a.min() < 1 or a.max() > top):
-        u, v = a[((a < 1) | (a > top)).any(axis=1)][0]
-        raise ValueError(f"vertex id ({u},{v}) out of range 1..{top}")
-    u, v = a[:, 0], a[:, 1]
-    u, v = _lex_sorted(np.minimum(u, v), np.maximum(u, v)) if undirected else _lex_sorted(u, v)
-    keep = np.ones(len(u), dtype=bool)
-    keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-    return u[keep], v[keep]
-
-
-class DagCompression:
+class DagCompression(_Frozen):
     """A compression (V, A, E), immutable: attributes cannot be rebound and
     the arrays are read-only.
 
@@ -76,44 +52,25 @@ class DagCompression:
 
     def __init__(self, directed: bool, n_sinks: int, n_clusters: int, arcs, cedges,
                  weights: dict[tuple[int, int], int] | None = None):
-        au, av = _pair_columns(arcs, False, n_sinks + n_clusters)
-        cu, cv = _pair_columns(cedges, not directed, n_sinks + n_clusters)
-        cw = None
-        if weights is not None:
-            w = {canonical_edge(directed, a, b): x for (a, b), x in weights.items()}
-            keys = list(zip(cu.tolist(), cv.tolist()))
-            try:
-                cw = np.fromiter(map(w.get, keys, repeat(0)), np.int64, len(keys))
-            except OverflowError:
-                raise ValueError("compression-edge weight does not fit in int64") from None
-        self._set(directed, n_sinks, n_clusters, au, av, cu, cv, cw)
+        au, av = _pair_columns(arcs, False, n_sinks + n_clusters, "vertex id")
+        cu, cv = _pair_columns(cedges, not directed, n_sinks + n_clusters, "vertex id")
+        w, cw, covers = ({}, None, True) if weights is None else _weight_column(weights, directed, cu, cv)
+        self._fill(directed=directed, n_sinks=n_sinks, n_clusters=n_clusters, arc_u=au, arc_v=av,
+                   cedge_u=cu, cedge_v=cv, _cedge_w=cw, _weights_cover=covers)
         # A directed frozenset is canonical already: it serves as its own view.
         if isinstance(arcs, frozenset):
             self.__dict__["arcs"] = arcs
         if isinstance(cedges, frozenset) and directed:
             self.__dict__["cedges"] = cedges
-        if weights is not None and not len(w) == len(keys) == sum(map(w.__contains__, keys)):
-            self.__dict__.update(_weights_cover=False, weights=MappingProxyType(w))
+        if not covers:
+            self.__dict__["weights"] = MappingProxyType(w)
 
     @classmethod
-    def _from_arrays(cls, directed, n_sinks, n_clusters, *columns) -> DagCompression:
+    def _from_arrays(cls, directed, n_sinks, n_clusters, au, av, cu, cv, cw) -> DagCompression:
         """From int64 columns that are canonical, sorted, distinct and in range already."""
-        d = cls.__new__(cls)
-        d._set(directed, n_sinks, n_clusters, *columns)
-        return d
-
-    def _set(self, directed, n_sinks, n_clusters, au, av, cu, cv, cw) -> None:
-        self.__dict__.update(directed=directed, n_sinks=n_sinks, n_clusters=n_clusters,
-                             arc_u=au, arc_v=av, cedge_u=cu, cedge_v=cv, _cedge_w=cw,
-                             _weights_cover=True)
-        for a in self._columns:
-            a.flags.writeable = False
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        return cls.__new__(cls)._fill(directed=directed, n_sinks=n_sinks, n_clusters=n_clusters,
+                                      arc_u=au, arc_v=av, cedge_u=cu, cedge_v=cv, _cedge_w=cw,
+                                      _weights_cover=True)
 
     @property
     def _columns(self) -> tuple[np.ndarray, ...]:
@@ -147,9 +104,6 @@ class DagCompression:
     @property
     def weighted(self) -> bool:
         return self._cedge_w is not None
-
-    def is_sink(self, v: int) -> bool:
-        return v <= self.n_sinks
 
     def size(self) -> int:
         return len(self.arc_u) + len(self.cedge_u)
@@ -255,16 +209,39 @@ def sink_representatives(d: DagCompression) -> dict[int, int]:
     return dict(zip(range(1, d.n_vertices + 1), rep[1:]))
 
 
+def _cluster_csr(d: DagCompression) -> tuple[np.ndarray, np.ndarray]:
+    """Every C(v) in CSR form: cind[cptr[v]:cptr[v + 1]] is C(v), ascending (slot 0 empty).
+
+    Sink v is [v]; each cluster vertex, in reverse topological order, is the
+    sorted union of its children's sets.
+    """
+    index, s = d._index, d.n_sinks
+    index.representatives()  # raises on a cycle or a cluster vertex without arcs
+    ptr, ind = index.indptr.tolist(), index.indices.tolist()
+    members: dict[int, list[int]] = {}
+    for v in reversed(index.order):
+        if v > s:
+            kids = ind[ptr[v]: ptr[v + 1]]
+            members[v] = sorted(set(chain.from_iterable(members.get(k, (k,)) for k in kids)))
+    lists = [members[v] for v in range(s + 1, d.n_vertices + 1)]
+    cptr = np.ones(d.n_vertices + 2, dtype=np.int64)  # cptr[v + 1] = |C(v)| before the sum
+    cptr[:2] = 0
+    cptr[s + 2:] = np.fromiter(map(len, lists), np.int64, len(lists))
+    cind = np.concatenate((np.arange(1, s + 1), np.fromiter(chain.from_iterable(lists), np.int64)))
+    return np.cumsum(cptr, out=cptr), cind
+
+
 def clusters(d: DagCompression) -> ClusterTable:
     """Materialize every C(v) plus the representative function."""
-    index = d._index
-    rep = sink_representatives(d)
-    ptr, ind = index.indptr.tolist(), index.indices.tolist()
-    cluster: dict[int, frozenset[int]] = {}
-    for v in reversed(index.order):
-        cluster[v] = (frozenset((v,)) if d.is_sink(v)
-                      else frozenset().union(*map(cluster.__getitem__, ind[ptr[v]:ptr[v + 1]])))
-    return ClusterTable(cluster=cluster, representative=rep)
+    ptr, ind = (a.tolist() for a in _cluster_csr(d))
+    cluster = {v: frozenset(ind[ptr[v]: ptr[v + 1]]) for v in range(1, d.n_vertices + 1)}
+    return ClusterTable(cluster=cluster, representative=sink_representatives(d))
+
+
+# decompress holds about 50 bytes per expanded pair at its peak, result
+# included (49 measured with tracemalloc on rook g=100), so 40M pairs is
+# about 2 GB. Larger expansions are refused before they allocate.
+MAX_EXPANDED_PAIRS = 40_000_000
 
 
 def decompress(d: DagCompression) -> Graph | WeightedGraph:
@@ -272,22 +249,52 @@ def decompress(d: DagCompression) -> Graph | WeightedGraph:
 
     Every compression edge contributes the full product of its endpoint
     clusters; in the weighted case an original edge gets the minimum weight
-    over all compression edges covering it.
+    over all compression edges covering it. All products are expanded in
+    one ragged pass over the cluster CSR: pair t of the product of cedge
+    (u, v) is (C(u)[t // |C(v)|], C(v)[t % |C(v)|]). The pairs are keyed as
+    x * (n + 1) + y and sorted once; each run of equal keys is one edge,
+    with the minimum weight of the run.
+
+    The exact pair count sum |C(u)| * |C(v)| is known from the cluster
+    sizes before the expansion allocates anything (about 50 bytes per pair
+    at its peak); above MAX_EXPANDED_PAIRS it raises ValueError.
     """
-    ws = d.cedge_w.tolist() if d.weighted else repeat(None)
-    table = clusters(d)
-    edges: set[tuple[int, int]] = set()
-    weights: dict[tuple[int, int], int] = {}
-    for u, v, w in zip(d.cedge_u.tolist(), d.cedge_v.tolist(), ws):
-        cu, cv = table.cluster[u], table.cluster[v]
-        for x in cu:
-            for y in cv:
-                e = canonical_edge(d.directed, x, y)
-                edges.add(e)
-                if w is not None and (e not in weights or w < weights[e]):
-                    weights[e] = w
-    g = Graph(directed=d.directed, n=d.n_sinks, edges=frozenset(edges))
-    return WeightedGraph(graph=g, weights=weights) if d.weighted else g
+    n = d.n_sinks
+    if d.weighted and d.directed:
+        raise ValueError("weighted graphs are undirected")
+    if (n + 1) ** 2 > INT64_MAX:
+        raise ValueError(f"decompress needs (sinks + 1)^2 to fit in int64, got {n} sinks")
+    cw = d.cedge_w
+    cptr, cind = _cluster_csr(d)
+    size = np.diff(cptr)
+    nv = size[d.cedge_v]
+    counts = size[d.cedge_u] * nv
+    total = counts.sum(dtype=np.float64)
+    if total > MAX_EXPANDED_PAIRS:
+        raise ValueError(f"decompressing expands {total:.0f} vertex pairs, "
+                         f"above the limit of {MAX_EXPANDED_PAIRS}")
+    i = np.repeat(np.arange(len(counts)), counts)
+    t = np.arange(int(total))
+    t -= np.repeat(np.cumsum(counts) - counts, counts)
+    x, y = np.divmod(t, nv[i])
+    del t
+    x += cptr[d.cedge_u][i]
+    y += cptr[d.cedge_v][i]
+    x, y = cind[x], cind[y]
+    w = cw[i] if d.weighted else None
+    del i
+    if not d.directed:
+        x, y = np.minimum(x, y), np.maximum(x, y)
+    x *= n + 1
+    x += y
+    del y
+    order = np.argsort(x)
+    key = x[order]
+    del x
+    first = np.flatnonzero(np.diff(key, prepend=-1))  # keys are positive
+    u, v = np.divmod(key[first], n + 1)
+    g = Graph._from_arrays(d.directed, n, u, v)
+    return WeightedGraph._from_arrays(g, np.minimum.reduceat(w[order], first)) if d.weighted else g
 
 
 def read_compression(text: str) -> DagCompression:
@@ -307,8 +314,7 @@ def read_compression(text: str) -> DagCompression:
 def write_compression(d: DagCompression) -> str:
     """Canonical serialization: arcs, then compression edges, each sorted."""
     head = "dagc " + ("directed" if d.directed else "undirected") + (" weighted" if d.weighted else "")
-    arcs = _text_rows("a", zip(d.arc_u.tolist(), d.arc_v.tolist()), 2)
-    columns = (d.cedge_u, d.cedge_v) + ((d.cedge_w,) if d.weighted else ())
-    cedges = _text_rows("c", zip(*(c.tolist() for c in columns)), 2 + d.weighted)
+    arcs = _text_rows("a", d.arc_u, d.arc_v)
+    cedges = _text_rows("c", d.cedge_u, d.cedge_v, *((d.cedge_w,) if d.weighted else ()))
     return "\n".join([head, f"sinks {d.n_sinks}", f"clusters {d.n_clusters}",
                       f"arcs {len(arcs)}", *arcs, f"cedges {len(cedges)}", *cedges, ""])

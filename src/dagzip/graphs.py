@@ -2,7 +2,10 @@
 
 Vertices are dense 1-based integers. Directed edges are ordered pairs,
 undirected edges are stored with the smaller endpoint first. Self-loops
-are legal in both variants ((v, v) directed, {v, v} undirected).
+are legal in both variants ((v, v) directed, {v, v} undirected). A Graph
+keeps its edges as sorted int64 columns u, v (a WeightedGraph adds an
+aligned weight column w), like a DagCompression; both are immutable, and
+the reader, the writer and Kruskal work on the columns.
 
 All four text formats (graph, compression, shore and set-cover files) are
 parsed by one line-record reader kept here, which skips blank and '#' lines,
@@ -12,9 +15,11 @@ counts, and raises the calling format's own error class.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
-from itertools import chain, combinations
+from collections import defaultdict
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
+from itertools import combinations, repeat
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,49 +34,124 @@ def canonical_edge(directed: bool, u: int, v: int) -> tuple[int, int]:
     return (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
-    """An explicit directed or undirected graph on vertices 1..n."""
+class _Frozen:
+    """Attributes cannot be rebound or deleted, and the arrays among them are
+    read-only. Cached views write __dict__ directly."""
 
-    directed: bool
-    n: int
-    edges: frozenset[tuple[int, int]]
+    def _fill(self, **fields):
+        self.__dict__.update(fields)
+        for a in fields.values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        return self
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _weight_column(weights, directed: bool, u: np.ndarray, v: np.ndarray):
+    """The map canonicalized, its weights along the (u, v) columns as int64
+    (0 where missing), and whether its keys are exactly those pairs."""
+    w = {canonical_edge(directed, a, b): x for (a, b), x in weights.items()}
+    keys = list(zip(u.tolist(), v.tolist()))
+    try:
+        col = np.fromiter(map(w.get, keys, repeat(0)), np.int64, len(keys))
+    except OverflowError:
+        raise ValueError("weight does not fit in int64") from None
+    return w, col, len(w) == len(keys) == sum(map(w.__contains__, keys))
+
+
+def _pair_columns(pairs, undirected: bool, top: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical, sorted, distinct int64 (u, v) columns of pairs (an iterable
+    or a (k, 2) array) with ids in 1..top."""
+    try:
+        a = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{what} out of range 1..{top}") from None
+    if a.size == 0:
+        a = a.reshape(0, 2)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError(f"expected (u, v) pairs, got shape {a.shape}")
+    if a.size and (a.min() < 1 or a.max() > top):
+        u, v = a[((a < 1) | (a > top)).any(axis=1)][0]
+        raise ValueError(f"{what} ({u},{v}) out of range 1..{top}")
+    u, v = a[:, 0], a[:, 1]
+    u, v = _lex_sorted(np.minimum(u, v), np.maximum(u, v)) if undirected else _lex_sorted(u, v)
+    keep = np.ones(len(u), dtype=bool)
+    keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    return u[keep], v[keep]
+
+
+class Graph(_Frozen):
+    """An explicit directed or undirected graph on vertices 1..n, immutable.
+
+    The constructor takes (u, v) pairs, as an iterable or a (k, 2) array;
+    undirected pairs are canonicalized and repeats merged. The edges are
+    read-only int64 columns u and v sorted by (u, v); the edges frozenset
+    is a view built on first use and cached.
+    """
+
+    def __init__(self, directed: bool, n: int, edges):
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        edges = self.edges
-        if not (self.directed and isinstance(edges, frozenset)):
-            edges = frozenset(canonical_edge(self.directed, u, v) for u, v in edges)
-            object.__setattr__(self, "edges", edges)
-        for u, v in edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"edge ({u},{v}) out of range 1..{self.n}")
+        u, v = _pair_columns(edges, not directed, n, "edge")
+        self._fill(directed=directed, n=n, u=u, v=v)
+        if directed and isinstance(edges, frozenset):  # canonical already: its own view
+            self.__dict__["edges"] = edges
+
+    @classmethod
+    def _from_arrays(cls, directed: bool, n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+        """From int64 columns that are canonical, sorted, distinct and in range already."""
+        return cls.__new__(cls)._fill(directed=directed, n=n, u=u, v=v)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(zip(self.u.tolist(), self.v.tolist()))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.u)
 
     def has_edge(self, u: int, v: int) -> bool:
         return canonical_edge(self.directed, u, v) in self.edges
 
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return ((self.directed, self.n) == (other.directed, other.n)
+                and np.array_equal(self.u, other.u) and np.array_equal(self.v, other.v))
 
-@dataclass(eq=True)
-class WeightedGraph:
-    """An undirected graph together with a non-negative integer edge weight map."""
 
-    graph: Graph
-    weights: dict[tuple[int, int], int] = field(default_factory=dict)
+class WeightedGraph(_Frozen):
+    """An undirected graph with a non-negative integer weight per edge, immutable.
 
-    def __post_init__(self):
-        if self.graph.directed:
+    The weights are a read-only int64 column w aligned with graph.u and
+    graph.v; the weights map is a read-only view built on first use.
+    """
+
+    def __init__(self, graph: Graph, weights: dict[tuple[int, int], int] | None = None):
+        if graph.directed:
             raise ValueError("weighted graphs are undirected")
-        self.weights = {canonical_edge(False, u, v): w for (u, v), w in self.weights.items()}
-        if set(self.weights) != set(self.graph.edges):
+        w, col, covers = _weight_column(weights or {}, False, graph.u, graph.v)
+        if not covers:
             raise ValueError("weights must cover exactly the edge set")
-        for e, w in self.weights.items():
-            if w < 0:
+        for e, x in w.items():
+            if x < 0:
                 raise ValueError(f"negative weight on {e}")
+        self._fill(graph=graph, w=col)
+
+    @classmethod
+    def _from_arrays(cls, graph: Graph, w: np.ndarray) -> WeightedGraph:
+        """From an int64 weight column aligned with graph's columns, checked already."""
+        return cls.__new__(cls)._fill(graph=graph, w=w)
+
+    @cached_property
+    def weights(self) -> MappingProxyType[tuple[int, int], int]:
+        pairs = zip(self.graph.u.tolist(), self.graph.v.tolist())
+        return MappingProxyType(dict(zip(pairs, self.w.tolist())))
 
     @property
     def n(self) -> int:
@@ -80,6 +160,11 @@ class WeightedGraph:
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         return self.graph.edges
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightedGraph):
+            return NotImplemented
+        return self.graph == other.graph and np.array_equal(self.w, other.w)
 
 
 @dataclass(frozen=True)
@@ -108,15 +193,11 @@ def neighborhoods(g: Graph) -> tuple[dict[int, frozenset[int]], dict[int, frozen
     """Per-vertex (in, out) neighborhood sets; for undirected graphs both maps coincide."""
     ins: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
     outs: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
-    for u, v in g.edges:
+    tails, heads = (g.u, g.v) if g.directed else (np.r_[g.u, g.v], np.r_[g.v, g.u])
+    for u, v in zip(tails.tolist(), heads.tolist()):
         outs[u].add(v)
         ins[v].add(u)
-        if not g.directed:
-            outs[v].add(u)
-            ins[u].add(v)
-    fi = {v: frozenset(s) for v, s in ins.items()}
-    fo = {v: frozenset(s) for v, s in outs.items()}
-    return fi, fo
+    return {v: frozenset(s) for v, s in ins.items()}, {v: frozenset(s) for v, s in outs.items()}
 
 
 def twins(g: Graph) -> set[frozenset[int]]:
@@ -138,26 +219,39 @@ def twin_classes(g: Graph) -> list[tuple[int, ...]]:
     return sorted(tuple(members) for members in groups.values())
 
 
+class UnionFind:
+    """Disjoint sets over 1..n with path compression and union by rank."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n + 1))
+        self.rank = [0] * (n + 1)
+
+    def find(self, x: int) -> int:
+        root = x
+        p = self.parent
+        while p[root] != root:
+            root = p[root]
+        while p[x] != root:
+            p[x], x = root, p[x]
+        return root
+
+    def unite(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.rank[ra] < self.rank[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        if self.rank[ra] == self.rank[rb]:
+            self.rank[ra] += 1
+        return True
+
+
 def is_connected(g: Graph | WeightedGraph) -> bool:
     """True iff the graph has a single connected component (loops and directions ignored)."""
-    if isinstance(g, WeightedGraph):
-        g = g.graph
-    if g.n <= 1:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
-    for u, v in g.edges:
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == g.n
+    g = g.graph if isinstance(g, WeightedGraph) else g
+    unite = UnionFind(g.n).unite
+    return sum(map(unite, g.u.tolist(), g.v.tolist())) >= g.n - 1
 
 
 INT64_MAX = 2 ** 63 - 1  # counts, vertex ids and weights must fit in int64
@@ -169,9 +263,9 @@ def _lex_sorted(u: np.ndarray, v: np.ndarray, *more: np.ndarray) -> list[np.ndar
     return [c[order] for c in (u, v, *more)]
 
 
-def _text_rows(tag: str, rows, width: int) -> list[str]:
-    """One ``tag x1 ... x_width`` line per row of integers."""
-    return list(map((tag + " %d" * width).__mod__, rows))
+def _text_rows(tag: str, *columns: np.ndarray) -> list[str]:
+    """One ``tag x1 ... xk`` line per row of the k int64 columns."""
+    return list(map((tag + " %d" * len(columns)).__mod__, zip(*(c.tolist() for c in columns))))
 
 
 class _LineReader:
@@ -298,9 +392,8 @@ def read_graph(text: str) -> Graph | WeightedGraph:
         raise GraphFormatError("weighted graphs must be undirected")
     u, v, w = r.edges("e", m, n, directed, weighted)
     r.end()
-    edges = list(zip(u.tolist(), v.tolist()))
-    g = Graph(directed=directed, n=n, edges=frozenset(edges))
-    return WeightedGraph(graph=g, weights=dict(zip(edges, w.tolist()))) if weighted else g
+    g = Graph._from_arrays(directed, n, u, v)
+    return WeightedGraph._from_arrays(g, w) if weighted else g
 
 
 def write_graph(g: Graph | WeightedGraph) -> str:
@@ -309,12 +402,8 @@ def write_graph(g: Graph | WeightedGraph) -> str:
     base = g.graph if weighted else g
     kind = "directed" if base.directed else "undirected"
     head = f"graph {kind} {base.n} {base.m}" + (" weighted" if weighted else "")
-    ends = np.fromiter(chain.from_iterable(base.edges), np.int64, 2 * base.m)
-    u, v = _lex_sorted(ends[0::2], ends[1::2])
-    rows = list(zip(u.tolist(), v.tolist()))
-    if weighted:
-        rows = zip(u.tolist(), v.tolist(), map(g.weights.__getitem__, rows))
-    return "\n".join([head, *_text_rows("e", rows, 2 + weighted), ""])
+    columns = (base.u, base.v, g.w) if weighted else (base.u, base.v)
+    return "\n".join([head, *_text_rows("e", *columns), ""])
 
 
 def read_shores(text: str) -> ShorePartition:

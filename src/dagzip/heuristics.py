@@ -37,7 +37,6 @@ import csv
 import io
 import time
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -65,11 +64,9 @@ def validate_tree_compression(d: DagCompression) -> list[str]:
 
 def _adjacency_matrix(g: Graph) -> np.ndarray:
     m = np.zeros((g.n + 1, g.n + 1), dtype=bool)
-    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.m)
-    tails, heads = ends[0::2], ends[1::2]
-    m[tails, heads] = True
+    m[g.u, g.v] = True
     if not g.directed:
-        m[heads, tails] = True
+        m[g.v, g.u] = True
     return m
 
 

@@ -18,35 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compression import DagCompression, clusters, decompress
-from .graphs import Graph, WeightedGraph, canonical_edge
-
-
-class UnionFind:
-    """Disjoint sets over 1..n with path compression and union by rank."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-        self.rank = [0] * (n + 1)
-
-    def find(self, x: int) -> int:
-        root = x
-        p = self.parent
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def unite(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
+from .graphs import UnionFind, WeightedGraph, canonical_edge
 
 
 @dataclass
@@ -70,14 +42,13 @@ class MstResult:
 
 def kruskal_baseline(g: WeightedGraph) -> MstResult:
     """Plain Kruskal on the explicit graph; ties broken by canonical edge order."""
-    stats = MstStats()
-    uf = UnionFind(g.n)
-    forest: list[tuple[int, int, int]] = []
-    for (u, v), w in sorted(g.weights.items(), key=lambda kv: (kv[1], kv[0])):
-        stats.add_edge_calls += 1
-        if uf.unite(u, v):
-            forest.append((u, v, w))
-    return MstResult(edges=forest, total_weight=sum(w for _, _, w in forest), stats=stats)
+    unite = UnionFind(g.n).unite
+    # The columns are sorted by (u, v), so a stable sort by weight gives the (w, (u, v)) order.
+    order = np.argsort(g.w, kind="stable")
+    columns = (c[order].tolist() for c in (g.graph.u, g.graph.v, g.w))
+    forest = [(u, v, w) for u, v, w in zip(*columns) if unite(u, v)]
+    return MstResult(edges=forest, total_weight=sum(w for _, _, w in forest),
+                     stats=MstStats(add_edge_calls=g.graph.m))
 
 
 def kruskal_compressed(d: DagCompression, debug: bool = False) -> MstResult:
@@ -152,32 +123,22 @@ class _DebugChecker:
                 raise AssertionError(f"clean precondition violated: {e} not an edge")
 
     def check_invariant(self, cedge: tuple[int, int], forest: list[tuple[int, int, int]]) -> None:
-        w = self.d.weights[cedge]
-        cu = self.table.cluster[cedge[0]]
-        cv = self.table.cluster[cedge[1]]
-        for x in cu:
-            for y in cv:
-                if x == y:
-                    continue
-                e = canonical_edge(False, x, y)
-                self.processed[e] = min(w, self.processed.get(e, w))
-        forest_edges = {(u, v): fw for u, v, fw in forest}
-        for e, fw in forest_edges.items():
-            if e not in self.graph.edges:
-                raise AssertionError(f"forest edge {e} not in the decompressed graph")
-            if fw != self.processed.get(e):
-                raise AssertionError(f"forest edge {e} carries weight {fw}, expected {self.processed.get(e)}")
+        # The products processed so far, each edge at its minimum weight.
+        self.processed[cedge] = self.d.weights[cedge]
+        d = self.d
+        done = decompress(DagCompression(False, d.n_sinks, d.n_clusters, d.arcs, self.processed,
+                                         self.processed))
+        for u, v, fw in forest:
+            if (u, v) not in self.graph.edges:
+                raise AssertionError(f"forest edge {(u, v)} not in the decompressed graph")
+            if fw != done.weights.get((u, v)):
+                raise AssertionError(f"forest edge {(u, v)} carries weight {fw}, "
+                                     f"expected {done.weights.get((u, v))}")
         # The forest must be a minimum spanning forest of the processed products
-        # together with its own edges (covers the invariant's sandwiched edge set).
-        edges = dict(self.processed)
-        g = WeightedGraph(
-            graph=Graph(directed=False, n=self.d.n_sinks, edges=frozenset(edges)),
-            weights=edges,
-        )
-        ref = kruskal_baseline(g)
-        got = sum(forest_edges.values())
-        if got != ref.total_weight:
-            raise AssertionError(f"running forest weight {got} != minimum {ref.total_weight}")
+        # (they contain its edges, so this covers the invariant's sandwiched edge set).
+        got, ref = sum(fw for _, _, fw in forest), kruskal_baseline(done).total_weight
+        if got != ref:
+            raise AssertionError(f"running forest weight {got} != minimum {ref}")
 
 
 def write_mst(result: MstResult, n: int) -> str:

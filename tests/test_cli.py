@@ -235,33 +235,6 @@ def test_gap_cli(tmp_path, capsys):
     assert len(rows) == 3
 
 
-def test_bench_cli(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    code, printed, _ = run_cli(
-        ["bench", "--family", "random-compression", "--sizes", "8,12",
-         "--trials", "2", "--seed", "1", "--out", str(out)], capsys)
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out.read_text())))
-    header = rows[0]
-    assert header[0] == "family" and "add_edge_calls" in header
-    assert len(rows) == 1 + 2 * 2
-    for row in rows[1:]:
-        calls = int(row[header.index("add_edge_calls")])
-        arcs = int(row[header.index("arcs")])
-        cedges = int(row[header.index("cedges")])
-        assert calls <= arcs + cedges
-
-
-def test_bench_cli_empty_sizes(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    code, _, _ = run_cli(
-        ["bench", "--family", "rook", "--sizes", "", "--trials", "1",
-         "--out", str(out)], capsys)
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out.read_text())))
-    assert len(rows) == 1  # header only
-
-
 def test_help_runs(capsys):
     assert main(["--help"]) == 0
     assert main(["mst", "--help"]) == 0

@@ -1,0 +1,120 @@
+"""decompress as one ragged product expansion: a differential check against a
+literal product loop, and the size guard that refuses oversized expansions."""
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from dagzip import (
+    DagCompression,
+    Graph,
+    WeightedGraph,
+    decompress,
+    rook_mst_compression,
+    write_compression,
+    write_graph,
+)
+from dagzip import compression
+from dagzip.cli import main
+from dagzip.graphs import canonical_edge
+
+
+def _reachable_sinks(d, v):
+    """C(v) by a depth-first walk over the arcs, independent of the library's clusters."""
+    children = {}
+    for a, b in d.arcs:
+        children.setdefault(a, []).append(b)
+    seen, stack = set(), [v]
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            stack.extend(children.get(x, ()))
+    return {x for x in seen if x <= d.n_sinks}
+
+
+def _literal_decompress(d):
+    """Every product pair in turn, keeping the minimum weight per edge."""
+    edges, weights = set(), {}
+    ws = d.cedge_w.tolist() if d.weighted else [None] * len(d.cedge_u)
+    for u, v, w in zip(d.cedge_u.tolist(), d.cedge_v.tolist(), ws):
+        for x in _reachable_sinks(d, u):
+            for y in _reachable_sinks(d, v):
+                e = canonical_edge(d.directed, x, y)
+                edges.add(e)
+                if w is not None and (e not in weights or w < weights[e]):
+                    weights[e] = w
+    g = Graph(directed=d.directed, n=d.n_sinks, edges=frozenset(edges))
+    return WeightedGraph(graph=g, weights=weights) if d.weighted else g
+
+
+@st.composite
+def compressions(draw):
+    """Valid compressions: each cluster vertex has children among lower ids,
+    compression edges include loops, and weighted ones draw repeated weights."""
+    directed = draw(st.booleans())
+    weighted = not directed and draw(st.booleans())
+    n_sinks, n_clusters = draw(st.integers(1, 6)), draw(st.integers(0, 5))
+    top = n_sinks + n_clusters
+    arcs = [(v, c) for v in range(n_sinks + 1, top + 1)
+            for c in draw(st.sets(st.integers(1, v - 1), min_size=1, max_size=4))]
+    ids = st.integers(1, top)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=8))
+    pairs += [(v, v) for v in draw(st.sets(ids, max_size=3))]
+    cedges = {canonical_edge(directed, u, v) for u, v in pairs}
+    weights = {e: draw(st.integers(0, 4)) for e in sorted(cedges)} if weighted else None
+    return DagCompression(directed=directed, n_sinks=n_sinks, n_clusters=n_clusters,
+                          arcs=arcs, cedges=pairs, weights=weights)
+
+
+# Two overlapping products on {1, 2} x {1, 2} with a loop: the cheaper one must win.
+_OVERLAP = DagCompression(directed=False, n_sinks=3, n_clusters=2,
+                          arcs=[(4, 1), (4, 2), (5, 4), (5, 3)], cedges=[(4, 4), (5, 5), (1, 2)],
+                          weights={(4, 4): 2, (5, 5): 7, (1, 2): 1})
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(compressions())
+@example(_OVERLAP)
+def test_expansion_matches_literal_product_loop(d):
+    got, want = decompress(d), _literal_decompress(d)
+    assert got == want
+    assert got.edges == want.edges
+    if d.weighted:
+        assert dict(got.weights) == dict(want.weights)
+    assert write_graph(got) == write_graph(want)
+
+
+def test_overlapping_products_keep_the_minimum_weight():
+    g = decompress(_OVERLAP)
+    assert dict(g.weights) == {(1, 1): 2, (1, 2): 1, (2, 2): 2, (1, 3): 7, (2, 3): 7, (3, 3): 7}
+
+
+def test_expansion_guard_is_exact(monkeypatch):
+    d = rook_mst_compression(4, max_weight=3, seed=1)  # 8 loop cedges on 4-sink lines: 128 pairs
+    monkeypatch.setattr(compression, "MAX_EXPANDED_PAIRS", 127)
+    with pytest.raises(ValueError, match="expands 128 vertex pairs, above the limit of 127"):
+        decompress(d)
+    monkeypatch.setattr(compression, "MAX_EXPANDED_PAIRS", 128)
+    assert decompress(d).graph.m == 8 * 10 - 16  # 10 pairs per line, each loop on two lines
+
+
+def test_expansion_guard_on_the_command_line(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "rook.dagc"
+    path.write_text(write_compression(rook_mst_compression(4, max_weight=3, seed=1)))
+    monkeypatch.setattr(compression, "MAX_EXPANDED_PAIRS", 127)
+    out = ["-o", str(tmp_path / "out")]
+    for argv in (["decompress", str(path)], ["mst", "--baseline", str(path)],
+                 ["mst", "--check", str(path)]):
+        assert main(argv + out) == 2, argv
+        err = capsys.readouterr().err
+        assert err == "error: decompressing expands 128 vertex pairs, above the limit of 127\n"
+    assert main(["mst", str(path)] + out) == 0  # compressed Kruskal never expands
+
+
+def test_edge_keys_must_fit_in_int64(monkeypatch):
+    # x * (n + 1) + y keys each edge; a smaller bound stands in for int64 here.
+    d = DagCompression(directed=True, n_sinks=9, n_clusters=0, arcs=[], cedges=[(1, 2)])
+    monkeypatch.setattr(compression, "INT64_MAX", 99)
+    with pytest.raises(ValueError, match="got 9 sinks"):
+        decompress(d)

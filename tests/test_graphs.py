@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -9,11 +10,16 @@ from dagzip import (
     WeightedGraph,
     decompress,
     is_connected,
+    kruskal_baseline,
     random_graph,
+    read_compression,
     read_graph,
     read_shores,
+    rook_canonical_compression,
     rook_graph,
+    rook_mst_compression,
     twins,
+    write_compression,
     write_graph,
     write_shores,
 )
@@ -168,3 +174,55 @@ def test_twin_classes_partition():
 
     g = Graph(directed=True, n=4, edges=frozenset({(1, 4), (2, 4), (3, 4)}))
     assert twin_classes(g) == [(1, 2, 3), (4,)]
+
+
+def test_graph_attributes_cannot_be_rebound():
+    g = Graph(directed=False, n=3, edges=[(2, 1), (3, 2), (1, 2)])
+    wg = WeightedGraph(graph=g, weights={(2, 1): 4, (2, 3): 0})
+    for obj, names in ((g, ("directed", "n", "u", "edges")), (wg, ("graph", "w", "weights"))):
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+    for column in (g.u, g.v, wg.w):
+        with pytest.raises(ValueError):
+            column[0] = 3
+    with pytest.raises(TypeError):
+        wg.weights[(1, 2)] = 5
+    assert (g.u.tolist(), g.v.tolist(), wg.w.tolist()) == ([1, 2], [2, 3], [4, 0])
+
+
+def test_weighted_graph_constructor_checks():
+    g = Graph(directed=False, n=3, edges=[(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="cover exactly"):
+        WeightedGraph(graph=g, weights={(1, 2): 1})
+    with pytest.raises(ValueError, match="cover exactly"):
+        WeightedGraph(graph=g, weights={(1, 2): 1, (2, 3): 1, (1, 3): 1})
+    with pytest.raises(ValueError, match=r"negative weight on \(2, 3\)"):
+        WeightedGraph(graph=g, weights={(1, 2): 1, (3, 2): -1})
+    with pytest.raises(ValueError, match="undirected"):
+        WeightedGraph(graph=Graph(directed=True, n=2, edges=[(1, 2)]), weights={(1, 2): 1})
+    with pytest.raises(ValueError, match="does not fit in int64"):
+        WeightedGraph(graph=g, weights={(1, 2): 1, (2, 3): 2 ** 63})
+    with pytest.raises(ValueError, match=r"edge \(1,4\) out of range 1..3"):
+        Graph(directed=True, n=3, edges=[(1, 2), (1, 4)])
+
+
+@pytest.mark.parametrize("d", [
+    rook_mst_compression(6, max_weight=9, seed=3),
+    rook_canonical_compression(RookSpec(g=5)),
+], ids=["weighted", "directed"])
+def test_graph_path_stays_on_the_arrays(d):
+    """decompress, write_graph, read_graph and kruskal_baseline never build the
+    tuple views and hand back Python ints only."""
+    g = decompress(read_compression(write_compression(d)))
+    text = write_graph(g)
+    back = read_graph(text)
+    assert write_graph(back) == text and back == g
+    if d.weighted:
+        res = kruskal_baseline(back)
+        values = [x for e in res.edges for x in e] + [res.total_weight, res.stats.add_edge_calls]
+        assert len(values) > 3 and all(type(x) is int for x in values)
+    for x in (g, back):
+        assert "edges" not in vars(x.graph if d.weighted else x) and "weights" not in vars(x)

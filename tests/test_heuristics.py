@@ -230,3 +230,19 @@ def test_tree_output_pinned(family, policy, directed):
     for g in _pinned_cases(family, directed):
         h.update(write_compression(tree_compress(g, merge_policy=policy)).encode())
     assert h.hexdigest() == TREE_DIGESTS[(family, policy, directed)]
+
+
+@st.composite
+def small_graphs(draw):
+    directed = draw(st.booleans())
+    n = draw(st.integers(1, 7))
+    ids = st.integers(1, n)
+    return Graph(directed=directed, n=n, edges=draw(st.lists(st.tuples(ids, ids), max_size=30)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_compressors_round_trip(g):
+    for d in (tree_compress(g), tree_compress(g, merge_policy="balanced"), dag_compress_greedy(g)):
+        assert validate(d) == []
+        assert decompress(d) == g
