@@ -54,7 +54,9 @@ class DagCompression(_Frozen):
                  weights: dict[tuple[int, int], int] | None = None):
         au, av = _pair_columns(arcs, False, n_sinks + n_clusters, "vertex id")
         cu, cv = _pair_columns(cedges, not directed, n_sinks + n_clusters, "vertex id")
-        w, cw, covers = ({}, None, True) if weights is None else _weight_column(weights, directed, cu, cv)
+        w, cw, covers = {}, None, True
+        if weights is not None:
+            w, cw, covers = _weight_column(weights, directed, cu, cv)
         self._fill(directed=directed, n_sinks=n_sinks, n_clusters=n_clusters, arc_u=au, arc_v=av,
                    cedge_u=cu, cedge_v=cv, _cedge_w=cw, _weights_cover=covers)
         # A directed frozenset is canonical already: it serves as its own view.
@@ -239,8 +241,9 @@ def clusters(d: DagCompression) -> ClusterTable:
 
 
 # decompress holds about 50 bytes per expanded pair at its peak, result
-# included (49 measured with tracemalloc on rook g=100), so 40M pairs is
-# about 2 GB. Larger expansions are refused before they allocate.
+# included (49 measured with tracemalloc on rook g=100, plus at most 4 for
+# the sort's buffer, which tracemalloc does not see), so 40M pairs is about
+# 2 GB. Larger expansions are refused before they allocate.
 MAX_EXPANDED_PAIRS = 40_000_000
 
 
@@ -288,7 +291,7 @@ def decompress(d: DagCompression) -> Graph | WeightedGraph:
     x *= n + 1
     x += y
     del y
-    order = np.argsort(x)
+    order = np.argsort(x, kind="stable")  # the expansion comes in sorted runs, which this sort exploits
     key = x[order]
     del x
     first = np.flatnonzero(np.diff(key, prepend=-1))  # keys are positive
