@@ -272,12 +272,12 @@ def decompress(d: DagCompression) -> Graph | WeightedGraph:
     size = np.diff(cptr)
     nv = size[d.cedge_v]
     counts = size[d.cedge_u] * nv
-    total = counts.sum(dtype=np.float64)
+    total = sum(counts.tolist())  # Python ints: exact, where an int64 sum could wrap
     if total > MAX_EXPANDED_PAIRS:
-        raise ValueError(f"decompressing expands {total:.0f} vertex pairs, "
+        raise ValueError(f"decompressing expands {total} vertex pairs, "
                          f"above the limit of {MAX_EXPANDED_PAIRS}")
     i = np.repeat(np.arange(len(counts)), counts)
-    t = np.arange(int(total))
+    t = np.arange(total)
     t -= np.repeat(np.cumsum(counts) - counts, counts)
     x, y = np.divmod(t, nv[i])
     del t
