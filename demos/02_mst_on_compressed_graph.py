@@ -52,7 +52,7 @@ t0 = time.monotonic()
 base = kruskal_baseline(explicit)
 t_base = time.monotonic() - t0
 
-print(f"\nrook 100x100: compression size {big.size()}, explicit edges {explicit.graph.m}")
+print(f"\nrook 100x100: compression size {big.size()}, explicit edges {explicit.m}")
 print(f"compressed run:  {t_compressed * 1000:7.1f} ms  weight {compressed.total_weight}")
 print(f"baseline run:    {(t_decompress + t_base) * 1000:7.1f} ms  weight {base.total_weight}"
       f"  (decompress {t_decompress * 1000:.0f} ms + kruskal {t_base * 1000:.0f} ms)")

@@ -24,7 +24,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     ShorePartition,
-    WeightedGraph,
     is_connected,
     read_graph,
     read_shores,

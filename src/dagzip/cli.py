@@ -20,7 +20,6 @@ from .compression import (
 )
 from .graphs import (
     GraphFormatError,
-    WeightedGraph,
     read_graph,
     read_shores,
     twins,
@@ -194,7 +193,7 @@ def cmd_oracle(args) -> int:
         g = read_graph(_read_text(args.file))
     except GraphFormatError as exc:
         raise CliError(f"bad graph file: {exc}") from exc
-    if isinstance(g, WeightedGraph):
+    if g.weighted:
         raise CliError("the oracle works on unweighted graphs")
     budget = oracle.OracleBudget(max_sinks=args.max_sinks)
     try:
@@ -218,7 +217,7 @@ def cmd_compress(args) -> int:
         g = read_graph(_read_text(args.file))
     except GraphFormatError as exc:
         raise CliError(f"bad graph file: {exc}") from exc
-    if isinstance(g, WeightedGraph):
+    if g.weighted:
         raise CliError("compression strategies work on unweighted graphs")
     if args.strategy == "tree":
         d = heuristics.tree_compress(g, merge_policy=args.policy)
@@ -343,6 +342,9 @@ def main(argv=None) -> int:
         return exc.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return USAGE_ERROR
 
 

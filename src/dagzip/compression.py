@@ -11,8 +11,11 @@ compression is |A| + |E|.
 A DagCompression stores A and E as read-only int64 columns: the arcs
 (arc_u, arc_v) sorted by (u, v), and the compression edges (cedge_u,
 cedge_v), canonical (u <= v when undirected) and sorted the same way, with
-their weights in cedge_w. The tuple views arcs, cedges and weights are
-built on first use and cached, for the small-instance code and the tests.
+their weights in cedge_w (None when unweighted). The weight column is built
+by the same helper as a weighted Graph's, so a weight map that misses a
+compression edge or has extra keys is refused at construction. The tuple
+views arcs, cedges and weights are built on first use and cached, for the
+small-instance code and the tests.
 
 Every pass over (V, A) reads one index, built on first use and cached: the
 arcs in CSR form (children in ascending order), in-degrees, the Kahn
@@ -31,8 +34,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .graphs import (INT64_MAX, Graph, WeightedGraph, _Frozen, _LineReader, _pair_columns,
-                     _text_rows, _weight_column)
+from .graphs import (INT64_MAX, Graph, _Frozen, _LineReader, _pair_columns, _pair_view,
+                     _text_rows, _weight_column, _weight_view)
 
 
 class CompressionFormatError(ValueError):
@@ -44,60 +47,37 @@ class DagCompression(_Frozen):
     the arrays are read-only.
 
     The constructor takes (u, v) pairs, as iterables or (k, 2) arrays, and,
-    when weighted, a {(u, v): weight} map; undirected pairs are canonicalized
-    and repeats merged. A map that misses a compression edge or has extra
-    keys is kept as the weights view: validate() reports it, and cedge_w (so
-    compressed Kruskal, decompress and write_compression) raises ValueError.
+    when weighted, a {(u, v): weight} map whose keys are exactly the
+    compression edges; undirected pairs are canonicalized and repeats merged.
     """
+
+    _fields = ("directed", "n_sinks", "n_clusters", "arc_u", "arc_v",
+               "cedge_u", "cedge_v", "cedge_w")
 
     def __init__(self, directed: bool, n_sinks: int, n_clusters: int, arcs, cedges,
                  weights: dict[tuple[int, int], int] | None = None):
         au, av = _pair_columns(arcs, False, n_sinks + n_clusters, "vertex id")
         cu, cv = _pair_columns(cedges, not directed, n_sinks + n_clusters, "vertex id")
-        w, cw, covers = {}, None, True
-        if weights is not None:
-            w, cw, covers = _weight_column(weights, directed, cu, cv)
-        self._fill(directed=directed, n_sinks=n_sinks, n_clusters=n_clusters, arc_u=au, arc_v=av,
-                   cedge_u=cu, cedge_v=cv, _cedge_w=cw, _weights_cover=covers)
+        cw = None if weights is None else _weight_column(weights, directed, cu, cv,
+                                                         "compression edges")
+        self._fill(directed, n_sinks, n_clusters, au, av, cu, cv, cw)
         # A directed frozenset is canonical already: it serves as its own view.
         if isinstance(arcs, frozenset):
             self.__dict__["arcs"] = arcs
         if isinstance(cedges, frozenset) and directed:
             self.__dict__["cedges"] = cedges
-        if not covers:
-            self.__dict__["weights"] = MappingProxyType(w)
-
-    @classmethod
-    def _from_arrays(cls, directed, n_sinks, n_clusters, au, av, cu, cv, cw) -> DagCompression:
-        """From int64 columns that are canonical, sorted, distinct and in range already."""
-        return cls.__new__(cls)._fill(directed=directed, n_sinks=n_sinks, n_clusters=n_clusters,
-                                      arc_u=au, arc_v=av, cedge_u=cu, cedge_v=cv, _cedge_w=cw,
-                                      _weights_cover=True)
-
-    @property
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        cols = (self.arc_u, self.arc_v, self.cedge_u, self.cedge_v)
-        return cols + (self._cedge_w,) if self.weighted else cols
-
-    @property
-    def cedge_w(self) -> np.ndarray | None:
-        """The weights aligned with cedge_u/cedge_v, None when unweighted."""
-        if not self._weights_cover:
-            raise ValueError("weights do not cover exactly the compression edges")
-        return self._cedge_w
 
     @cached_property
     def arcs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(zip(self.arc_u.tolist(), self.arc_v.tolist()))
+        return _pair_view(self.arc_u, self.arc_v)
 
     @cached_property
     def cedges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(zip(self.cedge_u.tolist(), self.cedge_v.tolist()))
+        return _pair_view(self.cedge_u, self.cedge_v)
 
     @cached_property
     def weights(self) -> MappingProxyType[tuple[int, int], int] | None:
-        pairs = zip(self.cedge_u.tolist(), self.cedge_v.tolist())
-        return MappingProxyType(dict(zip(pairs, self._cedge_w.tolist()))) if self.weighted else None
+        return _weight_view(self.cedge_u, self.cedge_v, self.cedge_w)
 
     @property
     def n_vertices(self) -> int:
@@ -105,7 +85,7 @@ class DagCompression(_Frozen):
 
     @property
     def weighted(self) -> bool:
-        return self._cedge_w is not None
+        return self.cedge_w is not None
 
     def size(self) -> int:
         return len(self.arc_u) + len(self.cedge_u)
@@ -114,14 +94,6 @@ class DagCompression(_Frozen):
     def _index(self) -> _DagIndex:
         # Built on first use; valid for good because the arrays are read-only.
         return _DagIndex(self)
-
-    def __eq__(self, other):
-        if not isinstance(other, DagCompression):
-            return NotImplemented
-        return ((self.directed, self.n_sinks, self.n_clusters, self.weighted)
-                == (other.directed, other.n_sinks, other.n_clusters, other.weighted)
-                and all(map(np.array_equal, self._columns, other._columns))
-                and (self._weights_cover and other._weights_cover or self.weights == other.weights))
 
 
 @dataclass
@@ -186,9 +158,7 @@ def validate(d: DagCompression) -> list[str]:
                    for v in (np.flatnonzero(index.outdegree[s + 1:] == 0) + s + 1).tolist()]
     if index.order is None:
         violations.append("cycle in cluster DAG")
-    if d.weighted and not d._weights_cover:
-        violations.append("weights do not cover exactly the compression edges")
-    elif d.weighted and (d.cedge_w < 0).any():
+    if d.weighted and (d.cedge_w < 0).any():
         violations.append("negative compression-edge weight")
     return violations
 
@@ -247,7 +217,7 @@ def clusters(d: DagCompression) -> ClusterTable:
 MAX_EXPANDED_PAIRS = 40_000_000
 
 
-def decompress(d: DagCompression) -> Graph | WeightedGraph:
+def decompress(d: DagCompression) -> Graph:
     """Expand the compression into the explicit graph it encodes.
 
     Every compression edge contributes the full product of its endpoint
@@ -267,7 +237,6 @@ def decompress(d: DagCompression) -> Graph | WeightedGraph:
         raise ValueError("weighted graphs are undirected")
     if (n + 1) ** 2 > INT64_MAX:
         raise ValueError(f"decompress needs (sinks + 1)^2 to fit in int64, got {n} sinks")
-    cw = d.cedge_w
     cptr, cind = _cluster_csr(d)
     size = np.diff(cptr)
     nv = size[d.cedge_v]
@@ -284,7 +253,7 @@ def decompress(d: DagCompression) -> Graph | WeightedGraph:
     x += cptr[d.cedge_u][i]
     y += cptr[d.cedge_v][i]
     x, y = cind[x], cind[y]
-    w = cw[i] if d.weighted else None
+    w = d.cedge_w[i] if d.weighted else None
     del i
     if not d.directed:
         x, y = np.minimum(x, y), np.maximum(x, y)
@@ -296,8 +265,8 @@ def decompress(d: DagCompression) -> Graph | WeightedGraph:
     del x
     first = np.flatnonzero(np.diff(key, prepend=-1))  # keys are positive
     u, v = np.divmod(key[first], n + 1)
-    g = Graph._from_arrays(d.directed, n, u, v)
-    return WeightedGraph._from_arrays(g, np.minimum.reduceat(w[order], first)) if d.weighted else g
+    w = np.minimum.reduceat(w[order], first) if d.weighted else None
+    return Graph._from_arrays(d.directed, n, u, v, w)
 
 
 def read_compression(text: str) -> DagCompression:
@@ -318,6 +287,6 @@ def write_compression(d: DagCompression) -> str:
     """Canonical serialization: arcs, then compression edges, each sorted."""
     head = "dagc " + ("directed" if d.directed else "undirected") + (" weighted" if d.weighted else "")
     arcs = _text_rows("a", d.arc_u, d.arc_v)
-    cedges = _text_rows("c", d.cedge_u, d.cedge_v, *((d.cedge_w,) if d.weighted else ()))
+    cedges = _text_rows("c", d.cedge_u, d.cedge_v, d.cedge_w)
     return "\n".join([head, f"sinks {d.n_sinks}", f"clusters {d.n_clusters}",
                       f"arcs {len(arcs)}", *arcs, f"cedges {len(cedges)}", *cedges, ""])

@@ -162,7 +162,7 @@ def random_compression(
     if n_sinks < 1 or n_clusters < 0 or edge_count < 0 or max_weight < 1:
         raise ValueError("parameters must be positive")
     if not 0.0 < arc_density <= 1.0:
-        arc_density = max(min(arc_density, 1.0), 0.05)
+        raise ValueError("arc density must lie in (0, 1]")
     rng = random.Random(seed)
     total = n_sinks + n_clusters
     arcs: set[tuple[int, int]] = set()

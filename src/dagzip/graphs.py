@@ -3,9 +3,11 @@
 Vertices are dense 1-based integers. Directed edges are ordered pairs,
 undirected edges are stored with the smaller endpoint first. Self-loops
 are legal in both variants ((v, v) directed, {v, v} undirected). A Graph
-keeps its edges as sorted int64 columns u, v (a WeightedGraph adds an
-aligned weight column w), like a DagCompression; both are immutable, and
-the reader, the writer and Kruskal work on the columns.
+keeps its edges as sorted int64 columns u, v and, when weighted (undirected
+only), an aligned weight column w, like a DagCompression; both are
+immutable, both build their weight column with one helper that refuses a
+map whose keys are not exactly the pairs, and the reader, the writer and
+Kruskal work on the columns.
 
 All four text formats (graph, compression, shore and set-cover files) are
 parsed by one line-record reader kept here, which skips blank and '#' lines,
@@ -18,7 +20,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import combinations, repeat
+from itertools import combinations
+from operator import index
 from types import MappingProxyType
 
 import numpy as np
@@ -35,15 +38,30 @@ def canonical_edge(directed: bool, u: int, v: int) -> tuple[int, int]:
 
 
 class _Frozen:
-    """Attributes cannot be rebound or deleted, and the arrays among them are
-    read-only. Cached views write __dict__ directly."""
+    """An object that holds the values of its _fields: they cannot be rebound
+    or deleted, and the arrays among them are read-only. Cached views write
+    __dict__ directly. Two objects of one class are equal when their _fields
+    are, arrays by value (None equals only None)."""
 
-    def _fill(self, **fields):
-        self.__dict__.update(fields)
-        for a in fields.values():
+    _fields: tuple[str, ...]
+
+    def _fill(self, *values):
+        self.__dict__.update(zip(self._fields, values, strict=True))
+        for a in values:
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
         return self
+
+    @classmethod
+    def _from_arrays(cls, *values):
+        """From the values of the _fields, in order, with columns that are
+        canonical, sorted, distinct, in range and checked already."""
+        return cls.__new__(cls)._fill(*values)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self._fields)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -52,16 +70,32 @@ class _Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _weight_column(weights, directed: bool, u: np.ndarray, v: np.ndarray):
-    """The map canonicalized, its weights along the (u, v) columns as int64
-    (0 where missing), and whether its keys are exactly those pairs."""
+def _weight_column(weights, directed: bool, u: np.ndarray, v: np.ndarray, what: str) -> np.ndarray:
+    """The weights of the map along the (u, v) columns, as int64. Raises
+    ValueError unless its canonical keys are exactly those pairs and every
+    weight is an integer (a numpy integer too) that fits in int64."""
     w = {canonical_edge(directed, a, b): x for (a, b), x in weights.items()}
     keys = list(zip(u.tolist(), v.tolist()))
+    if len(w) != len(keys) or not all(map(w.__contains__, keys)):
+        raise ValueError(f"weights must cover exactly the {what}")
     try:
-        col = np.fromiter(map(w.get, keys, repeat(0)), np.int64, len(keys))
+        return np.fromiter(map(index, map(w.__getitem__, keys)), np.int64, len(keys))
+    except TypeError:
+        e = next(e for e in keys if not hasattr(type(w[e]), "__index__"))
+        raise ValueError(f"non-integer weight {w[e]!r} on {e}") from None
     except OverflowError:
         raise ValueError("weight does not fit in int64") from None
-    return w, col, len(w) == len(keys) == sum(map(w.__contains__, keys))
+
+
+def _pair_view(u: np.ndarray, v: np.ndarray) -> frozenset[tuple[int, int]]:
+    return frozenset(zip(u.tolist(), v.tolist()))
+
+
+def _weight_view(u: np.ndarray, v: np.ndarray, w: np.ndarray | None):
+    """The {(u, v): weight} map of the columns, read-only; None when unweighted."""
+    if w is None:
+        return None
+    return MappingProxyType(dict(zip(zip(u.tolist(), v.tolist()), w.tolist())))
 
 
 def _pair_columns(pairs, undirected: bool, top: int, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -86,30 +120,47 @@ def _pair_columns(pairs, undirected: bool, top: int, what: str) -> tuple[np.ndar
 
 
 class Graph(_Frozen):
-    """An explicit directed or undirected graph on vertices 1..n, immutable.
+    """An explicit directed or undirected graph on vertices 1..n, immutable,
+    optionally with a non-negative integer weight per edge (undirected only).
 
-    The constructor takes (u, v) pairs, as an iterable or a (k, 2) array;
-    undirected pairs are canonicalized and repeats merged. The edges are
-    read-only int64 columns u and v sorted by (u, v); the edges frozenset
-    is a view built on first use and cached.
+    The constructor takes (u, v) pairs, as an iterable or a (k, 2) array,
+    and, when weighted, a {(u, v): weight} map whose keys are exactly the
+    pairs; undirected pairs are canonicalized and repeats merged. The edges
+    are read-only int64 columns u and v sorted by (u, v), the weights an
+    aligned column w (None when unweighted); the edges frozenset and the
+    weights map are views built on first use and cached.
     """
 
-    def __init__(self, directed: bool, n: int, edges):
+    _fields = ("directed", "n", "u", "v", "w")
+
+    def __init__(self, directed: bool, n: int, edges,
+                 weights: dict[tuple[int, int], int] | None = None):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         u, v = _pair_columns(edges, not directed, n, "edge")
-        self._fill(directed=directed, n=n, u=u, v=v)
+        w = None
+        if weights is not None:
+            if directed:
+                raise ValueError("weighted graphs are undirected")
+            w = _weight_column(weights, False, u, v, "edge set")
+            if (w < 0).any():
+                i = int(np.argmax(w < 0))
+                raise ValueError(f"negative weight on {(int(u[i]), int(v[i]))}")
+        self._fill(directed, n, u, v, w)
         if directed and isinstance(edges, frozenset):  # canonical already: its own view
             self.__dict__["edges"] = edges
 
-    @classmethod
-    def _from_arrays(cls, directed: bool, n: int, u: np.ndarray, v: np.ndarray) -> Graph:
-        """From int64 columns that are canonical, sorted, distinct and in range already."""
-        return cls.__new__(cls)._fill(directed=directed, n=n, u=u, v=v)
-
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(zip(self.u.tolist(), self.v.tolist()))
+        return _pair_view(self.u, self.v)
+
+    @cached_property
+    def weights(self) -> MappingProxyType[tuple[int, int], int] | None:
+        return _weight_view(self.u, self.v, self.w)
+
+    @property
+    def weighted(self) -> bool:
+        return self.w is not None
 
     @property
     def m(self) -> int:
@@ -117,54 +168,6 @@ class Graph(_Frozen):
 
     def has_edge(self, u: int, v: int) -> bool:
         return canonical_edge(self.directed, u, v) in self.edges
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return ((self.directed, self.n) == (other.directed, other.n)
-                and np.array_equal(self.u, other.u) and np.array_equal(self.v, other.v))
-
-
-class WeightedGraph(_Frozen):
-    """An undirected graph with a non-negative integer weight per edge, immutable.
-
-    The weights are a read-only int64 column w aligned with graph.u and
-    graph.v; the weights map is a read-only view built on first use.
-    """
-
-    def __init__(self, graph: Graph, weights: dict[tuple[int, int], int] | None = None):
-        if graph.directed:
-            raise ValueError("weighted graphs are undirected")
-        w, col, covers = _weight_column(weights or {}, False, graph.u, graph.v)
-        if not covers:
-            raise ValueError("weights must cover exactly the edge set")
-        for e, x in w.items():
-            if x < 0:
-                raise ValueError(f"negative weight on {e}")
-        self._fill(graph=graph, w=col)
-
-    @classmethod
-    def _from_arrays(cls, graph: Graph, w: np.ndarray) -> WeightedGraph:
-        """From an int64 weight column aligned with graph's columns, checked already."""
-        return cls.__new__(cls)._fill(graph=graph, w=w)
-
-    @cached_property
-    def weights(self) -> MappingProxyType[tuple[int, int], int]:
-        pairs = zip(self.graph.u.tolist(), self.graph.v.tolist())
-        return MappingProxyType(dict(zip(pairs, self.w.tolist())))
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return self.graph.edges
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightedGraph):
-            return NotImplemented
-        return self.graph == other.graph and np.array_equal(self.w, other.w)
 
 
 @dataclass(frozen=True)
@@ -247,9 +250,8 @@ class UnionFind:
         return True
 
 
-def is_connected(g: Graph | WeightedGraph) -> bool:
+def is_connected(g: Graph) -> bool:
     """True iff the graph has a single connected component (loops and directions ignored)."""
-    g = g.graph if isinstance(g, WeightedGraph) else g
     unite = UnionFind(g.n).unite
     return sum(map(unite, g.u.tolist(), g.v.tolist())) >= g.n - 1
 
@@ -263,8 +265,9 @@ def _lex_sorted(u: np.ndarray, v: np.ndarray, *more: np.ndarray) -> list[np.ndar
     return [c[order] for c in (u, v, *more)]
 
 
-def _text_rows(tag: str, *columns: np.ndarray) -> list[str]:
-    """One ``tag x1 ... xk`` line per row of the k int64 columns."""
+def _text_rows(tag: str, *columns: np.ndarray | None) -> list[str]:
+    """One ``tag x1 ... xk`` line per row of the k int64 columns; None columns are left out."""
+    columns = [c for c in columns if c is not None]
     return list(map((tag + " %d" * len(columns)).__mod__, zip(*(c.tolist() for c in columns))))
 
 
@@ -380,7 +383,7 @@ class _LineReader:
             raise self.error(f"more lines than declared, from {self.lines[self.pos]!r}")
 
 
-def read_graph(text: str) -> Graph | WeightedGraph:
+def read_graph(text: str) -> Graph:
     """Parse the graph text format.
 
     Header: ``graph <directed|undirected> <n> <m> [weighted]`` followed by m
@@ -392,18 +395,14 @@ def read_graph(text: str) -> Graph | WeightedGraph:
         raise GraphFormatError("weighted graphs must be undirected")
     u, v, w = r.edges("e", m, n, directed, weighted)
     r.end()
-    g = Graph._from_arrays(directed, n, u, v)
-    return WeightedGraph._from_arrays(g, w) if weighted else g
+    return Graph._from_arrays(directed, n, u, v, w)
 
 
-def write_graph(g: Graph | WeightedGraph) -> str:
+def write_graph(g: Graph) -> str:
     """Canonical serialization: edges sorted lexicographically, LF line endings."""
-    weighted = isinstance(g, WeightedGraph)
-    base = g.graph if weighted else g
-    kind = "directed" if base.directed else "undirected"
-    head = f"graph {kind} {base.n} {base.m}" + (" weighted" if weighted else "")
-    columns = (base.u, base.v, g.w) if weighted else (base.u, base.v)
-    return "\n".join([head, *_text_rows("e", *columns), ""])
+    kind = "directed" if g.directed else "undirected"
+    head = f"graph {kind} {g.n} {g.m}" + (" weighted" if g.weighted else "")
+    return "\n".join([head, *_text_rows("e", g.u, g.v, g.w), ""])
 
 
 def read_shores(text: str) -> ShorePartition:

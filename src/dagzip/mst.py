@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compression import DagCompression, clusters, decompress
-from .graphs import UnionFind, WeightedGraph, canonical_edge
+from .graphs import Graph, UnionFind, canonical_edge
 
 
 @dataclass
@@ -40,15 +40,17 @@ class MstResult:
         return frozenset((u, v) for u, v, _ in self.edges)
 
 
-def kruskal_baseline(g: WeightedGraph) -> MstResult:
-    """Plain Kruskal on the explicit graph; ties broken by canonical edge order."""
+def kruskal_baseline(g: Graph) -> MstResult:
+    """Plain Kruskal on a weighted explicit graph; ties broken by canonical edge order."""
+    if not g.weighted:
+        raise ValueError("Kruskal needs a weighted graph")
     unite = UnionFind(g.n).unite
     # The columns are sorted by (u, v), so a stable sort by weight gives the (w, (u, v)) order.
     order = np.argsort(g.w, kind="stable")
-    columns = (c[order].tolist() for c in (g.graph.u, g.graph.v, g.w))
+    columns = (c[order].tolist() for c in (g.u, g.v, g.w))
     forest = [(u, v, w) for u, v, w in zip(*columns) if unite(u, v)]
     return MstResult(edges=forest, total_weight=sum(w for _, _, w in forest),
-                     stats=MstStats(add_edge_calls=g.graph.m))
+                     stats=MstStats(add_edge_calls=g.m))
 
 
 def kruskal_compressed(d: DagCompression, debug: bool = False) -> MstResult:

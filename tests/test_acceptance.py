@@ -106,7 +106,7 @@ def test_criterion_2_work_bounds():
     assert res.stats.arcs_traversed <= len(d.arcs)
     assert res.stats.add_edge_calls <= d.size()
     assert res.total_weight == 9_999
-    baseline_edges = decompress(d).graph.m
+    baseline_edges = decompress(d).m
     report(2, f"bounds hold on 300 fuzz runs and rook g=100 "
               f"(compressed {elapsed * 1000:.0f} ms vs {baseline_edges} baseline edges)")
 

@@ -8,14 +8,11 @@ from dagzip import (
     SetCoverInstance,
     read_compression,
     read_graph,
-    rook_mst_compression,
     write_compression,
-    write_graph,
     write_setcover,
     write_shores,
 )
 from dagzip.cli import main
-from dagzip.graphs import ShorePartition
 
 
 def run_cli(args, capsys):
@@ -132,6 +129,25 @@ def test_generate_random_compression_validates(tmp_path, capsys):
     assert code == 0
     code, _, _ = run_cli(["validate", str(out)], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("density", ["0", "-4", "1.5"])
+def test_generate_random_compression_rejects_bad_density(tmp_path, capsys, density):
+    out = tmp_path / "rc.dagc"
+    code, _, err = run_cli(
+        ["generate", "random-compression", "--sinks", "9", "--clusters", "4", "--edges", "7",
+         f"--arc-density={density}", "-o", str(out)], capsys)
+    assert code == 2 and err == "error: arc density must lie in (0, 1]\n"
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_2(mst_file, capsys, monkeypatch):
+    def exhausted(d):
+        raise MemoryError
+
+    monkeypatch.setattr("dagzip.cli.decompress", exhausted)
+    for args in (["decompress", mst_file], ["mst", mst_file, "--check"]):
+        assert run_cli(args, capsys) == (2, "", "error: out of memory\n")
 
 
 def test_oracle_cli_k22(tmp_path, capsys):

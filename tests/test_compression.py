@@ -9,7 +9,6 @@ from dagzip import (
     Graph,
     clusters,
     decompress,
-    kruskal_compressed,
     random_compression,
     read_compression,
     rook_canonical_compression,
@@ -112,13 +111,11 @@ def test_constructors_convert_lists_and_check_ranges():
 
 
 def test_validate_weight_coverage():
-    d = DagCompression(directed=False, n_sinks=2, n_clusters=0,
-                       arcs=frozenset(), cedges=frozenset({(1, 2)}), weights={})
-    assert any("weights" in v for v in validate(d))
-    # no caller gets a weight that was never given
-    for use in (kruskal_compressed, decompress, write_compression):
-        with pytest.raises(ValueError, match="weights do not cover"):
-            use(d)
+    # a weight map that misses or adds a compression edge cannot be built at all
+    for weights in ({}, {(1, 2): 1, (1, 1): 2}):
+        with pytest.raises(ValueError, match="weights must cover exactly the compression edges"):
+            DagCompression(directed=False, n_sinks=2, n_clusters=0,
+                           arcs=frozenset(), cedges=frozenset({(1, 2)}), weights=weights)
 
 
 def test_compression_attributes_cannot_be_rebound(fig_compression):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dagzip import (
     DagCompression,
     Graph,
-    WeightedGraph,
     decompress,
     rook_mst_compression,
     write_compression,
@@ -44,8 +43,8 @@ def _literal_decompress(d):
                 edges.add(e)
                 if w is not None and (e not in weights or w < weights[e]):
                     weights[e] = w
-    g = Graph(directed=d.directed, n=d.n_sinks, edges=frozenset(edges))
-    return WeightedGraph(graph=g, weights=weights) if d.weighted else g
+    return Graph(directed=d.directed, n=d.n_sinks, edges=frozenset(edges),
+                 weights=weights if d.weighted else None)
 
 
 @st.composite
@@ -96,7 +95,7 @@ def test_expansion_guard_is_exact(monkeypatch):
     with pytest.raises(ValueError, match="expands 128 vertex pairs, above the limit of 127"):
         decompress(d)
     monkeypatch.setattr(compression, "MAX_EXPANDED_PAIRS", 128)
-    assert decompress(d).graph.m == 8 * 10 - 16  # 10 pairs per line, each loop on two lines
+    assert decompress(d).m == 8 * 10 - 16  # 10 pairs per line, each loop on two lines
 
 
 def test_expansion_guard_on_the_command_line(monkeypatch, capsys, tmp_path):

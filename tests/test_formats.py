@@ -11,7 +11,6 @@ from dagzip import (
     Graph,
     SetCoverInstance,
     ShorePartition,
-    WeightedGraph,
     kruskal_compressed,
     read_compression,
     read_graph,
@@ -81,9 +80,9 @@ def graph_texts(draw):
     directed = draw(st.booleans())
     n = draw(st.integers(0, 7))
     edges = {canonical_edge(directed, u, v) for u, v in _pairs(draw, n, 15)}
-    g = Graph(directed=directed, n=n, edges=frozenset(edges))
-    if not directed and draw(st.booleans()):
-        g = WeightedGraph(graph=g, weights={e: draw(st.integers(0, 99)) for e in sorted(edges)})
+    weighted = not directed and draw(st.booleans())
+    weights = {e: draw(st.integers(0, 99)) for e in sorted(edges)} if weighted else None
+    g = Graph(directed=directed, n=n, edges=frozenset(edges), weights=weights)
     text = write_graph(g)
     return text, _noisy(draw, text.splitlines(), [(1, 1 + len(edges), not directed)]), g
 

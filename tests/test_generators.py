@@ -112,6 +112,15 @@ def test_random_compression_no_clusters():
     assert all(u <= 6 and v <= 6 for u, v in d.cedges)
 
 
+def test_random_compression_rejects_density_outside_unit_interval():
+    for density in (0.0, -4.0, 1.0000001, 1.5):
+        with pytest.raises(ValueError, match=r"arc density must lie in \(0, 1\]"):
+            random_compression(8, 4, density, 6, 7, seed=42)
+    # the upper bound itself is valid: every cluster vertex points at every lower vertex
+    d = random_compression(5, 3, 1.0, 0, 7, seed=42)
+    assert len(d.arc_u) == sum(range(5, 8))
+
+
 def test_random_compression_seed_determinism():
     a = random_compression(8, 4, 0.4, 6, 7, seed=42)
     b = random_compression(8, 4, 0.4, 6, 7, seed=42)

@@ -1,13 +1,14 @@
 import random
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 
 from dagzip import (
+    DagCompression,
     Graph,
     GraphFormatError,
     ShorePartition,
-    WeightedGraph,
     decompress,
     is_connected,
     kruskal_baseline,
@@ -74,8 +75,8 @@ def test_twins_literal_mutual_edge():
 
 
 def test_is_connected_trivial_cases():
-    one = WeightedGraph(graph=Graph(directed=False, n=1, edges=frozenset()), weights={})
-    two = WeightedGraph(graph=Graph(directed=False, n=2, edges=frozenset()), weights={})
+    one = Graph(directed=False, n=1, edges=frozenset(), weights={})
+    two = Graph(directed=False, n=2, edges=frozenset(), weights={})
     assert is_connected(one)
     assert not is_connected(two)
 
@@ -113,8 +114,8 @@ def test_graph_roundtrip_structural():
 
 
 def test_weighted_roundtrip():
-    g = Graph(directed=False, n=3, edges=frozenset({(1, 2), (2, 3)}))
-    wg = WeightedGraph(graph=g, weights={(1, 2): 4, (2, 3): 0})
+    wg = Graph(directed=False, n=3, edges=frozenset({(1, 2), (2, 3)}),
+               weights={(1, 2): 4, (2, 3): 0})
     assert read_graph(write_graph(wg)) == wg
 
 
@@ -178,8 +179,8 @@ def test_twin_classes_partition():
 
 def test_graph_attributes_cannot_be_rebound():
     g = Graph(directed=False, n=3, edges=[(2, 1), (3, 2), (1, 2)])
-    wg = WeightedGraph(graph=g, weights={(2, 1): 4, (2, 3): 0})
-    for obj, names in ((g, ("directed", "n", "u", "edges")), (wg, ("graph", "w", "weights"))):
+    wg = Graph(directed=False, n=3, edges=g.edges, weights={(2, 1): 4, (2, 3): 0})
+    for obj, names in ((g, ("directed", "n", "u", "edges")), (wg, ("w", "weights"))):
         for name in names:
             with pytest.raises(FrozenInstanceError):
                 setattr(obj, name, None)
@@ -191,22 +192,47 @@ def test_graph_attributes_cannot_be_rebound():
     with pytest.raises(TypeError):
         wg.weights[(1, 2)] = 5
     assert (g.u.tolist(), g.v.tolist(), wg.w.tolist()) == ([1, 2], [2, 3], [4, 0])
+    assert g.w is None and g.weights is None and not g.weighted and wg.weighted
 
 
 def test_weighted_graph_constructor_checks():
-    g = Graph(directed=False, n=3, edges=[(1, 2), (2, 3)])
+    edges = [(1, 2), (2, 3)]
     with pytest.raises(ValueError, match="cover exactly"):
-        WeightedGraph(graph=g, weights={(1, 2): 1})
+        Graph(directed=False, n=3, edges=edges, weights={(1, 2): 1})
     with pytest.raises(ValueError, match="cover exactly"):
-        WeightedGraph(graph=g, weights={(1, 2): 1, (2, 3): 1, (1, 3): 1})
+        Graph(directed=False, n=3, edges=edges, weights={(1, 2): 1, (2, 3): 1, (1, 3): 1})
     with pytest.raises(ValueError, match=r"negative weight on \(2, 3\)"):
-        WeightedGraph(graph=g, weights={(1, 2): 1, (3, 2): -1})
+        Graph(directed=False, n=3, edges=edges, weights={(1, 2): 1, (3, 2): -1})
     with pytest.raises(ValueError, match="undirected"):
-        WeightedGraph(graph=Graph(directed=True, n=2, edges=[(1, 2)]), weights={(1, 2): 1})
+        Graph(directed=True, n=2, edges=[(1, 2)], weights={(1, 2): 1})
     with pytest.raises(ValueError, match="does not fit in int64"):
-        WeightedGraph(graph=g, weights={(1, 2): 1, (2, 3): 2 ** 63})
+        Graph(directed=False, n=3, edges=edges, weights={(1, 2): 1, (2, 3): 2 ** 63})
     with pytest.raises(ValueError, match=r"edge \(1,4\) out of range 1..3"):
         Graph(directed=True, n=3, edges=[(1, 2), (1, 4)])
+
+
+def test_non_integer_weights_are_refused():
+    """A float weight is an error, not truncated; numpy integers are integers."""
+    for x in (1.7, 2.0, np.float64(3.0), "4", None):
+        with pytest.raises(ValueError, match="non-integer weight"):
+            Graph(directed=False, n=2, edges=[(1, 2)], weights={(1, 2): x})
+        with pytest.raises(ValueError, match=r"non-integer weight .* on \(1, 2\)"):
+            DagCompression(False, 2, 0, [], [(1, 2)], {(2, 1): x})
+    g = Graph(directed=False, n=2, edges=[(1, 2)], weights={(1, 2): np.int32(5)})
+    d = DagCompression(False, 2, 0, [], [(1, 2)], {(1, 2): np.uint8(5)})
+    assert g.w.tolist() == d.cedge_w.tolist() == [5]
+    assert write_compression(d).endswith("c 1 2 5\n")
+
+
+def test_graph_equality_sees_weights():
+    edges = [(1, 2), (2, 3)]
+    plain = Graph(directed=False, n=3, edges=edges)
+    weighted = Graph(directed=False, n=3, edges=edges, weights={(1, 2): 1, (2, 3): 2})
+    assert plain != weighted and weighted != plain
+    assert weighted == Graph(directed=False, n=3, edges=edges, weights={(2, 1): 1, (3, 2): 2})
+    assert weighted != Graph(directed=False, n=3, edges=edges, weights={(1, 2): 1, (2, 3): 3})
+    assert Graph(directed=False, n=2, edges=[], weights={}) != Graph(directed=False, n=2, edges=[])
+    assert plain != Graph(directed=True, n=3, edges=edges)
 
 
 @pytest.mark.parametrize("d", [
@@ -225,4 +251,4 @@ def test_graph_path_stays_on_the_arrays(d):
         values = [x for e in res.edges for x in e] + [res.total_weight, res.stats.add_edge_calls]
         assert len(values) > 3 and all(type(x) is int for x in values)
     for x in (g, back):
-        assert "edges" not in vars(x.graph if d.weighted else x) and "weights" not in vars(x)
+        assert "edges" not in vars(x) and "weights" not in vars(x)

@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package, test file or demo imports a name it never uses.
 
 The package's own __init__.py is exempt: it imports names to re-export them.
 """
@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dagzip"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dagzip"
+FILES = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+FILES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -25,7 +28,8 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+@pytest.mark.parametrize("path", FILES,
+                         ids=lambda p: str(p.relative_to(SRC if p.parent == SRC else ROOT)))
 def test_no_unused_imports(path):
-    tree = ast.parse((SRC / path).read_text(), filename=path)
+    tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []

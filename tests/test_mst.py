@@ -10,7 +10,6 @@ from dagzip import (
     DagCompression,
     Graph,
     UnionFind,
-    WeightedGraph,
     decompress,
     kruskal_baseline,
     kruskal_compressed,
@@ -24,7 +23,7 @@ from dagzip import (
 from dagzip.compression import sink_representatives
 
 
-def brute_force_mst_weight(g: WeightedGraph) -> int:
+def brute_force_mst_weight(g: Graph) -> int:
     """Exhaustive oracle: cheapest spanning tree over all edge subsets."""
     n = g.n
     edges = sorted(g.weights.items())
@@ -49,17 +48,22 @@ def test_union_find_contract():
 
 
 def test_baseline_triangle():
-    g = Graph(directed=False, n=3, edges=frozenset({(1, 2), (2, 3), (1, 3)}))
-    wg = WeightedGraph(graph=g, weights={(1, 2): 1, (2, 3): 2, (1, 3): 3})
+    wg = Graph(directed=False, n=3, edges=frozenset({(1, 2), (2, 3), (1, 3)}),
+               weights={(1, 2): 1, (2, 3): 2, (1, 3): 3})
     res = kruskal_baseline(wg)
     assert res.total_weight == 3
     assert len(res.edges) == 2
 
 
 def test_baseline_single_vertex():
-    wg = WeightedGraph(graph=Graph(directed=False, n=1, edges=frozenset()), weights={})
+    wg = Graph(directed=False, n=1, edges=frozenset(), weights={})
     res = kruskal_baseline(wg)
     assert res.edges == [] and res.total_weight == 0
+
+
+def test_baseline_rejects_unweighted():
+    with pytest.raises(ValueError, match="weighted graph"):
+        kruskal_baseline(Graph(directed=False, n=2, edges=[(1, 2)]))
 
 
 def test_baseline_spanning_tree_size_on_connected(mst_compression):
