@@ -97,7 +97,7 @@ def cmd_decompress(args) -> int:
 
 def cmd_mst(args) -> int:
     d = _load_compression(args.file)
-    if not d.weighted or d.directed:
+    if not d.weighted:
         raise CliError("mst needs a weighted undirected compression")
     base = kruskal_baseline(decompress(d)) if args.baseline or args.check else None
     result = base if args.baseline and not args.check else kruskal_compressed(d)
@@ -176,12 +176,11 @@ def cmd_normalize(args) -> int:
         if args.pass_name == "shore":
             out = normalize.shore_normalize(d, shores)
         else:
-            pairs = sorted(tuple(sorted(p)) for p in twins(decompress(d)))
-            pairs = [p for p in pairs if p[0] in shores.shore1 and p[1] in shores.shore1]
+            pairs = [p for p in twins(decompress(d)) if p <= shores.shore1]
             if args.pass_name == "twins":
                 out = normalize.twin_normalize(d, pairs)
             else:
-                out = normalize.twin_single_edge(d, shores, pairs)
+                out = normalize.twin_single_edge(d, pairs)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     _write_text(args.output, write_compression(out))

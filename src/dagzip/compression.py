@@ -11,9 +11,10 @@ compression is |A| + |E|.
 A DagCompression stores A and E as read-only int64 columns: the arcs
 (arc_u, arc_v) sorted by (u, v), and the compression edges (cedge_u,
 cedge_v), canonical (u <= v when undirected) and sorted the same way, with
-their weights in cedge_w (None when unweighted). The weight column is built
-by the same helper as a weighted Graph's, so a weight map that misses a
-compression edge or has extra keys is refused at construction. The tuple
+their weights in cedge_w (None when unweighted). A weighted compression is
+undirected, like a weighted Graph, and its weight column is built by the
+same helper, so a weight map that misses a compression edge, has extra keys
+or gives one edge two weights is refused at construction. The tuple
 views arcs, cedges and weights are built on first use and cached, for the
 small-instance code and the tests.
 
@@ -47,8 +48,9 @@ class DagCompression(_Frozen):
     the arrays are read-only.
 
     The constructor takes (u, v) pairs, as iterables or (k, 2) arrays, and,
-    when weighted, a {(u, v): weight} map whose keys are exactly the
-    compression edges; undirected pairs are canonicalized and repeats merged.
+    when weighted (undirected only), a {(u, v): weight} map whose keys are
+    exactly the compression edges; undirected pairs are canonicalized and
+    repeats merged.
     """
 
     _fields = ("directed", "n_sinks", "n_clusters", "arc_u", "arc_v",
@@ -58,8 +60,9 @@ class DagCompression(_Frozen):
                  weights: dict[tuple[int, int], int] | None = None):
         au, av = _pair_columns(arcs, False, n_sinks + n_clusters, "vertex id")
         cu, cv = _pair_columns(cedges, not directed, n_sinks + n_clusters, "vertex id")
-        cw = None if weights is None else _weight_column(weights, directed, cu, cv,
-                                                         "compression edges")
+        if weights is not None and directed:
+            raise ValueError("weighted compressions are undirected")
+        cw = None if weights is None else _weight_column(weights, cu, cv, "compression edges")
         self._fill(directed, n_sinks, n_clusters, au, av, cu, cv, cw)
         # A directed frozenset is canonical already: it serves as its own view.
         if isinstance(arcs, frozenset):
@@ -233,8 +236,6 @@ def decompress(d: DagCompression) -> Graph:
     at its peak); above MAX_EXPANDED_PAIRS it raises ValueError.
     """
     n = d.n_sinks
-    if d.weighted and d.directed:
-        raise ValueError("weighted graphs are undirected")
     if (n + 1) ** 2 > INT64_MAX:
         raise ValueError(f"decompress needs (sinks + 1)^2 to fit in int64, got {n} sinks")
     cptr, cind = _cluster_csr(d)
@@ -273,6 +274,8 @@ def read_compression(text: str) -> DagCompression:
     """Parse the compression text format (see write_compression)."""
     r = _LineReader(text, CompressionFormatError)
     directed, _, weighted = r.header("dagc", 0)
+    if weighted and directed:
+        raise CompressionFormatError("weighted compressions must be undirected")
     n_sinks, n_clusters = r.counted("sinks"), r.counted("clusters")
     top = n_sinks + n_clusters
     if top >= INT64_MAX:  # the index has n + 1 slots, so n + 1 must fit in int64 too

@@ -70,11 +70,17 @@ class _Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _weight_column(weights, directed: bool, u: np.ndarray, v: np.ndarray, what: str) -> np.ndarray:
-    """The weights of the map along the (u, v) columns, as int64. Raises
-    ValueError unless its canonical keys are exactly those pairs and every
-    weight is an integer (a numpy integer too) that fits in int64."""
-    w = {canonical_edge(directed, a, b): x for (a, b), x in weights.items()}
+def _weight_column(weights, u: np.ndarray, v: np.ndarray, what: str) -> np.ndarray:
+    """The weights of the (undirected) map along the (u, v) columns, as int64.
+    Raises ValueError unless its canonical keys are exactly those pairs, two
+    keys that name one pair agree, and every weight is an integer (a numpy
+    integer too) that fits in int64."""
+    w = {canonical_edge(False, a, b): x for (a, b), x in weights.items()}
+    if len(w) < len(weights):  # some pair is named twice: its weights must agree
+        for (a, b), x in weights.items():
+            e = canonical_edge(False, a, b)
+            if w[e] != x:
+                raise ValueError(f"conflicting weights {x!r} and {w[e]!r} on {e}")
     keys = list(zip(u.tolist(), v.tolist()))
     if len(w) != len(keys) or not all(map(w.__contains__, keys)):
         raise ValueError(f"weights must cover exactly the {what}")
@@ -142,7 +148,7 @@ class Graph(_Frozen):
         if weights is not None:
             if directed:
                 raise ValueError("weighted graphs are undirected")
-            w = _weight_column(weights, False, u, v, "edge set")
+            w = _weight_column(weights, u, v, "edge set")
             if (w < 0).any():
                 i = int(np.argmax(w < 0))
                 raise ValueError(f"negative weight on {(int(u[i]), int(v[i]))}")
@@ -182,14 +188,6 @@ class ShorePartition:
         object.__setattr__(self, "shore2", frozenset(self.shore2))
         if self.shore1 & self.shore2:
             raise ValueError("shores must be disjoint")
-
-    def check(self, g: Graph) -> None:
-        """Raise unless the shores cover 1..g.n and every edge goes shore1 -> shore2."""
-        if self.shore1 | self.shore2 != frozenset(range(1, g.n + 1)):
-            raise ValueError("shores must partition the vertex set")
-        for u, v in g.edges:
-            if u not in self.shore1 or v not in self.shore2:
-                raise ValueError(f"edge ({u},{v}) does not go from shore1 to shore2")
 
 
 def neighborhoods(g: Graph) -> tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]]:

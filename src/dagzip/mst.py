@@ -61,7 +61,7 @@ def kruskal_compressed(d: DagCompression, debug: bool = False) -> MstResult:
     cleaning precondition and the running spanning-forest invariant are
     re-checked against the decompressed graph after every compression edge.
     """
-    if not d.weighted or d.directed:
+    if not d.weighted:
         raise ValueError("compressed Kruskal needs a weighted undirected compression")
     index = d._index
     rep = index.representatives()

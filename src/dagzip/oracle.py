@@ -207,7 +207,7 @@ def min_dag_size(g: Graph, budget: OracleBudget | None = None) -> tuple[int, Dag
     # so one stable sort here orders each family's products by (-len, ids).
     products = _admissible_products(edge_set, singles + subsets, g.directed)
 
-    def price_edges(family, cover, upper):
+    def price_edges(family, _cover, upper):
         units = set(singles).union(family)
         cands = [((a, b), prod) for a, b, prod in products if a in units and b in units]
         return _min_cover(edge_set, cands, upper)

@@ -302,7 +302,7 @@ def test_criterion_8_normalization_passes():
         assert decompress(d1) == graph and d1.size() <= d.size()
         d2 = shore_normalize(d1, tg.shores)
         assert decompress(d2) == graph and d2.size() <= d1.size()
-        d3 = twin_single_edge(d2, tg.shores, pairs)
+        d3 = twin_single_edge(d2, pairs)
         assert decompress(d3) == graph and d3.size() == d2.size()
         table = clusters(d3)
         for v in range(d3.n_sinks + 1, d3.n_vertices + 1):

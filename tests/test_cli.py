@@ -241,6 +241,21 @@ def test_normalize_cli(tmp_path, capsys):
     assert normalized.size() == d.size()
 
 
+@pytest.mark.parametrize("pass_name", ["twins", "shore", "single-edge"])
+def test_normalize_cli_refuses_weighted(tmp_path, capsys, pass_name):
+    # twins 1 and 2 reach {3, 4} by a weight-1 cluster edge and two weight-5 edges
+    comp = tmp_path / "w.dagc"
+    comp.write_text("dagc undirected weighted\nsinks 4\nclusters 1\narcs 2\na 5 3\na 5 4\n"
+                    "cedges 3\nc 1 5 1\nc 2 3 5\nc 2 4 5\n")
+    shores = tmp_path / "w.shores"
+    shores.write_text("shore1 2 1 2\nshore2 2 3 4\n")
+    out = tmp_path / "out.dagc"
+    code, _, err = run_cli(["normalize", "--pass", pass_name, "--shores", str(shores),
+                            str(comp), "-o", str(out)], capsys)
+    _one_line_error(code, err, "is defined for unweighted compressions")
+    assert not out.exists()
+
+
 def test_gap_cli(tmp_path, capsys):
     out = tmp_path / "gap.csv"
     code, _, _ = run_cli(["gap", "--g", "2,4", "--policy", "balanced",

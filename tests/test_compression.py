@@ -118,6 +118,12 @@ def test_validate_weight_coverage():
                            arcs=frozenset(), cedges=frozenset({(1, 2)}), weights=weights)
 
 
+def test_weighted_compressions_are_undirected():
+    with pytest.raises(ValueError, match="weighted compressions are undirected"):
+        DagCompression(directed=True, n_sinks=2, n_clusters=0,
+                       arcs=frozenset(), cedges=frozenset({(1, 2)}), weights={(1, 2): 1})
+
+
 def test_compression_attributes_cannot_be_rebound(fig_compression):
     for name in ("n_sinks", "arc_u", "cedges", "_index"):
         with pytest.raises(FrozenInstanceError):

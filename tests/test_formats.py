@@ -200,6 +200,8 @@ DAGC = {
         "error: bad compression file: vertex id out of range in 'c 1 99999999999999999999'",
     'dagc undirected weighted\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2 9223372036854775808\n':
         "error: bad compression file: weight too large for int64 in 'c 1 2 9223372036854775808'",
+    'dagc directed weighted\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2 4\n':
+        'error: bad compression file: weighted compressions must be undirected',
 }
 
 GRAPH = {

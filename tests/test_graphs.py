@@ -19,6 +19,7 @@ from dagzip import (
     rook_canonical_compression,
     rook_graph,
     rook_mst_compression,
+    shore_normalize,
     twins,
     write_compression,
     write_graph,
@@ -155,12 +156,15 @@ def test_comments_ignored():
 
 
 def test_shore_partition_checks():
+    # shore_normalize checks the shores on the direct compression of a graph
     shores = ShorePartition(shore1=frozenset({1, 2}), shore2=frozenset({3}))
-    good = Graph(directed=True, n=3, edges=frozenset({(1, 3), (2, 3)}))
-    shores.check(good)
-    bad = Graph(directed=True, n=3, edges=frozenset({(3, 1)}))
-    with pytest.raises(ValueError):
-        shores.check(bad)
+    good = DagCompression(directed=True, n_sinks=3, n_clusters=0, arcs=[], cedges=[(1, 3), (2, 3)])
+    assert shore_normalize(good, shores) == good
+    bad = DagCompression(directed=True, n_sinks=3, n_clusters=0, arcs=[], cedges=[(3, 1)])
+    with pytest.raises(ValueError, match=r"compression edge \(3,1\) does not go from shore1 to shore2"):
+        shore_normalize(bad, shores)
+    with pytest.raises(ValueError, match="shores must partition the vertex set"):
+        shore_normalize(good, ShorePartition(shore1=frozenset({1}), shore2=frozenset({3})))
     with pytest.raises(ValueError):
         ShorePartition(shore1=frozenset({1}), shore2=frozenset({1, 2}))
 
@@ -222,6 +226,17 @@ def test_non_integer_weights_are_refused():
     d = DagCompression(False, 2, 0, [], [(1, 2)], {(1, 2): np.uint8(5)})
     assert g.w.tolist() == d.cedge_w.tolist() == [5]
     assert write_compression(d).endswith("c 1 2 5\n")
+
+
+def test_conflicting_weight_keys_are_refused():
+    """Two keys that name one undirected pair must agree; equal repeats merge."""
+    with pytest.raises(ValueError, match=r"conflicting weights 1 and 5 on \(1, 2\)"):
+        Graph(directed=False, n=2, edges=[(1, 2)], weights={(1, 2): 1, (2, 1): 5})
+    with pytest.raises(ValueError, match=r"conflicting weights 1 and 5 on \(1, 2\)"):
+        DagCompression(False, 2, 0, [], [(1, 2)], {(1, 2): 1, (2, 1): 5})
+    g = Graph(directed=False, n=2, edges=[(1, 2)], weights={(1, 2): 5, (2, 1): 5})
+    d = DagCompression(False, 2, 0, [], [(1, 2)], {(1, 2): 5, (2, 1): 5})
+    assert g.w.tolist() == d.cedge_w.tolist() == [5]
 
 
 def test_graph_equality_sees_weights():

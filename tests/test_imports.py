@@ -1,6 +1,9 @@
-"""No module of the package, test file or demo imports a name it never uses.
+"""No module of the package, test file or demo imports a name it never uses,
+and no function of the package has a parameter it never reads.
 
-The package's own __init__.py is exempt: it imports names to re-export them.
+The package's own __init__.py is exempt from the import check: it imports
+names to re-export them. Dunder methods and parameters whose names start
+with '_' are exempt from the parameter check.
 """
 
 import ast
@@ -33,3 +36,24 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or \
+                node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"line {node.lineno}: {node.name}({p.arg})" for p in params
+                   if not p.arg.startswith("_") and p.arg not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unread_parameters(tree) == []

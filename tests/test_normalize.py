@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from dagzip import (
     DagCompression,
+    ShorePartition,
     clusters,
     decompress,
     shore_normalize,
@@ -11,6 +13,7 @@ from dagzip import (
     twin_single_edge,
     twinned_incidence,
     validate,
+    write_compression,
 )
 
 
@@ -158,12 +161,16 @@ def test_shore_normalize_drops_useless_mixed_vertex():
 
 
 def test_shore_normalize_rejects_non_bipartite():
-    from dagzip.graphs import ShorePartition
-
     d = DagCompression(directed=True, n_sinks=2, n_clusters=0,
                        arcs=frozenset(), cedges=frozenset({(1, 2), (2, 1)}))
     shores = ShorePartition(shore1=frozenset({1}), shore2=frozenset({2}))
     with pytest.raises(ValueError):
+        shore_normalize(d, shores)
+    # cluster 4 over {1, 2} reaches both shores, so (1, 4) encodes the edge 1 -> 1
+    d = DagCompression(directed=True, n_sinks=3, n_clusters=1,
+                       arcs=frozenset({(4, 1), (4, 2)}), cedges=frozenset({(1, 4)}))
+    shores = ShorePartition(shore1=frozenset({1}), shore2=frozenset({2, 3}))
+    with pytest.raises(ValueError, match=r"compression edge \(1,4\) does not go"):
         shore_normalize(d, shores)
 
 
@@ -175,7 +182,7 @@ def test_twin_single_edge_identity_for_single_target():
     d = DagCompression(directed=True, n_sinks=tg.graph.n, n_clusters=1,
                        arcs=frozenset({(c, 1), (c, 2)}),
                        cedges=frozenset({(a, c), (b, c)}))
-    out = twin_single_edge(d, tg.shores, [(a, b)])
+    out = twin_single_edge(d, [(a, b)])
     assert out == d
 
 
@@ -186,7 +193,7 @@ def test_twin_single_edge_bundles_pairs():
     a, b = tg.a_vertex(0), tg.b_vertex(0)
     d = DagCompression(directed=True, n_sinks=tg.graph.n, n_clusters=0,
                        arcs=frozenset(), cedges=tg.graph.edges)
-    out = twin_single_edge(d, tg.shores, [(a, b)])
+    out = twin_single_edge(d, [(a, b)])
     assert out.size() == d.size()
     assert out.n_clusters == 1
     c = out.n_sinks + 1
@@ -204,7 +211,7 @@ def test_twin_single_edge_requires_symmetry():
                        arcs=frozenset({(c, 1), (c, 2)}),
                        cedges=frozenset({(a, c), (b, 1), (b, 2)}))
     with pytest.raises(ValueError):
-        twin_single_edge(d, tg.shores, [(a, b)])
+        twin_single_edge(d, [(a, b)])
 
 
 def test_pipeline_on_random_twinned_compressions():
@@ -220,7 +227,7 @@ def test_pipeline_on_random_twinned_compressions():
         d2 = shore_normalize(d1, tg.shores)
         assert decompress(d2) == tg.graph
         assert d2.size() <= d1.size()
-        d3 = twin_single_edge(d2, tg.shores, pairs)
+        d3 = twin_single_edge(d2, pairs)
         assert decompress(d3) == tg.graph
         assert d3.size() == d2.size()
         assert validate(d3) == []
@@ -234,7 +241,7 @@ def test_pipeline_on_random_twinned_compressions():
         # idempotence
         assert twin_normalize(d1, pairs) == d1
         assert shore_normalize(d2, tg.shores) == d2
-        assert twin_single_edge(d3, tg.shores, pairs) == d3
+        assert twin_single_edge(d3, pairs) == d3
         done += 1
 
 
@@ -248,11 +255,77 @@ def test_pipeline_reaches_per_set_clusters():
         d = DagCompression(directed=True, n_sinks=tg.graph.n, n_clusters=0,
                            arcs=frozenset(), cedges=tg.graph.edges)
         pairs = twin_pairs_of(tg, sets)
-        d3 = twin_single_edge(shore_normalize(twin_normalize(d, pairs), tg.shores),
-                              tg.shores, pairs)
+        d3 = twin_single_edge(shore_normalize(twin_normalize(d, pairs), tg.shores), pairs)
         table = clusters(d3)
         for i, s in enumerate(sets):
             targets = [v for (u, v) in d3.cedges if u == tg.a_vertex(i)]
             assert len(targets) == 1
             assert table.cluster[targets[0]] == s
         done += 1
+
+
+# sha256 of each pass's write_compression texts on a seeded sample, taken
+# while shore_normalize still decompressed and built the cluster sets.
+NORMALIZE_DIGESTS = {
+    "twins": "670b0d3463e92f290015cd6359574b7186936f28aa4bef59161359e6c8c73c38",
+    "shore": "a667a176729e93ccc54ecbfbe80ab97239c01055da6e2ee2b7ff5e7fead1e5d3",
+    "single-edge": "b088396957f42c7d642f11691280043e43391398e65a4dd7c6ce8cc4bbc7e54a",
+}
+
+
+def test_normalize_outputs_pinned():
+    rng = random.Random(2026)
+    texts = {name: [] for name in NORMALIZE_DIGESTS}
+    for _ in range(200):
+        d, tg, sets = random_twinned_compression(rng)
+        pairs = twin_pairs_of(tg, sets)
+        d1 = twin_normalize(d, pairs)
+        d2 = shore_normalize(d1, tg.shores)
+        texts["twins"].append(write_compression(d1))
+        texts["shore"] += [write_compression(shore_normalize(d, tg.shores)), write_compression(d2)]
+        texts["single-edge"].append(write_compression(twin_single_edge(d2, pairs)))
+    digests = {name: hashlib.sha256("".join(t).encode()).hexdigest() for name, t in texts.items()}
+    assert digests == NORMALIZE_DIGESTS
+
+
+def test_shore_normalize_never_expands(monkeypatch):
+    """The shore pass reads the compression, so no expansion limit applies to it."""
+    monkeypatch.setattr("dagzip.compression.MAX_EXPANDED_PAIRS", 2)
+    sets = (frozenset({1, 2}), frozenset({2}))
+    tg = twinned_incidence(sets, 2)
+    d = DagCompression(directed=True, n_sinks=tg.graph.n, n_clusters=0,
+                       arcs=frozenset(), cedges=tg.graph.edges)
+    assert shore_normalize(d, tg.shores) == d
+    with pytest.raises(ValueError, match="above the limit of 2"):
+        decompress(d)
+
+
+def test_shore_normalize_refuses_undirected():
+    # an undirected edge {1, 2} has no direction to check against the shores
+    d = DagCompression(directed=False, n_sinks=2, n_clusters=0, arcs=[], cedges=[(1, 2)])
+    for shore1 in ({1}, {2}):
+        shores = ShorePartition(shore1=frozenset(shore1), shore2=frozenset({1, 2} - shore1))
+        with pytest.raises(ValueError, match="shore_normalize is defined for directed compressions"):
+            shore_normalize(d, shores)
+
+
+def test_passes_refuse_weighted_compressions():
+    # twins 1 and 2 reach {3, 4} by a weight-1 cluster edge and two weight-5 edges
+    d = DagCompression(directed=False, n_sinks=4, n_clusters=1, arcs=[(5, 3), (5, 4)],
+                       cedges=[(1, 5), (2, 3), (2, 4)], weights={(1, 5): 1, (2, 3): 5, (2, 4): 5})
+    shores = ShorePartition(shore1=frozenset({1, 2}), shore2=frozenset({3, 4}))
+    with pytest.raises(ValueError, match="twin_normalize is defined for unweighted"):
+        twin_normalize(d, [(1, 2)])
+    with pytest.raises(ValueError, match="shore_normalize is defined for unweighted"):
+        shore_normalize(d, shores)
+    with pytest.raises(ValueError, match="twin_single_edge is defined for unweighted"):
+        twin_single_edge(d, [(1, 2)])
+
+
+def test_shore_normalize_rejects_arcs_from_sinks():
+    # only unvalidated input has the arc (1, 4) out of a sink
+    d = DagCompression(directed=True, n_sinks=3, n_clusters=1,
+                       arcs=frozenset({(4, 2), (1, 4)}), cedges=frozenset({(4, 3)}))
+    shores = ShorePartition(shore1=frozenset({1, 2}), shore2=frozenset({3}))
+    with pytest.raises(ValueError, match=r"source-shore clusters \[4\] have arcs from outside"):
+        shore_normalize(d, shores)
