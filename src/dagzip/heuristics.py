@@ -178,19 +178,30 @@ def _and_children(adm: np.ndarray, left: np.ndarray, right: np.ndarray, rounds) 
 
 _ROW_BLOCK = 1024  # rows per gathered block, so the maximality pass adds no full matrix
 
+# tree_compress holds at most two (2n)^2 bool matrices (admissibility and
+# maximality) and, for "similarity", two n^2 float32 ones (the signatures
+# and their overlap scores): 16 n^2 bytes, which is 2 GB at n = 11180.
+# Larger inputs are refused before they allocate.
+MAX_TREE_MATRIX_BYTES = 2_000_000_000
+
 
 def tree_compress(g: Graph, merge_policy: str = "similarity") -> DagCompression:
     """Compress g with a binary cluster tree and maximal-product edge placement.
 
     merge_policy "similarity" pairs nodes by largest neighborhood overlap
     (lexicographic tie-break); "balanced" pairs by index. The output always
-    decompresses to g exactly.
+    decompresses to g exactly. Raises ValueError before allocating when its
+    matrices would exceed MAX_TREE_MATRIX_BYTES.
     """
     if g.n < 1:
         raise ValueError("need at least one vertex")
     if merge_policy not in ("similarity", "balanced"):
         raise ValueError(f"unknown merge policy {merge_policy!r}")
     n = g.n
+    need = 2 * (2 * n) ** 2 + 2 * 4 * n * n
+    if need > MAX_TREE_MATRIX_BYTES:
+        raise ValueError(f"tree compression of {n} vertices needs {need} bytes of matrices, "
+                         f"above the limit of {MAX_TREE_MATRIX_BYTES}")
     total = 2 * n - 1
     m = _adjacency_matrix(g)
     signatures = None if merge_policy == "balanced" else (m | m.T)[1:, 1:]

@@ -1,20 +1,32 @@
 """Exact minimum-size DAG compressions for tiny instances.
 
-Both oracles run one search (_family_search) over families of distinct
-non-singleton sink subsets as the cluster sets, by family size, keeping
-the first strict improvement and stopping at the bound 2 |F| + floor
-(every non-singleton cluster needs two arcs). A family pays arcs for an
-exact minimum cover of each member by smaller members and singletons,
-memoised per call; only the pricing of the compression edges differs.
+Sink sets are int bitmasks: bit e stands for sink e, so the lowest set bit
+is the smallest element. The candidate cluster sets are _sink_subsets(n),
+the non-singleton subsets in (len, sorted) order, and a family of them is
+an index mask over that list. Sets turn back into frozensets only for the
+witness of an improvement.
+
+Both oracles run one search (_family_search) over families in
+combinations order by family size, keeping the first strict improvement
+and stopping at the bound 2 |F| + floor (every non-singleton cluster needs
+two arcs). A family pays arcs for an exact minimum cover of each member by
+smaller members and singletons. Each target set has one memo per call
+(_CoverMemo), keyed by family & below, the members that may serve it, so a
+lookup is one AND and one dict get; keys with the same maximal members
+share one search. Families grow member by member, and a partial family is
+dropped with all its extensions once the arcs and edges it already fixes
+reach the best size. Only the pricing of the compression edges differs.
 
 The generic oracle prices the compression edges by an exact minimum cover
-of the edge set by admissible products. Restricting to one vertex per
-distinct cluster set and to proper-subset children loses nothing: vertices
-sharing a cluster set can be collapsed onto the topologically last one
-(redirecting incidences, dropping intra-class arcs) without growing the
-size, and after collapsing, an arc to an equal-set child would be a cycle.
-The self-check against an enumeration that allows duplicate cluster sets
-and non-proper children lives in the tests.
+of the edge set, as a mask whose bit i is the i-th edge in sorted order, by
+admissible products, each carrying the family bits of the units it needs.
+Restricting to one vertex per distinct cluster set and to proper-subset
+children loses nothing: vertices sharing a cluster set can be collapsed
+onto the topologically last one (redirecting incidences, dropping
+intra-class arcs) without growing the size, and after collapsing, an arc to
+an equal-set child would be a cycle. The self-check against an enumeration
+that allows duplicate cluster sets and non-proper children lives in the
+tests.
 
 For directed bipartite graphs there is always a minimum-size compression in
 which every cluster vertex describes a subset of the sink shore and every
@@ -22,13 +34,15 @@ compression edge leaves a source vertex directly (moving a source-side
 cluster's incidences across, arcs becoming edges and vice versa, is
 size-neutral and removes it from the source side). The bipartite oracle
 therefore prices each source by an exact cover of its out-neighborhood by
-the family's members and singletons. That search handles graphs far beyond
-the generic sink budget, e.g. twinned incidence graphs of set families.
+the family's subsets of it and singletons. A neighborhood's subsets come
+no later than itself, so its price is fixed once the growing family has
+passed it. That search handles graphs far beyond the generic sink budget,
+e.g. twinned incidence graphs of set families.
 
 Every minimum cover here and in reductions.check_sandwich comes from one
-depth-first search (_min_cover): candidates largest first, branching on
-the smallest uncovered element, and a branch is cut when its count plus
-ceil(uncovered / largest candidate) cannot beat the best cover found.
+depth-first search on masks (_min_cover): candidates largest first,
+branching on the lowest uncovered bit, and a branch is cut when its count
+plus ceil(uncovered / largest candidate) cannot beat the best cover found.
 Every witness, here and in reductions, is built by _family_compression,
 which numbers the cluster vertices.
 """
@@ -63,31 +77,44 @@ class OracleBudget:
             raise ValueError("max_sinks must be positive")
 
 
-def _min_cover(target: frozenset, cands: list[tuple], upper: int) -> tuple[int, tuple] | None:
-    """Fewest candidate sets whose union is the target, or None above `upper`.
+def _mask(s) -> int:
+    """The bitmask of a set of sinks: bit e stands for sink e."""
+    return sum(1 << e for e in s)
 
-    cands are (key, set) pairs of subsets of the target, largest set first;
-    the chosen keys come back. The search branches on the smallest uncovered
-    element and prunes a branch once even the largest set could not finish
-    it below the best cover so far, so it returns the first minimum cover in
+
+def _elements(mask: int) -> frozenset[int]:
+    return frozenset(e for e in range(mask.bit_length()) if mask >> e & 1)
+
+
+def _min_cover(target: int, cands: list[tuple], upper: int) -> tuple[int, tuple] | None:
+    """Fewest candidate masks whose union is the target mask, or None above `upper`.
+
+    cands are (key, mask) pairs of subsets of the target, largest mask first;
+    the chosen keys come back. The search branches on the lowest uncovered
+    bit and prunes a branch once even the largest mask could not finish it
+    below the best cover so far, so it returns the first minimum cover in
     search order, whatever `upper` is as long as that cover fits under it.
     """
     best = [upper + 1, ()]
-    largest = len(cands[0][1]) if cands else 1
+    largest = cands[0][1].bit_count() if cands else 1
 
     def dfs(uncovered, used, chosen):
-        if not uncovered:
-            if used < best[0]:
-                best[:] = used, chosen
-            return
-        if used + -(-len(uncovered) // largest) >= best[0]:
-            return
-        e = min(uncovered)
+        # Entered only while uncovered is non-empty and the bound is below best.
+        e = uncovered & -uncovered
+        used += 1
         for key, c in cands:
-            if e in c:
-                dfs(uncovered - c, used + 1, chosen + (key,))
+            if c & e:
+                rest = uncovered & ~c
+                if not rest:
+                    if used < best[0]:
+                        best[:] = used, chosen + (key,)
+                elif used + -(-rest.bit_count() // largest) < best[0]:
+                    dfs(rest, used, chosen + (key,))
 
-    dfs(target, 0, ())
+    if not target:
+        best[:] = 0, ()
+    elif -(-target.bit_count() // largest) <= upper:
+        dfs(target, 0, ())
     return None if best[0] > upper else (best[0], best[1])
 
 
@@ -98,63 +125,116 @@ def _standard_key(s: frozenset[int]):
 def _min_set_cover(target: frozenset[int], sets, upper: int):
     """_min_cover by distinct subsets of the target, in (-len, sorted) order."""
     cands = sorted(sets, key=lambda s: (-len(s), sorted(s)))
-    return _min_cover(target, [(c, c) for c in cands], upper)
+    return _min_cover(_mask(target), [(c, _mask(c)) for c in cands], upper)
 
 
-def _sink_subsets(n: int) -> list[frozenset[int]]:
-    """Every subset of 1..n with at least two elements, in (len, sorted) order."""
-    sinks = range(1, n + 1)
-    return [frozenset(c) for r in range(2, n + 1) for c in itertools.combinations(sinks, r)]
+def _sink_subsets(n: int) -> list[int]:
+    """Masks of every subset of 1..n with at least two elements, in (len, sorted) order."""
+    sinks = [1 << e for e in range(1, n + 1)]
+    return [sum(c) for r in range(2, n + 1) for c in itertools.combinations(sinks, r)]
 
 
-def _family_arc_cost(family, upper: int, cover):
-    """Total arcs to realize every family set from proper subsets and
-    singletons, with each set's children, or None unless below `upper`."""
-    total = 0
-    children: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
-    for x in family:
-        got = cover(x, family, upper - total - 1)
-        if got is None:
-            return None
-        total += got[0]
-        children[x] = got[1]
-    return total, children
+class _CoverMemo(dict):
+    """First minimum covers of one target mask by singletons and the family
+    members inside it, keyed by family & below.
 
+    below has bit i set when subsets[i] may serve: a proper subset of the
+    target, or (proper=False) any subset of it. Candidates go largest first,
+    then in subsets order, which is (-len, sorted) order, then singletons.
 
-def _family_search(subsets, max_family: int, floor: int, best_size: int, best,
-                   size_cap: int | None, price_edges):
-    """The first family of subsets, by family size, that beats best_size.
-
-    price_edges(family, cover, upper) gives the compression edges' count and
-    their (unit, unit) pairs, or None above `upper`; floor is a lower bound
-    on that count for every family. Each improvement replaces best by
-    (family, children, pairs); the search ends once the bound 2 |F| + floor
-    reaches the best size, or at the first improvement within size_cap.
+    A candidate inside another one never appears in the first minimum
+    cover: the larger one comes first in the search and does at least as
+    well. So every key shares the cover of its maximal members, which is
+    searched once.
     """
-    memo: dict = {}
 
-    def cover(x, family, upper):
-        # First minimum cover of x by the family's proper subsets of x and singletons.
-        avail = tuple(filter(x.__gt__, family))
-        key = x, avail
-        got = memo.get(key)
+    __slots__ = ("target", "below", "_inside", "_above", "_singles")
+
+    def __init__(self, target: int, subsets: list[int], proper: bool = True):
+        super().__init__()
+        inside = [(i, s) for i, s in enumerate(subsets)
+                  if not s & ~target and not (proper and s == target)]
+        inside.sort(key=lambda t: -t[1].bit_count())
+        self.target = target
+        self.below = sum(1 << i for i, _ in inside)
+        self._inside = [(1 << i, (s, s)) for i, s in inside]
+        # For each member's bit, the bits of the larger members containing it.
+        self._above = {1 << i: sum(1 << j for j, t in inside if s != t and not s & ~t)
+                       for i, s in inside}
+        self._singles = [(1 << e, 1 << e) for e in sorted(_elements(target))]
+
+    def __missing__(self, key: int):
+        top = rest = key
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if key & self._above[bit]:
+                top ^= bit
+        got = self.get(top)
         if got is None:
-            got = memo[key] = _min_set_cover(x, avail + tuple(frozenset((e,)) for e in x), len(x))
-        return got if got[0] <= upper else None
+            cands = [pair for bit, pair in self._inside if top & bit] + self._singles
+            got = self[top] = _min_cover(self.target, cands, self.target.bit_count())
+        self[key] = got
+        return got
+
+
+def _family_search(subsets: list[int], max_family: int, floor: int, best_size: int, best,
+                   size_cap: int | None, price_edges, settled=None):
+    """The first family of subsets, in combinations order by family size,
+    that beats best_size.
+
+    A family is an index mask over subsets. price_edges(family, upper) gives
+    the compression edges' count and their (unit, unit) pairs, or None above
+    `upper`; floor is a lower bound on that count for every family. Each
+    improvement replaces best by (family, children, pairs) as frozensets;
+    the search ends once the bound 2 |F| + floor reaches the best size, or
+    at the first improvement within size_cap.
+
+    Families grow one member at a time in increasing index order. A member's
+    children are smaller sets, so they come earlier and its cover is known
+    once it joins. Every member needs at least two children. settled maps
+    an index i to a term (cover, multiplicity) of the edge count that only
+    members up to subsets[i] can change; it costs multiplicity times the
+    cover's size, of which floor holds one edge per multiplicity, and its
+    cost is known once the search has passed i. A partial family whose arcs,
+    two arcs per missing member, floor and its known terms reach the best
+    size is dropped with every extension of it, which skips only families
+    that could not improve.
+    """
+    covers = [_CoverMemo(s, subsets) for s in subsets]
+    n = len(subsets)
+    terms = [(settled or {}).get(i) for i in range(n)]
+
+    def grow(start: int, left: int, family: int, arcs: int, extra: int) -> bool:
+        # Extend the family by `left` members from index start; True stops the search.
+        nonlocal best_size, best
+        if not left:
+            edges = price_edges(family, best_size - arcs - 1)
+            if edges is None:
+                return False
+            members = [covers[i] for i in range(n) if family >> i & 1]
+            children = {_elements(c.target): tuple(map(_elements, c[family & c.below][1]))
+                        for c in members}
+            best_size, best = arcs + edges[0], (tuple(children), children, edges[1])
+            return size_cap is not None and best_size <= size_cap
+        bound = floor + 2 * (left - 1)
+        for i in range(start, n - left + 1):
+            c = covers[i]
+            got = arcs + c[family & c.below][0]
+            if got + bound + extra < best_size and grow(i + 1, left - 1, family | 1 << i, got, extra):
+                return True
+            # Skipping i settles its term; no later member costs under two arcs.
+            term = terms[i]
+            if term is not None:
+                t, multiplicity = term
+                extra += (t[family & t.below][0] - 1) * multiplicity
+                if arcs + bound + 2 + extra >= best_size:
+                    break
+        return False
 
     for fam_size in range(max_family + 1):
-        if 2 * fam_size + floor >= best_size:
+        if 2 * fam_size + floor >= best_size or grow(0, fam_size, 0, 0, 0):
             break
-        for family in itertools.combinations(subsets, fam_size):
-            arcs = _family_arc_cost(family, best_size - floor, cover)
-            if arcs is None:
-                continue
-            edges = price_edges(family, cover, best_size - arcs[0] - 1)
-            if edges is None:
-                continue
-            best_size, best = arcs[0] + edges[0], (family, arcs[1], edges[1])
-            if size_cap is not None and best_size <= size_cap:
-                return best_size, best
     return best_size, best
 
 
@@ -177,17 +257,18 @@ def _family_compression(directed: bool, n_sinks: int, family, children, pairs) -
     )
 
 
-def _admissible_products(edge_set: frozenset[tuple[int, int]], units, directed: bool):
-    """(a, b, product) for every pair of units whose full product lies inside
-    the edge set, largest product first, then in `units` order (b after a
-    when undirected)."""
+def _admissible_products(edge_bit: dict, units, directed: bool):
+    """((a, b), product, needs) for every pair of units whose full product
+    lies inside the edge set, largest product first, then in `units` order
+    (b after a when undirected). units are (family bit, set) pairs, the
+    product is an edge mask and needs the family bits of a and b."""
     out = []
-    for i, a in enumerate(units):
-        for b in units if directed else units[i:]:
-            prod = frozenset(canonical_edge(directed, x, y) for x in a for y in b)
-            if prod <= edge_set:
-                out.append((a, b, prod))
-    out.sort(key=lambda t: -len(t[2]))
+    for i, (need_a, a) in enumerate(units):
+        for need_b, b in units if directed else units[i:]:
+            prod = {edge_bit.get(canonical_edge(directed, x, y)) for x in a for y in b}
+            if None not in prod:
+                out.append(((a, b), sum(prod), need_a | need_b))
+    out.sort(key=lambda t: -t[1].bit_count())
     return out
 
 
@@ -200,21 +281,23 @@ def min_dag_size(g: Graph, budget: OracleBudget | None = None) -> tuple[int, Dag
     budget = budget or OracleBudget()
     if g.n > budget.max_sinks:
         raise OracleBudgetExceeded(f"{g.n} sinks exceed the budget of {budget.max_sinks}")
-    edge_set = g.edges
-    singles = [frozenset((v,)) for v in range(1, g.n + 1)]
+    edges = sorted(g.edges)
+    edge_bit = {e: 1 << i for i, e in enumerate(edges)}
     subsets = _sink_subsets(g.n)
     # Units in (len, sorted) order are in witness-id order for every family,
     # so one stable sort here orders each family's products by (-len, ids).
-    products = _admissible_products(edge_set, singles + subsets, g.directed)
+    units = [(0, frozenset((v,))) for v in range(1, g.n + 1)]
+    units += [(1 << i, _elements(s)) for i, s in enumerate(subsets)]
+    products = _admissible_products(edge_bit, units, g.directed)
+    everything = (1 << len(edges)) - 1
 
-    def price_edges(family, _cover, upper):
-        units = set(singles).union(family)
-        cands = [((a, b), prod) for a, b, prod in products if a in units and b in units]
-        return _min_cover(edge_set, cands, upper)
+    def price_edges(family, upper):
+        cands = [(key, prod) for key, prod, needs in products if not needs & ~family]
+        return _min_cover(everything, cands, upper)
 
-    direct = ((), {}, [(frozenset((u,)), frozenset((v,))) for u, v in edge_set])
+    direct = ((), {}, [(frozenset((u,)), frozenset((v,))) for u, v in edges])
     size, (family, children, pairs) = _family_search(
-        subsets, min(_MAX_CLUSTERS, len(subsets)), 0, len(edge_set), direct,
+        subsets, min(_MAX_CLUSTERS, len(subsets)), 0, len(edges), direct,
         budget.size_cap, price_edges,
     )
     return size, _family_compression(g.directed, g.n, family, children, pairs)
@@ -252,28 +335,34 @@ def min_bipartite_size(
     for s in neighborhoods:
         if not s <= universe:
             raise ValueError("neighborhood outside the universe")
+    subsets = _sink_subsets(universe_size)
+    # A source pays an exact cover of its neighborhood by the family's
+    # subsets of it (the neighborhood itself included) and singletons: one
+    # edge at least, and exactly one for a singleton neighborhood.
     distinct = sorted({s for s in neighborhoods if s}, key=_standard_key)
-    multiplicity = {s: neighborhoods.count(s) for s in distinct}
-    sources = [(frozenset((universe_size + 1 + i,)), nb)
+    covers = {nb: _CoverMemo(_mask(nb), subsets, proper=False) for nb in distinct}
+    priced = [(covers[nb], neighborhoods.count(nb)) for nb in distinct if len(nb) > 1]
+    # The subsets of a neighborhood come at or before it in subsets order.
+    position = {s: i for i, s in enumerate(subsets)}
+    sources = [(frozenset((universe_size + 1 + i,)), covers[nb])
                for i, nb in enumerate(neighborhoods) if nb]
 
-    def price_edges(family, cover, upper):
-        total = 0
-        picks = {}
-        for nb in distinct:
-            cnt, picks[nb] = (1, (nb,)) if nb in family else cover(nb, family, len(nb))
-            total += cnt * multiplicity[nb]
+    def price_edges(family, upper):
+        total = len(sources)
+        for c, multiplicity in priced:
+            total += (c[family & c.below][0] - 1) * multiplicity
             if total > upper:
                 return None
-        return total, [(src, piece) for src, nb in sources for piece in picks[nb]]
+        return total, [(src, _elements(piece)) for src, c in sources
+                       for piece in c[family & c.below][1]]
 
     # Every non-empty source pays at least one compression edge. The empty
     # family prices the direct compression, so one more than its size means
     # that nothing has been found yet.
-    subsets = _sink_subsets(universe_size)
     direct = sum(len(nb) for nb in neighborhoods)
     size, (family, children, pairs) = _family_search(
         subsets, len(subsets), len(sources), direct + 1, None, size_cap, price_edges,
+        {position[c.target]: (c, multiplicity) for c, multiplicity in priced},
     )
     n_sinks = universe_size + len(neighborhoods)
     return size, _family_compression(True, n_sinks, family, children, pairs)

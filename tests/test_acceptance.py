@@ -5,7 +5,7 @@ report. Every tolerance is exact (integer equality) unless a runtime budget
 is stated, in which case wall-clock time is measured with a monotonic clock.
 """
 
-import itertools
+import random
 import time
 
 from dagzip import (
@@ -46,24 +46,11 @@ from dagzip import (
 
 from test_oracle import multiset_oracle
 from test_normalize import random_twinned_compression, twin_pairs_of
+from test_reductions import all_tiny_instances
 
 
 def report(criterion: int, text: str) -> None:
     print(f"criterion {criterion}: PASS - {text}")
-
-
-def all_tiny_instances(max_n=3, max_sets=3):
-    for n in range(2, max_n + 1):
-        universe = frozenset(range(1, n + 1))
-        proper = [
-            frozenset(c)
-            for r in range(1, n)
-            for c in itertools.combinations(sorted(universe), r)
-        ]
-        for tsize in range(1, max_sets + 1):
-            for combo in itertools.combinations(proper, tsize):
-                if frozenset().union(*combo) == universe:
-                    yield n, combo
 
 
 def test_criterion_1_mst_weight_equivalence(mst_compression):
@@ -259,6 +246,44 @@ def test_criterion_6b_update_compressions_are_optimal():
         neigh = tuple(s for s in di.family.sets for _ in range(2))
         assert min_bipartite_size(neigh, n + 1)[0] == di.compression.size()
     report(6, "update-instance compressions certified minimal on tiny cases")
+
+
+def _assert_update_compressions_minimal(inst):
+    n = inst.n
+    ai = reduce_add(inst)
+    neigh = tuple(s for s in ai.family.sets for _ in range(2))
+    neigh += (frozenset(range(2, n + 2)),)
+    assert min_bipartite_size(neigh, n + 1)[0] == ai.compression.size(), inst
+    di = reduce_delete(inst)
+    neigh = tuple(s for s in di.family.sets for _ in range(2))
+    assert min_bipartite_size(neigh, n + 1)[0] == di.compression.size(), inst
+
+
+def test_criterion_6c_update_reductions_one_universe_larger():
+    # 6b's minimality certificate on every universe-3 instance (oracle
+    # universe 4) and on a seeded universe-4 sample (oracle universe 5),
+    # whose update answers must also match exhaustive set cover for one k
+    # each side of the minimum cover
+    start = time.monotonic()
+    for n, combo in all_tiny_instances(max_n=3):
+        _assert_update_compressions_minimal(SetCoverInstance(n=n, sets=combo, k=1))
+    universe4 = [combo for n, combo in all_tiny_instances(max_n=4) if n == 4]
+    sample = random.Random(6).sample(universe4, 30)
+    for combo in sample:
+        kmin, _ = setcover_exhaustive(SetCoverInstance(n=4, sets=combo, k=0))
+        _assert_update_compressions_minimal(SetCoverInstance(n=4, sets=combo, k=kmin))
+        for k in (kmin - 1, kmin):
+            inst = SetCoverInstance(n=4, sets=combo, k=k)
+            ai = reduce_add(inst)
+            neigh = tuple(s for s in ai.family.sets for _ in range(2)) + (frozenset(range(1, 6)),)
+            assert (min_bipartite_size(neigh, 5, size_cap=ai.k_new)[0] <= ai.k_new) == (kmin <= k)
+            di = reduce_delete(inst)
+            neigh = [s for s in di.family.sets for _ in range(2)]
+            neigh[2 * di.full_set_index] -= {1}
+            assert (min_bipartite_size(tuple(neigh), 5, size_cap=di.k_new)[0] <= di.k_new) == (kmin <= k)
+    elapsed = time.monotonic() - start
+    report(6, f"update compressions minimal on all universe-3 and {len(sample)} universe-4 "
+              f"instances; their add and delete answers match exhaustive cover ({elapsed:.1f}s)")
 
 
 def test_criterion_7_sandwich():

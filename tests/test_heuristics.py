@@ -22,7 +22,10 @@ from dagzip import (
     validate,
     validate_tree_compression,
     write_compression,
+    write_graph,
 )
+from dagzip import heuristics
+from dagzip.cli import main
 from dagzip.heuristics import _greedy_pairs
 
 
@@ -246,3 +249,23 @@ def test_compressors_round_trip(g):
     for d in (tree_compress(g), tree_compress(g, merge_policy="balanced"), dag_compress_greedy(g)):
         assert validate(d) == []
         assert decompress(d) == g
+
+
+def test_tree_size_guard_is_exact(monkeypatch):
+    # 5 vertices: two 10x10 bool matrices and two 5x5 float32 ones, 400 bytes
+    g = random_graph(5, 0.5, seed=3, directed=True)
+    monkeypatch.setattr(heuristics, "MAX_TREE_MATRIX_BYTES", 399)
+    with pytest.raises(ValueError, match="5 vertices needs 400 bytes of matrices, above the limit of 399"):
+        tree_compress(g)
+    monkeypatch.setattr(heuristics, "MAX_TREE_MATRIX_BYTES", 400)
+    assert decompress(tree_compress(g)) == g
+
+
+def test_tree_size_guard_on_the_command_line(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "g.graph"
+    path.write_text(write_graph(random_graph(5, 0.5, seed=3, directed=True)))
+    monkeypatch.setattr(heuristics, "MAX_TREE_MATRIX_BYTES", 399)
+    assert main(["compress", str(path), "--strategy", "tree", "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: tree compression of 5 vertices needs 400 bytes of matrices, above the limit of 399\n")
+    assert not (tmp_path / "out").exists()

@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagzip import (
     Graph,
@@ -19,7 +21,30 @@ from dagzip import (
     write_compression,
 )
 from dagzip.graphs import canonical_edge
-from dagzip.oracle import _min_cover, _min_set_cover
+from dagzip.oracle import _mask, _min_cover, _min_set_cover
+
+
+def _reference_min_cover(target, cands, upper):
+    """The set-based cover search that the oracles ran before their sink sets
+    were bitmasks: the same search order on frozensets, with min() picking
+    the branch element."""
+    best = [upper + 1, ()]
+    largest = len(cands[0][1]) if cands else 1
+
+    def dfs(uncovered, used, chosen):
+        if not uncovered:
+            if used < best[0]:
+                best[:] = used, chosen
+            return
+        if used + -(-len(uncovered) // largest) >= best[0]:
+            return
+        e = min(uncovered)
+        for key, c in cands:
+            if e in c:
+                dfs(uncovered - c, used + 1, chosen + (key,))
+
+    dfs(target, 0, ())
+    return None if best[0] > upper else (best[0], best[1])
 
 
 def _reference_admissible_products(edge_set, units, directed):
@@ -69,7 +94,7 @@ def multiset_oracle(g: Graph, max_clusters: int = 4) -> int:
         units = [(v, frozenset((v,))) for v in sinks]
         units += [(g.n + 1 + i, s) for i, s in enumerate(sorted(distinct, key=sorted))]
         products = _reference_admissible_products(edge_set, units, g.directed)
-        got = _min_cover(edge_set, products, len(edge_set))
+        got = _reference_min_cover(edge_set, products, len(edge_set))
         value = got[0] if got else len(edge_set) + 1
         cover_cache[distinct] = value
         return value if value <= upper else None
@@ -108,11 +133,29 @@ def test_min_exact_cover_basics():
     out = _min_set_cover(target, [frozenset({1}), frozenset({3}),
                                   frozenset({1, 2}), frozenset({2})], 3)
     assert out == (2, (frozenset({1, 2}), frozenset({3})))
-    pairs = [("ab", frozenset({1, 2})), ("bc", frozenset({2, 3})), ("c", frozenset({3}))]
-    assert _min_cover(target, pairs, 3) == (2, ("ab", "bc"))
-    assert _min_cover(target, pairs, 1) is None
-    assert _min_cover(target, pairs[:1], 3) is None
-    assert _min_cover(frozenset(), [], 0) == (0, ())
+    pairs = [("ab", _mask({1, 2})), ("bc", _mask({2, 3})), ("c", _mask({3}))]
+    assert _min_cover(_mask(target), pairs, 3) == (2, ("ab", "bc"))
+    assert _min_cover(_mask(target), pairs, 1) is None
+    assert _min_cover(_mask(target), pairs[:1], 3) is None
+    assert _min_cover(0, [], 0) == (0, ())
+
+
+_subsets_of_6 = st.frozensets(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=_subsets_of_6, pieces=st.lists(_subsets_of_6, max_size=9), data=st.data())
+def test_min_cover_matches_set_reference(target, pieces, data):
+    # Candidates are subsets of the target, largest first (ties keep their
+    # drawn order), keyed by their position, with or without the singletons
+    # that guarantee a cover; upper ranges below the cover size.
+    if data.draw(st.booleans(), label="singletons"):
+        pieces = pieces + [frozenset((e,)) for e in sorted(target)]
+    cands = sorted((p & target for p in pieces if p & target), key=len, reverse=True)
+    keyed = list(enumerate(cands))
+    upper = data.draw(st.integers(-1, len(target)), label="upper")
+    want = _reference_min_cover(target, keyed, upper)
+    assert _min_cover(_mask(target), [(k, _mask(c)) for k, c in keyed], upper) == want
 
 
 def test_oracle_edgeless():
