@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input or usage error, 3 contract violation
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -239,6 +240,7 @@ def cmd_gap(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parsing leaves no state in the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dagzip",

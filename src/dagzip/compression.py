@@ -36,7 +36,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .graphs import (INT64_MAX, Graph, _Frozen, _LineReader, _pair_columns, _pair_view,
-                     _text_rows, _weight_column, _weight_view)
+                     _record_block, _weight_column, _weight_view)
 
 
 class CompressionFormatError(ValueError):
@@ -289,7 +289,6 @@ def read_compression(text: str) -> DagCompression:
 def write_compression(d: DagCompression) -> str:
     """Canonical serialization: arcs, then compression edges, each sorted."""
     head = "dagc " + ("directed" if d.directed else "undirected") + (" weighted" if d.weighted else "")
-    arcs = _text_rows("a", d.arc_u, d.arc_v)
-    cedges = _text_rows("c", d.cedge_u, d.cedge_v, d.cedge_w)
-    return "\n".join([head, f"sinks {d.n_sinks}", f"clusters {d.n_clusters}",
-                      f"arcs {len(arcs)}", *arcs, f"cedges {len(cedges)}", *cedges, ""])
+    return (f"{head}\nsinks {d.n_sinks}\nclusters {d.n_clusters}\narcs {len(d.arc_u)}\n"
+            + _record_block("a", d.arc_u, d.arc_v) + f"cedges {len(d.cedge_u)}\n"
+            + _record_block("c", d.cedge_u, d.cedge_v, d.cedge_w))

@@ -12,7 +12,10 @@ Kruskal work on the columns.
 All four text formats (graph, compression, shore and set-cover files) are
 parsed by one line-record reader kept here, which skips blank and '#' lines,
 reads headers, ``tag <count>`` lines and integer records, rejects negative
-counts, and raises the calling format's own error class.
+counts, and raises the calling format's own error class. In a text laid out
+as the writers lay it out, each block of edge records is parsed by one
+np.fromstring; other texts, and blocks that fail a check, are read line by
+line, which words every error. Each writer formats a block with one %.
 """
 
 from __future__ import annotations
@@ -263,32 +266,60 @@ def _lex_sorted(u: np.ndarray, v: np.ndarray, *more: np.ndarray) -> list[np.ndar
     return [c[order] for c in (u, v, *more)]
 
 
-def _text_rows(tag: str, *columns: np.ndarray | None) -> list[str]:
-    """One ``tag x1 ... xk`` line per row of the k int64 columns; None columns are left out."""
+def _record_block(tag: str, *columns: np.ndarray | None) -> str:
+    """One LF-ended ``tag x1 ... xk`` line per row of the k int64 columns (None ones left out)."""
     columns = [c for c in columns if c is not None]
-    return list(map((tag + " %d" * len(columns)).__mod__, zip(*(c.tolist() for c in columns))))
+    rows = np.column_stack(columns).ravel().tolist()
+    return ((tag + " %d" * len(columns) + "\n") * len(columns[0])) % tuple(rows)
+
+
+def _plain_bytes(text: str) -> bytes | None:
+    """LF + text + LF (one LF if it ends with one) as bytes, if the text is laid out
+    as the writers lay it out: lowercase words, digits, '-' and spaces on LF lines,
+    with no blank line and no leading or trailing space (every line is stripped)."""
+    data = ("\n" + text + ("" if text.endswith("\n") else "\n")).encode("ascii", "replace")
+    bad = (data.translate(None, b"abcdefghijklmnopqrstuvwxyz0123456789- \n")
+           or any(map(data.__contains__, (b"\n\n", b"\n ", b" \n"))))
+    return None if bad else data
+
+
+def _ascending(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the pairs (u[i], v[i]) ascend strictly: sorted and distinct."""
+    return bool(((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all())
 
 
 class _LineReader:
     """The content lines of one text file, read front to back as integer records.
 
     Blank lines and lines starting with '#' are skipped. Every fault raises
-    the format's own error class with a one-line message.
+    the format's own error class with a one-line message. A plain text is kept
+    as bytes with its newline offsets, any other as a list of stripped lines.
     """
 
     def __init__(self, text: str, error: type[ValueError]):
-        self.lines = [line for line in filter(None, map(str.strip, text.split("\n")))
-                      if line[0] != "#"]
         self.pos = 0
         self.error = error
-        if not self.lines:
+        self.data = _plain_bytes(text)
+        if self.data is None:
+            self.lines = [line for line in filter(None, map(str.strip, text.split("\n")))
+                          if line[0] != "#"]
+            self.n = len(self.lines)
+        else:  # line i is data[nl[i] + 1: nl[i + 1]]
+            self.nl = np.flatnonzero(np.frombuffer(self.data, np.uint8) == 10)
+            self.n = len(self.nl) - 1
+        if not self.n:
             raise error("empty input")
+
+    def line(self, i: int) -> str:
+        if self.data is None:
+            return self.lines[i]
+        return self.data[self.nl[i] + 1: self.nl[i + 1]].decode()
 
     def record(self, tag: str, arity: int, more: bool = False) -> list[int]:
         """The next line as ``tag`` and exactly arity integers (at least arity if more)."""
-        if self.pos == len(self.lines):
+        if self.pos == self.n:
             raise self.error(f"missing {tag!r} line")
-        line = self.lines[self.pos]
+        line = self.line(self.pos)
         self.pos += 1
         parts = line.split()
         if parts[0] != tag or len(parts) - 1 < arity or (len(parts) - 1 > arity and not more):
@@ -312,7 +343,7 @@ class _LineReader:
 
     def header(self, tag: str, n_counts: int) -> tuple[bool, list[int], bool]:
         """``tag <directed|undirected> <count>... [weighted]``: (directed, counts, weighted)."""
-        line = self.lines[self.pos]
+        line = self.line(self.pos)
         parts = line.split()
         weighted = parts[-1] == "weighted"
         if parts[0] != tag or len(parts) != 2 + n_counts + weighted:
@@ -331,54 +362,65 @@ class _LineReader:
         """k lines ``tag <u> <v> [<w>]``: ids in 1..top, canonical, distinct, w >= 0.
 
         Returns int64 columns u, v, w sorted by (u, v), w None unless weighted.
-        The block is split once and checked as arrays; only a block that
-        fails is read again line by line, to report its first bad line.
+        A block that fails the array path is read line by line, which raises at
+        its first bad line.
         """
-        lines = self.lines[self.pos: self.pos + k]
-        if len(lines) < k:
+        if self.n - self.pos < k:
             raise self.error(f"missing {tag!r} line")
-        self.pos += k
-        width = 3 + weighted
-        block = "\n".join(lines)
-        tokens = block.split()
-        cols = []
-        # Every line starts with the tag and no number equals it, so k tags at
-        # every width-th token mean k lines of exactly width tokens.
-        if (len(tokens) == k * width and ("\n" + block).count("\n" + tag) == k
-                and tokens[::width].count(tag) == k):
-            try:
-                cols = [np.fromiter(map(int, tokens[j::width]), np.int64, k) for j in range(1, width)]
-            except (ValueError, OverflowError):
-                pass
-        if cols:
+        cols = self._plain_block(tag, k, 3 + weighted)
+        if cols is not None and cols[:2].min(initial=1) >= 1 and cols[:2].max(initial=0) <= top:
             u, v, *w = cols
             u, v = (u, v) if directed else (np.minimum(u, v), np.maximum(u, v))
-            u, v, *w = _lex_sorted(u, v, *w)
-            if not (((u < 1) | (u > top) | (v < 1) | (v > top)).any() or (w and (w[0] < 0).any())
-                    or ((u[1:] == u[:-1]) & (v[1:] == v[:-1])).any()):
+            if not _ascending(u, v):  # canonical files ascend already
+                u, v, *w = _lex_sorted(u, v, *w)
+            if _ascending(u, v):  # no pair repeats
+                self.pos += k
                 return u, v, (w[0] if w else None)
-        self.pos -= k
-        self._raise_first_fault(tag, k, top, directed, weighted)
+        return self._read_lines(tag, k, top, directed, weighted)
 
-    def _raise_first_fault(self, tag: str, k: int, top: int, directed: bool, weighted: bool) -> None:
-        """Read a block that failed the array checks line by line, up to its first bad line."""
-        seen: set[tuple[int, int]] = set()
-        for line in self.lines[self.pos: self.pos + k]:
+    def _plain_block(self, tag: str, k: int, width: int) -> np.ndarray | None:
+        """The next k lines as width - 1 int64 rows, one per field after the tag, if the
+        text is plain and each line is the tag and integers in 0..INT64_MAX - 1."""
+        if self.data is None:
+            return None
+        block = self.data[self.nl[self.pos]: self.nl[self.pos + k]]  # LF before each line
+        if b"-" in block:
+            return None
+        mark = b"\n" + tag.encode() + b" "
+        try:
+            a = np.fromstring(block.replace(mark, b"\n-1 "), np.int64, sep=" ")
+        except ValueError:  # any other letter, or a token that is no integer
+            return None
+        # The tags that start lines are the only negatives now: k of them in column 0
+        # of k rows mean k lines of width fields. An integer above int64 reads as
+        # INT64_MAX (strtoll saturates); old numpy stops early, with a warning.
+        if a.size != k * width or (a[::width] != -1).any() or a.max(initial=0) == INT64_MAX:
+            return None
+        return np.ascontiguousarray(a.reshape(k, width)[:, 1:].T)
+
+    def _read_lines(self, tag: str, k: int, top: int, directed: bool,
+                    weighted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """edges(), line by line: raises at the first bad line."""
+        rows: dict[tuple[int, int], list[int]] = {}
+        for _ in range(k):
+            line = self.line(self.pos)
             u, v, *w = self.record(tag, 2 + weighted)
             if not (1 <= u <= top and 1 <= v <= top):
                 raise self.error(f"vertex id out of range in {line!r}")
             e = canonical_edge(directed, u, v)
-            if e in seen:
+            if e in rows:
                 raise self.error(f"duplicate {tag!r} line for {e}")
-            seen.add(e)
             if w and not 0 <= w[0] <= INT64_MAX:
                 what = "negative weight" if w[0] < 0 else "weight too large for int64"
                 raise self.error(f"{what} in {line!r}")
-        raise AssertionError("a block that fails the array checks has a bad line")
+            rows[e] = w
+        cols = np.array([[*e, *w] for e, w in rows.items()], np.int64).reshape(k, 2 + weighted).T
+        u, v, *w = _lex_sorted(*cols)
+        return u, v, (w[0] if w else None)
 
     def end(self) -> None:
-        if self.pos != len(self.lines):
-            raise self.error(f"more lines than declared, from {self.lines[self.pos]!r}")
+        if self.pos != self.n:
+            raise self.error(f"more lines than declared, from {self.line(self.pos)!r}")
 
 
 def read_graph(text: str) -> Graph:
@@ -400,7 +442,7 @@ def write_graph(g: Graph) -> str:
     """Canonical serialization: edges sorted lexicographically, LF line endings."""
     kind = "directed" if g.directed else "undirected"
     head = f"graph {kind} {g.n} {g.m}" + (" weighted" if g.weighted else "")
-    return "\n".join([head, *_text_rows("e", g.u, g.v, g.w), ""])
+    return head + "\n" + _record_block("e", g.u, g.v, g.w)
 
 
 def read_shores(text: str) -> ShorePartition:
@@ -420,7 +462,5 @@ def read_shores(text: str) -> ShorePartition:
 
 
 def write_shores(shores: ShorePartition) -> str:
-    out = []
-    for tag, vs in (("shore1", sorted(shores.shore1)), ("shore2", sorted(shores.shore2))):
-        out.append(" ".join([tag, str(len(vs))] + [str(v) for v in vs]))
-    return "\n".join(out) + "\n"
+    sides = (("shore1", shores.shore1), ("shore2", shores.shore2))
+    return "".join(" ".join(map(str, (tag, len(vs), *sorted(vs)))) + "\n" for tag, vs in sides)

@@ -14,11 +14,12 @@ whole run: O((|A| + |E|) * alpha(n)) union-find work plus the sort of E.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .compression import DagCompression, clusters, decompress
-from .graphs import Graph, UnionFind, canonical_edge
+from .graphs import Graph, UnionFind, _lex_sorted, _record_block, canonical_edge
 
 
 @dataclass
@@ -144,6 +145,6 @@ class _DebugChecker:
 
 
 def write_mst(result: MstResult, n: int) -> str:
-    """Serialize a spanning forest: header then edges sorted canonically."""
-    rows = [f"t {u} {v} {w}" for u, v, w in sorted(result.edges)]
-    return "\n".join([f"mst {n} {len(rows)} {result.total_weight}", *rows, ""])
+    """Serialize a spanning forest: header then edges sorted by (u, v), never repeated."""
+    u, v, w = _lex_sorted(*np.fromiter(chain.from_iterable(result.edges), np.int64).reshape(-1, 3).T)
+    return f"mst {n} {len(u)} {result.total_weight}\n" + _record_block("t", u, v, w)

@@ -44,7 +44,7 @@ from dagzip import (
     validate_tree_compression,
 )
 
-from test_oracle import multiset_oracle
+from test_oracle import n3_references
 from test_normalize import random_twinned_compression, twin_pairs_of
 from test_reductions import all_tiny_instances
 
@@ -349,12 +349,9 @@ def test_criterion_9_oracle_self_consistency():
     assert min_dag_size(single)[0] == 1
     k22 = Graph(directed=True, n=4, edges=frozenset({(1, 3), (1, 4), (2, 3), (2, 4)}))
     assert min_dag_size(k22)[0] == 4
-    pairs = [(u, v) for u in (1, 2, 3) for v in (1, 2, 3)]
     budget = OracleBudget(max_sinks=4)
-    for mask in range(512):
-        edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-        g = Graph(directed=True, n=3, edges=edges)
-        assert min_dag_size(g, budget)[0] == multiset_oracle(g), mask
+    for mask, (g, reference) in enumerate(n3_references()):
+        assert min_dag_size(g, budget)[0] == reference, mask
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     report(9, f"fixed values hold; restricted == unrestricted on all 512 "

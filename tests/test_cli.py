@@ -12,7 +12,7 @@ from dagzip import (
     write_setcover,
     write_shores,
 )
-from dagzip.cli import main
+from dagzip.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -269,6 +269,24 @@ def test_gap_cli(tmp_path, capsys):
 def test_help_runs(capsys):
     assert main(["--help"]) == 0
     assert main(["mst", "--help"]) == 0
+
+
+def test_reused_parser_keeps_no_state(mst_file, tmp_path, capsys):
+    assert build_parser() is build_parser()
+    checked = tmp_path / "checked.mst"
+    code, _, err = run_cli(["mst", "--check", mst_file, "-o", str(checked)], capsys)
+    assert code == 0, err
+    # neither --check nor -o carries over: the next call prints to stdout
+    args = build_parser().parse_args(["mst", mst_file])
+    assert (args.check, args.baseline, args.output) == (False, False, None)
+    code, out, _ = run_cli(["mst", mst_file], capsys)
+    assert code == 0 and out == checked.read_text()
+    code, _, err = run_cli(["mst"], capsys)  # a usage error, then a valid call
+    assert code == 2 and err.startswith("usage: dagzip mst")
+    assert run_cli(["mst", mst_file], capsys) == (0, out, "")
+    assert main(["--help"]) == 0
+    first = capsys.readouterr().out
+    assert main(["--help"]) == 0 and capsys.readouterr().out == first
 
 
 def test_weight_mismatch_exits_3(mst_file, capsys, monkeypatch):

@@ -2,27 +2,37 @@
 
 import io
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dagzip import (
     DagCompression,
     Graph,
+    RookSpec,
     SetCoverInstance,
     ShorePartition,
+    decompress,
     kruskal_compressed,
+    random_compression,
+    random_graph,
     read_compression,
     read_graph,
     read_setcover,
     read_shores,
+    rook_canonical_compression,
+    rook_graph,
     write_compression,
     write_graph,
     write_setcover,
     write_shores,
 )
+from dagzip import compression, graphs
 from dagzip.cli import main
-from dagzip.graphs import canonical_edge
+from dagzip.compression import CompressionFormatError
+from dagzip.graphs import GraphFormatError, canonical_edge
+from dagzip.mst import MstResult, MstStats, write_mst
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -329,3 +339,179 @@ def test_malformed_shores(monkeypatch, capsys, tmp_path, text):
     code, err = _piped(monkeypatch, capsys, text,
                        ["normalize", "--pass", "shore", "--shores", "-", str(comp)])
     _assert_one_line_exit_2(code, err, text)
+
+
+# The record reader and writer before the array codec, kept as the reference
+# the codec must match: every text kept as stripped lines, each record block
+# split once and converted with int(), each row formatted on its own.
+
+def _reference_text_rows(tag, *columns):
+    columns = [c for c in columns if c is not None]
+    return list(map((tag + " %d" * len(columns)).__mod__, zip(*(c.tolist() for c in columns))))
+
+
+class _ReferenceLineReader(graphs._LineReader):
+    def __init__(self, text, error):
+        self.pos, self.error, self.data = 0, error, None
+        self.lines = [line for line in filter(None, map(str.strip, text.split("\n")))
+                      if line[0] != "#"]
+        self.n = len(self.lines)
+        if not self.lines:
+            raise error("empty input")
+
+    def edges(self, tag, k, top, directed, weighted):
+        lines = self.lines[self.pos: self.pos + k]
+        if len(lines) < k:
+            raise self.error(f"missing {tag!r} line")
+        self.pos += k
+        width = 3 + weighted
+        block = "\n".join(lines)
+        tokens = block.split()
+        cols = []
+        if (len(tokens) == k * width and ("\n" + block).count("\n" + tag) == k
+                and tokens[::width].count(tag) == k):
+            try:
+                cols = [np.fromiter(map(int, tokens[j::width]), np.int64, k)
+                        for j in range(1, width)]
+            except (ValueError, OverflowError):
+                pass
+        if cols:
+            u, v, *w = cols
+            u, v = (u, v) if directed else (np.minimum(u, v), np.maximum(u, v))
+            u, v, *w = graphs._lex_sorted(u, v, *w)
+            if not (((u < 1) | (u > top) | (v < 1) | (v > top)).any()
+                    or (w and (w[0] < 0).any())
+                    or ((u[1:] == u[:-1]) & (v[1:] == v[:-1])).any()):
+                return u, v, (w[0] if w else None)
+        self.pos -= k
+        self._raise_first_fault(tag, k, top, directed, weighted)
+
+    def _raise_first_fault(self, tag, k, top, directed, weighted):
+        seen = set()
+        for line in self.lines[self.pos: self.pos + k]:
+            u, v, *w = self.record(tag, 2 + weighted)
+            if not (1 <= u <= top and 1 <= v <= top):
+                raise self.error(f"vertex id out of range in {line!r}")
+            e = canonical_edge(directed, u, v)
+            if e in seen:
+                raise self.error(f"duplicate {tag!r} line for {e}")
+            seen.add(e)
+            if w and not 0 <= w[0] <= graphs.INT64_MAX:
+                what = "negative weight" if w[0] < 0 else "weight too large for int64"
+                raise self.error(f"{what} in {line!r}")
+        raise AssertionError("a block that fails the array checks has a bad line")
+
+
+def _outcome(read, text, reader=None):
+    """What read(text) gives: the object, or the class and message it raises."""
+    with pytest.MonkeyPatch.context() as m:
+        if reader:
+            m.setattr(graphs, "_LineReader", reader)
+            m.setattr(compression, "_LineReader", reader)
+        try:
+            return read(text)
+        except (GraphFormatError, CompressionFormatError) as exc:
+            return type(exc), str(exc)
+
+
+_TOKENS = ["+1", "1_0", "007", "0", "-0", "-1", "-", "1-2", str(2 ** 63 - 1), str(2 ** 63),
+           "99999999999999999999", "x", "٣", "1e5", "3", "4 5", "e", "a", "c", ""]
+
+
+@st.composite
+def _mutated(draw, texts):
+    """A canonical text from texts, possibly broken: tokens swapped for
+    edge cases, weights set to 2**63 - 1 or 2**63, lines repeated, dropped or
+    retagged, and CRLF, tabs, doubled spaces, comments or blank lines put in."""
+    text = draw(texts)[0]
+    rnd = draw(st.randoms(use_true_random=False))
+    lines = text.split("\n")[:-1]
+    for _ in range(draw(st.integers(0, 3))):
+        i = rnd.randrange(len(lines))
+        parts = lines[i].split(" ")
+        kind = rnd.randrange(8)
+        if kind == 0 and len(parts) > 1:
+            parts[rnd.randrange(1, len(parts))] = rnd.choice(_TOKENS)
+        elif kind == 7 and len(parts) == 4:  # the weight of a weighted record
+            parts[3] = rnd.choice([str(2 ** 63 - 1), str(2 ** 63)])
+        elif kind == 1:
+            parts[0] = rnd.choice(["e", "a", "c", "t", "E"])
+        elif kind == 2:
+            lines.insert(i, lines[i])
+        elif kind == 3 and len(lines) > 1:
+            del lines[i]
+            continue
+        elif kind == 4:
+            lines.insert(i, rnd.choice(["", "# note", " ", "\r"]))
+        elif kind == 5:
+            parts[-1] += rnd.choice(["\r", "\t", " ", "  "])
+        else:
+            parts = [" " * rnd.randint(1, 2) + p if j else p for j, p in enumerate(parts)]
+        lines[i] = " ".join(parts)
+    return "\n".join(lines) + rnd.choice(["\n", "", "\r\n", "\n\n"])
+
+
+@SETTINGS
+@given(_mutated(graph_texts()))
+@example("graph undirected 2 1 weighted\ne 1 2 9223372036854775807\n")
+@example("graph undirected 2 1 weighted\ne 1 2 9223372036854775808\n")
+@example("graph directed 0 0\n")
+@example("graph undirected 5 2 weighted\ne 1 2\ne 1 3 4 5\n")  # right count, misaligned
+@example("graph directed 2 1\n e 1 x\n")  # messages quote stripped lines
+@example("graph directed 2 1\ne 1 x \n")
+@example("graph directed  2  1\ne  1   2\n")
+def test_graph_reader_matches_reference(text):
+    assert _outcome(read_graph, text) == _outcome(read_graph, text, _ReferenceLineReader)
+
+
+@SETTINGS
+@given(_mutated(compression_texts()))
+@example("dagc undirected weighted\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2 9223372036854775807\n")
+@example("dagc undirected weighted\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2 9223372036854775808\n")
+@example("dagc directed\nsinks 0\nclusters 0\narcs 0\ncedges 0\n")
+def test_compression_reader_matches_reference(text):
+    assert _outcome(read_compression, text) == _outcome(read_compression, text,
+                                                        _ReferenceLineReader)
+
+
+@SETTINGS
+@given(st.data())
+def test_writers_match_reference(data):
+    directed = data.draw(st.booleans())
+    weighted = not directed and data.draw(st.booleans())
+    n = data.draw(st.integers(0, 7))
+    edges = sorted({canonical_edge(directed, u, v) for u, v in _pairs(data.draw, n, 15)})
+    weight = st.sampled_from([0, 1, 9, 2 ** 63 - 1]) if weighted else st.none()
+    weights = {e: data.draw(weight) for e in edges} if weighted else None
+    g = Graph(directed=directed, n=n, edges=edges, weights=weights)
+    head = f"graph {'directed' if directed else 'undirected'} {n} {len(edges)}"
+    head += " weighted" if weighted else ""
+    rows = _reference_text_rows("e", g.u, g.v, g.w)
+    assert write_graph(g) == "\n".join([head, *rows, ""])
+    d = DagCompression(directed, n, 0, [], edges, weights)
+    rows = _reference_text_rows("c", d.cedge_u, d.cedge_v, d.cedge_w)
+    assert write_compression(d).endswith("\n".join([f"arcs 0\ncedges {len(rows)}", *rows, ""]))
+    forest = [(u, v, weights[u, v]) for u, v in edges if u != v] if weighted else []
+    forest = data.draw(st.permutations(forest))
+    total = sum(w for *_, w in forest)
+    rows = [f"t {u} {v} {w}" for u, v, w in sorted(forest)]
+    assert write_mst(MstResult(forest, total, MstStats()), n) == "\n".join(
+        [f"mst {n} {len(rows)} {total}", *rows, ""])
+
+
+def _fail(*args):
+    raise AssertionError("a canonical text left the array path")
+
+
+def test_canonical_texts_stay_on_the_array_path(monkeypatch, fig_compression, mst_compression):
+    # A fallback that always fires would pass every other test and lose the
+    # whole gain: here the line path is forbidden.
+    monkeypatch.setattr(graphs._LineReader, "_read_lines", _fail)
+    spec = RookSpec(g=4)
+    for g in (rook_graph(spec), random_graph(9, 0.4, seed=2, directed=False),
+              Graph(True, 3, []), decompress(mst_compression)):
+        assert read_graph(write_graph(g)) == g
+    for d in (fig_compression, mst_compression, rook_canonical_compression(spec),
+              random_compression(12, 5, arc_density=0.3, edge_count=9, max_weight=5, seed=4),
+              DagCompression(False, 2, 0, [], [])):
+        assert read_compression(write_compression(d)) == d

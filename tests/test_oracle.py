@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -206,15 +207,22 @@ def test_oracle_witness_soundness_on_random_graphs():
         assert size <= g.m
 
 
-def test_restricted_equals_unrestricted_n3():
-    # every directed graph on 3 vertices
+@functools.cache
+def n3_references() -> tuple[tuple[Graph, int], ...]:
+    """Every directed graph on 3 vertices, graph `mask` holding pair i when
+    bit i is set, with its multiset_oracle value: computed once per session,
+    for this file and for criterion 9."""
     pairs = [(u, v) for u in (1, 2, 3) for v in (1, 2, 3)]
+    graphs = [Graph(directed=True, n=3,
+                    edges=frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
+              for mask in range(512)]
+    return tuple((g, multiset_oracle(g)) for g in graphs)
+
+
+def test_restricted_equals_unrestricted_n3():
     budget = OracleBudget(max_sinks=4)
-    for mask in range(512):
-        edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-        g = Graph(directed=True, n=3, edges=edges)
-        restricted = min_dag_size(g, budget)[0]
-        assert restricted == multiset_oracle(g), mask
+    for mask, (g, reference) in enumerate(n3_references()):
+        assert min_dag_size(g, budget)[0] == reference, mask
 
 
 def test_restricted_equals_unrestricted_small_undirected():
