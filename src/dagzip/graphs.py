@@ -13,9 +13,10 @@ All four text formats (graph, compression, shore and set-cover files) are
 parsed by one line-record reader kept here, which skips blank and '#' lines,
 reads headers, ``tag <count>`` lines and integer records, rejects negative
 counts, and raises the calling format's own error class. In a text laid out
-as the writers lay it out, each block of edge records is parsed by one
-np.fromstring; other texts, and blocks that fail a check, are read line by
-line, which words every error. Each writer formats a block with one %.
+as the writers lay it out once its lines are stripped and its blank and '#'
+lines dropped, each block of edge records is parsed by one np.fromstring;
+other texts, and blocks that fail a check, are read line by line, which
+words every error. Each writer formats a block with one %.
 """
 
 from __future__ import annotations
@@ -273,14 +274,11 @@ def _record_block(tag: str, *columns: np.ndarray | None) -> str:
     return ((tag + " %d" * len(columns) + "\n") * len(columns[0])) % tuple(rows)
 
 
-def _plain_bytes(text: str) -> bytes | None:
-    """LF + text + LF (one LF if it ends with one) as bytes, if the text is laid out
-    as the writers lay it out: lowercase words, digits, '-' and spaces on LF lines,
-    with no blank line and no leading or trailing space (every line is stripped)."""
-    data = ("\n" + text + ("" if text.endswith("\n") else "\n")).encode("ascii", "replace")
-    bad = (data.translate(None, b"abcdefghijklmnopqrstuvwxyz0123456789- \n")
-           or any(map(data.__contains__, (b"\n\n", b"\n ", b" \n"))))
-    return None if bad else data
+def _plain(data: bytes) -> bool:
+    """Whether LF-framed text bytes are laid out as the writers lay them out: lowercase
+    words, digits, '-' and spaces on LF lines, no blank line, no leading or trailing space."""
+    return not (data.translate(None, b"abcdefghijklmnopqrstuvwxyz0123456789- \n")
+                or any(map(data.__contains__, (b"\n\n", b"\n ", b" \n"))))
 
 
 def _ascending(u: np.ndarray, v: np.ndarray) -> bool:
@@ -292,28 +290,26 @@ class _LineReader:
     """The content lines of one text file, read front to back as integer records.
 
     Blank lines and lines starting with '#' are skipped. Every fault raises
-    the format's own error class with a one-line message. A plain text is kept
-    as bytes with its newline offsets, any other as a list of stripped lines.
+    the format's own error class with a one-line message. The content lines are
+    kept as bytes, with an LF before and after each, and their newline offsets.
     """
 
     def __init__(self, text: str, error: type[ValueError]):
         self.pos = 0
         self.error = error
-        self.data = _plain_bytes(text)
-        if self.data is None:
-            self.lines = [line for line in filter(None, map(str.strip, text.split("\n")))
-                          if line[0] != "#"]
-            self.n = len(self.lines)
-        else:  # line i is data[nl[i] + 1: nl[i + 1]]
-            self.nl = np.flatnonzero(np.frombuffer(self.data, np.uint8) == 10)
-            self.n = len(self.nl) - 1
+        data = ("\n" + text + ("" if text.endswith("\n") else "\n")).encode("utf-8", "surrogatepass")
+        if not _plain(data):  # strip every line, drop blank and '#' lines, then look again
+            lines = [line for line in filter(None, map(str.strip, text.split("\n"))) if line[0] != "#"]
+            data = "".join(f"\n{line}" for line in lines).encode("utf-8", "surrogatepass") + b"\n"
+        self.plain = _plain(data)
+        self.data = data
+        self.nl = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)  # line i: nl[i] + 1 .. nl[i + 1]
+        self.n = len(self.nl) - 1
         if not self.n:
             raise error("empty input")
 
     def line(self, i: int) -> str:
-        if self.data is None:
-            return self.lines[i]
-        return self.data[self.nl[i] + 1: self.nl[i + 1]].decode()
+        return self.data[self.nl[i] + 1: self.nl[i + 1]].decode("utf-8", "surrogatepass")
 
     def record(self, tag: str, arity: int, more: bool = False) -> list[int]:
         """The next line as ``tag`` and exactly arity integers (at least arity if more)."""
@@ -373,27 +369,27 @@ class _LineReader:
             u, v = (u, v) if directed else (np.minimum(u, v), np.maximum(u, v))
             if not _ascending(u, v):  # canonical files ascend already
                 u, v, *w = _lex_sorted(u, v, *w)
-            if _ascending(u, v):  # no pair repeats
-                self.pos += k
-                return u, v, (w[0] if w else None)
+                if not _ascending(u, v):  # a pair repeats
+                    return self._read_lines(tag, k, top, directed, weighted)
+            self.pos += k
+            return u, v, (w[0] if w else None)
         return self._read_lines(tag, k, top, directed, weighted)
 
     def _plain_block(self, tag: str, k: int, width: int) -> np.ndarray | None:
         """The next k lines as width - 1 int64 rows, one per field after the tag, if the
         text is plain and each line is the tag and integers in 0..INT64_MAX - 1."""
-        if self.data is None:
-            return None
         block = self.data[self.nl[self.pos]: self.nl[self.pos + k]]  # LF before each line
-        if b"-" in block:
+        if not self.plain or b"-" in block:
             return None
-        mark = b"\n" + tag.encode() + b" "
-        try:
-            a = np.fromstring(block.replace(mark, b"\n-1 "), np.int64, sep=" ")
-        except ValueError:  # any other letter, or a token that is no integer
+        block = block.replace(b"\n" + tag.encode() + b" ", b"\n-1 ")
+        # Once digits, spaces and LFs go, only the k tag markers may be left. So every
+        # token is an integer and np.fromstring reads them all: numpy 2 raises at a bad
+        # token, but numpy 1 returns what it read before it, with only a warning.
+        if block.translate(None, b"0123456789 \n") != b"-" * k:
             return None
-        # The tags that start lines are the only negatives now: k of them in column 0
-        # of k rows mean k lines of width fields. An integer above int64 reads as
-        # INT64_MAX (strtoll saturates); old numpy stops early, with a warning.
+        a = np.fromstring(block, np.int64, sep=" ")
+        # The markers are the only negatives: k of them in column 0 of k rows mean k
+        # lines of width fields. An integer above int64 reads as INT64_MAX (strtoll saturates).
         if a.size != k * width or (a[::width] != -1).any() or a.max(initial=0) == INT64_MAX:
             return None
         return np.ascontiguousarray(a.reshape(k, width)[:, 1:].T)
@@ -462,5 +458,7 @@ def read_shores(text: str) -> ShorePartition:
 
 
 def write_shores(shores: ShorePartition) -> str:
-    sides = (("shore1", shores.shore1), ("shore2", shores.shore2))
-    return "".join(" ".join(map(str, (tag, len(vs), *sorted(vs)))) + "\n" for tag, vs in sides)
+    out = []
+    for tag, vs in (("shore1", sorted(shores.shore1)), ("shore2", sorted(shores.shore2))):
+        out.append(" ".join([tag, str(len(vs))] + [str(v) for v in vs]))
+    return "\n".join(out) + "\n"

@@ -72,8 +72,10 @@ def read_setcover(text: str) -> SetCoverInstance:
 
 
 def write_setcover(inst: SetCoverInstance) -> str:
-    rows = (" ".join(map(str, ("s", i, *sorted(s)))) for i, s in enumerate(inst.sets, start=1))
-    return "\n".join([f"setcover {inst.n} {len(inst.sets)} {inst.k}", *rows, ""])
+    out = [f"setcover {inst.n} {len(inst.sets)} {inst.k}"]
+    for i, s in enumerate(inst.sets, start=1):
+        out.append("s " + " ".join([str(i)] + [str(e) for e in sorted(s)]))
+    return "\n".join(out) + "\n"
 
 
 @dataclass(frozen=True)

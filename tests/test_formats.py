@@ -1,6 +1,7 @@
 """The four text formats: canonical round trips and a malformed-input corpus."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -352,12 +353,15 @@ def _reference_text_rows(tag, *columns):
 
 class _ReferenceLineReader(graphs._LineReader):
     def __init__(self, text, error):
-        self.pos, self.error, self.data = 0, error, None
+        self.pos, self.error = 0, error
         self.lines = [line for line in filter(None, map(str.strip, text.split("\n")))
                       if line[0] != "#"]
         self.n = len(self.lines)
         if not self.lines:
             raise error("empty input")
+
+    def line(self, i):
+        return self.lines[i]
 
     def edges(self, tag, k, top, directed, weighted):
         lines = self.lines[self.pos: self.pos + k]
@@ -435,7 +439,7 @@ def _mutated(draw, texts):
         elif kind == 7 and len(parts) == 4:  # the weight of a weighted record
             parts[3] = rnd.choice([str(2 ** 63 - 1), str(2 ** 63)])
         elif kind == 1:
-            parts[0] = rnd.choice(["e", "a", "c", "t", "E"])
+            parts[0] = rnd.choice(["e", "a", "c", "t", "E", "-1"])
         elif kind == 2:
             lines.insert(i, lines[i])
         elif kind == 3 and len(lines) > 1:
@@ -460,6 +464,10 @@ def _mutated(draw, texts):
 @example("graph directed 2 1\n e 1 x\n")  # messages quote stripped lines
 @example("graph directed 2 1\ne 1 x \n")
 @example("graph directed  2  1\ne  1   2\n")
+@example("graph directed 3 2\ne 1 2\ne 2 3x\n")  # junk after the last number of a block
+@example("graph directed 3 2\ne 1 2\ne 2 3 x\n")
+@example("graph directed 3 2\ne 1 2\n-1 2 3\n")  # a line with no tag reads as a marker
+@example("# note\r\ngraph directed 3 2\r\n\r\n  e 1 2 \r\ne 2 3\r\n")
 def test_graph_reader_matches_reference(text):
     assert _outcome(read_graph, text) == _outcome(read_graph, text, _ReferenceLineReader)
 
@@ -503,15 +511,44 @@ def _fail(*args):
     raise AssertionError("a canonical text left the array path")
 
 
+def _untidy(text):
+    """The same content with CRLF ends, a comment, a blank line and outer spaces."""
+    return "# note\r\n\r\n" + "".join(f" {line}  \r\n" for line in text.splitlines())
+
+
 def test_canonical_texts_stay_on_the_array_path(monkeypatch, fig_compression, mst_compression):
     # A fallback that always fires would pass every other test and lose the
-    # whole gain: here the line path is forbidden.
+    # whole gain: here the line path is forbidden. Texts whose lines are
+    # canonical once stripped (CRLF, comments, blank lines) stay on it too.
     monkeypatch.setattr(graphs._LineReader, "_read_lines", _fail)
     spec = RookSpec(g=4)
     for g in (rook_graph(spec), random_graph(9, 0.4, seed=2, directed=False),
               Graph(True, 3, []), decompress(mst_compression)):
-        assert read_graph(write_graph(g)) == g
+        assert read_graph(write_graph(g)) == g == read_graph(_untidy(write_graph(g)))
     for d in (fig_compression, mst_compression, rook_canonical_compression(spec),
               random_compression(12, 5, arc_density=0.3, edge_count=9, max_weight=5, seed=4),
               DagCompression(False, 2, 0, [], [])):
-        assert read_compression(write_compression(d)) == d
+        text = write_compression(d)
+        assert read_compression(text) == d == read_compression(_untidy(text))
+
+
+def _numpy1_fromstring(data, dtype, sep):
+    """np.fromstring as numpy 1.x has it: at a token that is no integer it stops
+    and returns the values read so far (with a DeprecationWarning) instead of raising."""
+    return np.array(re.match(rb"(?:\s*-?\d+)*", data).group().split(), dtype)
+
+
+@pytest.mark.parametrize("text", [
+    "graph directed 3 2\ne 1 2\ne 2 3x\n",
+    "graph directed 3 2\ne 1 2\ne 2 3 x\n",
+    "graph undirected 3 2 weighted\ne 1 2 5\ne 2 3 5e\n",
+    "dagc directed\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2 junk\n",
+])
+def test_junk_after_a_block_is_refused_whatever_fromstring_does(monkeypatch, text):
+    # A reader that trusted the value count would take "3x" for 3 where
+    # np.fromstring reads up to a bad token and stops, as in numpy 1.x.
+    read = read_compression if text.startswith("dagc") else read_graph
+    expected = _outcome(read, text, _ReferenceLineReader)
+    assert expected[0] in (GraphFormatError, CompressionFormatError)
+    monkeypatch.setattr(np, "fromstring", _numpy1_fromstring)
+    assert _outcome(read, text) == expected
