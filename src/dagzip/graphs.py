@@ -297,13 +297,13 @@ class _LineReader:
     def __init__(self, text: str, error: type[ValueError]):
         self.pos = 0
         self.error = error
-        data = ("\n" + text + ("" if text.endswith("\n") else "\n")).encode("utf-8", "surrogatepass")
-        if not _plain(data):  # strip every line, drop blank and '#' lines, then look again
-            lines = [line for line in filter(None, map(str.strip, text.split("\n"))) if line[0] != "#"]
-            data = "".join(f"\n{line}" for line in lines).encode("utf-8", "surrogatepass") + b"\n"
-        self.plain = _plain(data)
-        self.data = data
-        self.nl = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)  # line i: nl[i] + 1 .. nl[i + 1]
+        self.data = ("\n" + text.removesuffix("\n") + "\n").encode("utf-8", "surrogatepass")
+        self.plain = _plain(self.data)
+        if not self.plain:  # strip every line, drop blank and '#' lines, then look again
+            lines = [ln for ln in filter(None, map(str.strip, text.split("\n"))) if ln[0] != "#"]
+            self.data = "".join(f"\n{ln}" for ln in lines).encode("utf-8", "surrogatepass") + b"\n"
+            self.plain = _plain(self.data)
+        self.nl = np.flatnonzero(np.frombuffer(self.data, np.uint8) == 10)  # the LF offsets
         self.n = len(self.nl) - 1
         if not self.n:
             raise error("empty input")
