@@ -31,7 +31,7 @@ d = DagCompression(
     weights={(8, 9): 1, (8, 10): 2},
 )
 
-result = kruskal_compressed(d, debug=True)
+result = kruskal_compressed(d)
 print(write_mst(result, d.n_sinks))
 print("add_edge calls:", result.stats.add_edge_calls, " (bound |A|+|E| =", d.size(), ")")
 print("arcs traversed:", result.stats.arcs_traversed, " (bound |A| =", len(d.arcs), ")")

@@ -24,10 +24,8 @@ from .graphs import (
     Graph,
     GraphFormatError,
     ShorePartition,
-    is_connected,
     read_graph,
     read_shores,
-    twin_classes,
     twins,
     write_graph,
     write_shores,
@@ -43,7 +41,6 @@ from .heuristics import (
 from .mst import (
     MstResult,
     MstStats,
-    UnionFind,
     kruskal_baseline,
     kruskal_compressed,
     write_mst,

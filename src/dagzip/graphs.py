@@ -212,50 +212,11 @@ def twins(g: Graph) -> set[frozenset[int]]:
     ordinary neighborhood members. Pairs within one equivalence class are all
     reported, which makes the result transitively closed by construction.
     """
-    return {frozenset(p) for members in twin_classes(g) for p in combinations(members, 2)}
-
-
-def twin_classes(g: Graph) -> list[tuple[int, ...]]:
-    """Equivalence classes of the twin relation, each sorted, in order of smallest member."""
     ins, outs = neighborhoods(g)
     groups: dict[tuple[frozenset[int], frozenset[int]], list[int]] = defaultdict(list)
     for v in range(1, g.n + 1):
         groups[(ins[v], outs[v])].append(v)
-    return sorted(tuple(members) for members in groups.values())
-
-
-class UnionFind:
-    """Disjoint sets over 1..n with path compression and union by rank."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-        self.rank = [0] * (n + 1)
-
-    def find(self, x: int) -> int:
-        root = x
-        p = self.parent
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def unite(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
-def is_connected(g: Graph) -> bool:
-    """True iff the graph has a single connected component (loops and directions ignored)."""
-    unite = UnionFind(g.n).unite
-    return sum(map(unite, g.u.tolist(), g.v.tolist())) >= g.n - 1
+    return {frozenset(p) for members in groups.values() for p in combinations(members, 2)}
 
 
 INT64_MAX = 2 ** 63 - 1  # counts, vertex ids and weights must fit in int64

@@ -163,6 +163,7 @@ def test_clusters_match_dfs_oracle_on_random_dags():
         table = clusters(d)
         for v in range(1, d.n_vertices + 1):
             assert table.cluster[v] == reachable_sinks(d, v)
+            assert table.representative[v] in table.cluster[v]  # the clean precondition
 
 
 def test_cluster_recurrence():

@@ -8,11 +8,9 @@ import pytest
 import dagzip
 
 ROOT = Path(__file__).resolve().parent.parent
-# Demo 02 runs a rook g=100 baseline Kruskal (several seconds); it is left out.
-FAST_DEMOS = ["01_compress_and_decompress.py", "03_rook_gap.py", "04_hardness_reductions.py"]
 
 
-@pytest.mark.parametrize("demo", FAST_DEMOS)
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     # run against the same dagzip the tests import
     env = dict(os.environ)

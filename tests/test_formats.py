@@ -204,9 +204,9 @@ DAGC = {
     'dagc directed\nsinks 99999999999999999999\nclusters 0\narcs 0\ncedges 0\n':
         "error: bad compression file: count 99999999999999999999 in 'sinks' line does not fit in int64",
     'dagc directed\nsinks 9223372036854775807\nclusters 1\narcs 0\ncedges 0\n':
-        'error: bad compression file: vertex count 9223372036854775808 is above the limit 9223372036854775806',
+        'error: bad compression file: vertex count 9223372036854775808 is above the limit 12000000',
     'dagc directed\nsinks 9223372036854775807\nclusters 0\narcs 0\ncedges 0\n':
-        'error: bad compression file: vertex count 9223372036854775807 is above the limit 9223372036854775806',
+        'error: bad compression file: vertex count 9223372036854775807 is above the limit 12000000',
     'dagc directed\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 99999999999999999999\n':
         "error: bad compression file: vertex id out of range in 'c 1 99999999999999999999'",
     'dagc undirected weighted\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2 9223372036854775808\n':
@@ -324,6 +324,20 @@ def test_int64_limits_are_inclusive():
     d = read_compression(text)
     assert write_compression(d) == text
     assert kruskal_compressed(d).total_weight == 2 ** 63 - 1
+
+
+def test_declared_vertex_count_is_bounded(monkeypatch, capsys, tmp_path):
+    # A few bytes can declare millions of vertices, and validate, mst and
+    # decompress allocate per declared vertex: the reader refuses the count.
+    monkeypatch.setattr(compression, "MAX_VERTICES", 5)
+    at_limit = "dagc undirected weighted\nsinks 3\nclusters 2\narcs 2\na 4 1\na 5 4\ncedges 1\nc 5 2 1\n"
+    assert read_compression(at_limit).n_vertices == 5
+    path = tmp_path / "big.dagc"
+    path.write_text("dagc undirected weighted\nsinks 4\nclusters 2\narcs 0\ncedges 0\n")
+    out = ["-o", str(tmp_path / "out")]
+    for argv in (["validate", str(path)], ["decompress", str(path), *out], ["mst", str(path), *out]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "error: bad compression file: vertex count 6 is above the limit 5\n"
 
 
 @pytest.mark.parametrize("text", SETCOVER)

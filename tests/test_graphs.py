@@ -10,7 +10,6 @@ from dagzip import (
     GraphFormatError,
     ShorePartition,
     decompress,
-    is_connected,
     kruskal_baseline,
     random_graph,
     read_compression,
@@ -26,7 +25,6 @@ from dagzip import (
     write_shores,
 )
 from dagzip.generators import RookSpec
-from dagzip.mst import UnionFind
 
 
 def test_directed_graph_basics():
@@ -65,36 +63,13 @@ def test_twins_rook_2x2_empty():
 
 def test_twins_transitively_closed():
     g = Graph(directed=True, n=4, edges=frozenset({(1, 4), (2, 4), (3, 4)}))
-    got = twins(g)
-    assert frozenset({1, 2}) in got and frozenset({2, 3}) in got and frozenset({1, 3}) in got
+    assert twins(g) == {frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})}
 
 
 def test_twins_literal_mutual_edge():
     # mutual edge without loops: in-neighborhoods differ, so not twins
     g = Graph(directed=True, n=2, edges=frozenset({(1, 2), (2, 1)}))
     assert twins(g) == set()
-
-
-def test_is_connected_trivial_cases():
-    one = Graph(directed=False, n=1, edges=frozenset(), weights={})
-    two = Graph(directed=False, n=2, edges=frozenset(), weights={})
-    assert is_connected(one)
-    assert not is_connected(two)
-
-
-def test_is_connected_fig_mst_decompression(mst_compression):
-    assert is_connected(decompress(mst_compression))
-
-
-def test_is_connected_matches_union_find_on_random_graphs():
-    for seed in range(500):
-        n = 1 + seed % 9
-        g = random_graph(n, (seed % 7) / 7.0, seed=seed, directed=False)
-        uf = UnionFind(n)
-        for u, v in g.edges:
-            uf.unite(u, v)
-        roots = {uf.find(v) for v in range(1, n + 1)}
-        assert is_connected(g) == (len(roots) <= 1)
 
 
 def test_read_graph_simple_directed():
@@ -172,13 +147,6 @@ def test_shore_partition_checks():
 def test_shores_roundtrip():
     shores = ShorePartition(shore1=frozenset({4, 5}), shore2=frozenset({1, 2, 3}))
     assert read_shores(write_shores(shores)) == shores
-
-
-def test_twin_classes_partition():
-    from dagzip import twin_classes
-
-    g = Graph(directed=True, n=4, edges=frozenset({(1, 4), (2, 4), (3, 4)}))
-    assert twin_classes(g) == [(1, 2, 3), (4,)]
 
 
 def test_graph_attributes_cannot_be_rebound():

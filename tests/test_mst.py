@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dagzip import (
     DagCompression,
     Graph,
-    UnionFind,
     decompress,
     kruskal_baseline,
     kruskal_compressed,
@@ -29,22 +28,11 @@ def brute_force_mst_weight(g: Graph) -> int:
     edges = sorted(g.weights.items())
     best = None
     for combo in itertools.combinations(edges, n - 1):
-        uf = UnionFind(n)
-        merges = sum(1 for (u, v), _ in combo if uf.unite(u, v))
-        if merges == n - 1:
+        if nx.is_connected(_nx_graph(n, ((u, v, w) for (u, v), w in combo))):
             weight = sum(w for _, w in combo)
             best = weight if best is None else min(best, weight)
     assert best is not None, "graph not connected"
     return best
-
-
-def test_union_find_contract():
-    uf = UnionFind(4)
-    assert uf.find(1) != uf.find(2)
-    assert uf.unite(1, 2)
-    assert not uf.unite(2, 1)
-    assert uf.find(1) == uf.find(2)
-    assert uf.find(3) != uf.find(1)
 
 
 def test_baseline_triangle():
@@ -79,7 +67,7 @@ def test_fig_run_weight_is_brute_force_minimum(mst_compression):
 
 
 def test_compressed_fig_run(mst_compression):
-    res = kruskal_compressed(mst_compression, debug=True)
+    res = kruskal_compressed(mst_compression)
     assert res.total_weight == 7
     # 4 of the 10 links fall inside one component, and no arc is walked twice
     assert res.edges == [(1, 4, 1), (2, 4, 1), (3, 4, 1), (1, 5, 1), (1, 6, 1), (1, 7, 2)]
@@ -108,22 +96,23 @@ def test_compressed_matches_baseline_on_fuzz():
         assert mine.stats.arcs_traversed <= len(d.arcs), seed
 
 
-def test_debug_invariant_checks_pass(mst_compression):
-    for seed in range(40):
-        d = random_compression(n_sinks=5 + seed % 6, n_clusters=3, arc_density=0.5,
-                               edge_count=4, max_weight=5, seed=seed)
-        kruskal_compressed(d, debug=True)
+def _nx_graph(n, edges):
+    """A networkx graph on 1..n with the weighted edges (u, v, w)."""
+    h = nx.Graph()
+    h.add_nodes_from(range(1, n + 1))
+    h.add_weighted_edges_from(edges)
+    return h
+
+
+def _msf_weight(g):
+    """The weight of a minimum spanning forest of g, by networkx."""
+    msf = nx.minimum_spanning_tree(_nx_graph(g.n, ((u, v, w) for (u, v), w in g.weights.items())))
+    return sum(w for _, _, w in msf.edges(data="weight"))
 
 
 def _partition(edges, n):
     """Connected components of a forest on 1..n, ordered by smallest vertex."""
-    uf = UnionFind(n)
-    for u, v, _ in edges:
-        uf.unite(u, v)
-    comps = {}
-    for v in range(1, n + 1):
-        comps.setdefault(uf.find(v), set()).add(v)
-    return sorted((frozenset(c) for c in comps.values()), key=min)
+    return sorted(map(frozenset, nx.connected_components(_nx_graph(n, edges))), key=min)
 
 
 def test_disconnected_input_yields_forest():
@@ -142,6 +131,24 @@ def _weight_order_prefixes(d):
         yield DagCompression(directed=False, n_sinks=d.n_sinks, n_clusters=d.n_clusters,
                              arcs=d.arcs, cedges=frozenset(order[:k]),
                              weights={e: d.weights[e] for e in order[:k]})
+
+
+def test_weight_order_prefixes_are_nested_minimum_forests(mst_compression):
+    # The running invariant of compressed Kruskal: after each compression edge
+    # the forest only grows, and it is a minimum spanning forest of the
+    # products processed so far, each edge at its weight in them.
+    cases = [mst_compression] + [
+        random_compression(n_sinks=5 + seed % 6, n_clusters=3, arc_density=0.5,
+                           edge_count=4, max_weight=5, seed=seed) for seed in range(40)]
+    for d in cases:
+        previous = []
+        for prefix in _weight_order_prefixes(d):
+            res = kruskal_compressed(prefix)
+            assert res.edges[:len(previous)] == previous
+            g = decompress(prefix)
+            assert all(g.weights.get((u, v)) == w for u, v, w in res.edges)
+            assert res.total_weight == _msf_weight(g)
+            previous = res.edges
 
 
 def test_make_clean_fig_first_step(mst_compression):
@@ -214,11 +221,7 @@ def test_mst_weight_matches_baseline_and_networkx(n_sinks, n_clusters, density, 
                            edge_count=edge_count, max_weight=max_weight, seed=seed)
     mine = kruskal_compressed(d)
     g = decompress(d)
-    ref = nx.Graph()
-    ref.add_nodes_from(range(1, g.n + 1))
-    ref.add_weighted_edges_from((u, v, w) for (u, v), w in g.weights.items())
-    nx_weight = sum(w for _, _, w in nx.minimum_spanning_tree(ref).edges(data="weight"))
-    assert mine.total_weight == kruskal_baseline(g).total_weight == nx_weight
+    assert mine.total_weight == kruskal_baseline(g).total_weight == _msf_weight(g)
     assert mine.stats.add_edge_calls <= len(d.arcs) + len(d.cedges)
     assert mine.stats.arcs_traversed <= len(d.arcs)
 
