@@ -219,13 +219,6 @@ def clusters(d: DagCompression) -> ClusterTable:
 # 2 GB. Larger expansions are refused before they allocate.
 MAX_EXPANDED_PAIRS = 40_000_000
 
-# validate, mst and decompress hold about 170 bytes per declared vertex at
-# their peak, whatever the file's size: per-vertex index arrays and lists,
-# and the union-find (peak RSS of `dagzip mst --check` on files declaring
-# 2M and 4M sinks). read_compression refuses more than MAX_VERTICES sinks
-# plus clusters, about 2 GB, before anything is allocated per vertex.
-MAX_VERTICES = 12_000_000
-
 
 def decompress(d: DagCompression) -> Graph:
     """Expand the compression into the explicit graph it encodes.
@@ -284,9 +277,7 @@ def read_compression(text: str) -> DagCompression:
     if weighted and directed:
         raise CompressionFormatError("weighted compressions must be undirected")
     n_sinks, n_clusters = r.counted("sinks"), r.counted("clusters")
-    top = n_sinks + n_clusters
-    if top > MAX_VERTICES:
-        raise CompressionFormatError(f"vertex count {top} is above the limit {MAX_VERTICES}")
+    top = r.vertices(n_sinks + n_clusters)
     au, av, _ = r.edges("a", r.counted("arcs"), top, True, False)
     cu, cv, cw = r.edges("c", r.counted("cedges"), top, directed, weighted)
     r.end()

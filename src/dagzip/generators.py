@@ -35,23 +35,6 @@ class RookSpec:
         return self.g ** self.d
 
 
-def rook_index(spec: RookSpec, coords: tuple[int, ...]) -> int:
-    """Row-major vertex id: 1 + sum (i_k - 1) * g^(k-1)."""
-    idx = 0
-    for k, c in enumerate(coords):
-        idx += (c - 1) * spec.g ** k
-    return idx + 1
-
-
-def rook_coords(spec: RookSpec, v: int) -> tuple[int, ...]:
-    x = v - 1
-    out = []
-    for _ in range(spec.d):
-        out.append(x % spec.g + 1)
-        x //= spec.g
-    return tuple(out)
-
-
 def rook_hyperplanes(spec: RookSpec) -> list[list[int]]:
     """Vertex lists of the d*g axis-aligned hyperplanes, dimension-major order."""
     g, d, n = spec.g, spec.d, spec.n

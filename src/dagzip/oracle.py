@@ -4,18 +4,19 @@ Sink sets are int bitmasks: bit e stands for sink e, so the lowest set bit
 is the smallest element. The candidate cluster sets are _sink_subsets(n),
 the non-singleton subsets in (len, sorted) order, and a family of them is
 an index mask over that list. Sets turn back into frozensets only for the
-witness of an improvement.
+witness, which is built once, after the search.
 
-Both oracles run one search (_family_search) over families in
-combinations order by family size, keeping the first strict improvement
-and stopping at the bound 2 |F| + floor (every non-singleton cluster needs
-two arcs). A family pays arcs for an exact minimum cover of each member by
-smaller members and singletons. Each target set has one memo per call
-(_CoverMemo), keyed by family & below, the members that may serve it, so a
-lookup is one AND and one dict get; keys with the same maximal members
-share one search. Families grow member by member, and a partial family is
-dropped with all its extensions once the arcs and edges it already fixes
-reach the best size. Only the pricing of the compression edges differs.
+Both oracles run one search (_family_search) over families in combinations
+order by family size, keeping the first strict improvement and stopping at
+the bound 2 |F| + floor (every non-singleton cluster needs two arcs). A
+family pays arcs for an exact minimum cover of each member by smaller
+members and singletons. Each target set has a memo of covers per call
+(_CoverMemo) on a layout computed once per process, at first use. Its key is
+family & below, the members that may serve it, so a lookup is one AND and
+one dict get; keys with the same maximal members share one search. Families
+grow member by member, and a partial family is dropped with all its
+extensions once the arcs and edges it already fixes reach the best size.
+Only the pricing of the compression edges differs.
 
 The generic oracle prices the compression edges by an exact minimum cover
 of the edge set, as a mask whose bit i is the i-th edge in sorted order, by
@@ -49,11 +50,12 @@ which numbers the cluster vertices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
 from .compression import DagCompression
-from .graphs import Graph, canonical_edge
+from .graphs import Graph
 
 # The generic search tries families of at most this many cluster sets.
 _MAX_CLUSTERS = 6
@@ -128,19 +130,33 @@ def _min_set_cover(target: frozenset[int], sets, upper: int):
     return _min_cover(_mask(target), [(c, _mask(c)) for c in cands], upper)
 
 
-def _sink_subsets(n: int) -> list[int]:
+@functools.cache
+def _sink_subsets(n: int) -> tuple[int, ...]:
     """Masks of every subset of 1..n with at least two elements, in (len, sorted) order."""
     sinks = [1 << e for e in range(1, n + 1)]
-    return [sum(c) for r in range(2, n + 1) for c in itertools.combinations(sinks, r)]
+    return tuple(sum(c) for r in range(2, n + 1) for c in itertools.combinations(sinks, r))
+
+
+@functools.cache
+def _cover_layout(n: int, target: int, proper: bool):
+    """A _CoverMemo's static part, once per process: below, the inside
+    candidates largest first, the _above masks and the singletons."""
+    inside = [(i, s) for i, s in enumerate(_sink_subsets(n))
+              if not s & ~target and not (proper and s == target)]
+    inside.sort(key=lambda t: -t[1].bit_count())
+    # For each member's bit, the bits of the larger members containing it.
+    above = {1 << i: sum(1 << j for j, t in inside if s != t and not s & ~t) for i, s in inside}
+    return (sum(1 << i for i, _ in inside), tuple((1 << i, (s, s)) for i, s in inside), above,
+            tuple((1 << e, 1 << e) for e in sorted(_elements(target))))
 
 
 class _CoverMemo(dict):
     """First minimum covers of one target mask by singletons and the family
-    members inside it, keyed by family & below.
+    members inside it, keyed by family & below, on a per-process layout.
 
-    below has bit i set when subsets[i] may serve: a proper subset of the
-    target, or (proper=False) any subset of it. Candidates go largest first,
-    then in subsets order, which is (-len, sorted) order, then singletons.
+    below has bit i set when _sink_subsets(n)[i] may serve: a proper subset
+    of the target, or (proper=False) any subset of it. Candidates go largest
+    first, then in subsets order, so in (-len, sorted) order, then singletons.
 
     A candidate inside another one never appears in the first minimum
     cover: the larger one comes first in the search and does at least as
@@ -150,18 +166,10 @@ class _CoverMemo(dict):
 
     __slots__ = ("target", "below", "_inside", "_above", "_singles")
 
-    def __init__(self, target: int, subsets: list[int], proper: bool = True):
+    def __init__(self, n: int, target: int, proper: bool = True):
         super().__init__()
-        inside = [(i, s) for i, s in enumerate(subsets)
-                  if not s & ~target and not (proper and s == target)]
-        inside.sort(key=lambda t: -t[1].bit_count())
         self.target = target
-        self.below = sum(1 << i for i, _ in inside)
-        self._inside = [(1 << i, (s, s)) for i, s in inside]
-        # For each member's bit, the bits of the larger members containing it.
-        self._above = {1 << i: sum(1 << j for j, t in inside if s != t and not s & ~t)
-                       for i, s in inside}
-        self._singles = [(1 << e, 1 << e) for e in sorted(_elements(target))]
+        self.below, self._inside, self._above, self._singles = _cover_layout(n, target, proper)
 
     def __missing__(self, key: int):
         top = rest = key
@@ -172,28 +180,26 @@ class _CoverMemo(dict):
                 top ^= bit
         got = self.get(top)
         if got is None:
-            cands = [pair for bit, pair in self._inside if top & bit] + self._singles
+            cands = [pair for bit, pair in self._inside if top & bit]
+            cands += self._singles
             got = self[top] = _min_cover(self.target, cands, self.target.bit_count())
         self[key] = got
         return got
 
 
-def _family_search(subsets: list[int], max_family: int, floor: int, best_size: int, best,
+def _family_search(n: int, max_family: int, floor: int, best_size: int, payload,
                    size_cap: int | None, price_edges, settled=None):
-    """The first family of subsets, in combinations order by family size,
-    that beats best_size.
-
-    A family is an index mask over subsets. price_edges(family, upper) gives
-    the compression edges' count and their (unit, unit) pairs, or None above
-    `upper`; floor is a lower bound on that count for every family. Each
-    improvement replaces best by (family, children, pairs) as frozensets;
-    the search ends once the bound 2 |F| + floor reaches the best size, or
-    at the first improvement within size_cap.
+    """(size, family, children, payload) of the first family of
+    _sink_subsets(n), in combinations order by family size, that beats
+    best_size. price_edges(family, upper) gives the compression edges' count
+    and payload, or None above `upper`; floor bounds that count below. The
+    search ends once 2 |F| + floor reaches the best size, or at the first
+    improvement within size_cap; the best family's children come last.
 
     Families grow one member at a time in increasing index order. A member's
     children are smaller sets, so they come earlier and its cover is known
-    once it joins. Every member needs at least two children. settled maps
-    an index i to a term (cover, multiplicity) of the edge count that only
+    once it joins. Every member needs at least two children. settled maps an
+    index i to a term (cover, multiplicity) of the edge count that only
     members up to subsets[i] can change; it costs multiplicity times the
     cover's size, of which floor holds one edge per multiplicity, and its
     cost is known once the search has passed i. A partial family whose arcs,
@@ -201,24 +207,21 @@ def _family_search(subsets: list[int], max_family: int, floor: int, best_size: i
     size is dropped with every extension of it, which skips only families
     that could not improve.
     """
-    covers = [_CoverMemo(s, subsets) for s in subsets]
-    n = len(subsets)
-    terms = [(settled or {}).get(i) for i in range(n)]
+    covers = [_CoverMemo(n, s) for s in _sink_subsets(n)]
+    terms = [(settled or {}).get(i) for i in range(len(covers))]
+    best = 0
 
     def grow(start: int, left: int, family: int, arcs: int, extra: int) -> bool:
         # Extend the family by `left` members from index start; True stops the search.
-        nonlocal best_size, best
+        nonlocal best_size, best, payload
         if not left:
             edges = price_edges(family, best_size - arcs - 1)
             if edges is None:
                 return False
-            members = [covers[i] for i in range(n) if family >> i & 1]
-            children = {_elements(c.target): tuple(map(_elements, c[family & c.below][1]))
-                        for c in members}
-            best_size, best = arcs + edges[0], (tuple(children), children, edges[1])
+            best_size, best, payload = arcs + edges[0], family, edges[1]
             return size_cap is not None and best_size <= size_cap
         bound = floor + 2 * (left - 1)
-        for i in range(start, n - left + 1):
+        for i in range(start, len(covers) - left + 1):
             c = covers[i]
             got = arcs + c[family & c.below][0]
             if got + bound + extra < best_size and grow(i + 1, left - 1, family | 1 << i, got, extra):
@@ -235,15 +238,17 @@ def _family_search(subsets: list[int], max_family: int, floor: int, best_size: i
     for fam_size in range(max_family + 1):
         if 2 * fam_size + floor >= best_size or grow(0, fam_size, 0, 0, 0):
             break
-    return best_size, best
+    children = {_elements(c.target): tuple(map(_elements, c[best & c.below][1]))
+                for i, c in enumerate(covers) if best >> i & 1}
+    return best_size, best, children, payload
 
 
-def _family_compression(directed: bool, n_sinks: int, family, children, pairs) -> DagCompression:
-    """The compression whose cluster vertices n_sinks+1.. realize the
-    family's sets in (len, sorted) order, each with an arc to every one of
+def _family_compression(directed: bool, n_sinks: int, children: dict, pairs) -> DagCompression:
+    """The compression whose cluster vertices n_sinks+1.. realize the sets
+    keying children in (len, sorted) order, each with an arc to every one of
     its children, and whose compression edges join the two units of each
     pair. A unit is a family set or a singleton, which is its own sink."""
-    cid = {s: n_sinks + 1 + i for i, s in enumerate(sorted(family, key=_standard_key))}
+    cid = {s: n_sinks + 1 + i for i, s in enumerate(sorted(children, key=_standard_key))}
 
     def unit(s):
         return next(iter(s)) if len(s) == 1 else cid[s]
@@ -257,17 +262,24 @@ def _family_compression(directed: bool, n_sinks: int, family, children, pairs) -
     )
 
 
-def _admissible_products(edge_bit: dict, units, directed: bool):
+def _admissible_products(edges: list, units, directed: bool):
     """((a, b), product, needs) for every pair of units whose full product
-    lies inside the edge set, largest product first, then in `units` order
+    lies inside the edge list, largest product first, then in `units` order
     (b after a when undirected). units are (family bit, set) pairs, the
-    product is an edge mask and needs the family bits of a and b."""
+    product is a mask whose bit i is edges[i], built pair by pair up to the
+    first missing edge, and needs the family bits of a and b."""
+    edge_bit = {e: 1 << i for i, e in enumerate(edges)}
+    edge_bit.update({(v, u): bit for (u, v), bit in edge_bit.items() if not directed})
     out = []
     for i, (need_a, a) in enumerate(units):
         for need_b, b in units if directed else units[i:]:
-            prod = {edge_bit.get(canonical_edge(directed, x, y)) for x in a for y in b}
-            if None not in prod:
-                out.append(((a, b), sum(prod), need_a | need_b))
+            prod = 0
+            for bit in map(edge_bit.get, itertools.product(a, b)):
+                if bit is None:
+                    break
+                prod |= bit
+            else:
+                out.append(((a, b), prod, need_a | need_b))
     out.sort(key=lambda t: -t[1].bit_count())
     return out
 
@@ -282,30 +294,26 @@ def min_dag_size(g: Graph, budget: OracleBudget | None = None) -> tuple[int, Dag
     if g.n > budget.max_sinks:
         raise OracleBudgetExceeded(f"{g.n} sinks exceed the budget of {budget.max_sinks}")
     edges = sorted(g.edges)
-    edge_bit = {e: 1 << i for i, e in enumerate(edges)}
     subsets = _sink_subsets(g.n)
     # Units in (len, sorted) order are in witness-id order for every family,
     # so one stable sort here orders each family's products by (-len, ids).
     units = [(0, frozenset((v,))) for v in range(1, g.n + 1)]
     units += [(1 << i, _elements(s)) for i, s in enumerate(subsets)]
-    products = _admissible_products(edge_bit, units, g.directed)
+    products = _admissible_products(edges, units, g.directed)
     everything = (1 << len(edges)) - 1
 
     def price_edges(family, upper):
         cands = [(key, prod) for key, prod, needs in products if not needs & ~family]
         return _min_cover(everything, cands, upper)
 
-    direct = ((), {}, [(frozenset((u,)), frozenset((v,))) for u, v in edges])
-    size, (family, children, pairs) = _family_search(
-        subsets, min(_MAX_CLUSTERS, len(subsets)), 0, len(edges), direct,
-        budget.size_cap, price_edges,
-    )
-    return size, _family_compression(g.directed, g.n, family, children, pairs)
+    direct = [(frozenset((u,)), frozenset((v,))) for u, v in edges]
+    size, _, children, pairs = _family_search(g.n, min(_MAX_CLUSTERS, len(subsets)), 0, len(edges),
+                                              direct, budget.size_cap, price_edges)
+    return size, _family_compression(g.directed, g.n, children, pairs)
 
 
-def decide_mindag(
-    g: Graph, k: int, budget: OracleBudget | None = None
-) -> tuple[bool, DagCompression | None]:
+def decide_mindag(g: Graph, k: int,
+                  budget: OracleBudget | None = None) -> tuple[bool, DagCompression | None]:
     """Does g admit a compression of size at most k? Witness returned on yes."""
     size, witness = min_dag_size(g, replace(budget or OracleBudget(), size_cap=k))
     if size <= k:
@@ -313,11 +321,8 @@ def decide_mindag(
     return False, None
 
 
-def min_bipartite_size(
-    neighborhoods: tuple[frozenset[int], ...],
-    universe_size: int,
-    size_cap: int | None = None,
-) -> tuple[int, DagCompression]:
+def min_bipartite_size(neighborhoods: tuple[frozenset[int], ...], universe_size: int,
+                       size_cap: int | None = None) -> tuple[int, DagCompression]:
     """Exact optimum for a directed bipartite graph given per-source neighborhoods.
 
     Sinks 1..universe_size form the target shore; source i (vertex id
@@ -327,23 +332,20 @@ def min_bipartite_size(
     graphs of set families are in scope.
     """
     if universe_size > _MAX_UNIVERSE:
-        raise OracleBudgetExceeded(
-            f"universe of {universe_size} exceeds the bipartite budget of {_MAX_UNIVERSE}"
-        )
+        raise OracleBudgetExceeded(f"universe of {universe_size} exceeds the bipartite "
+                                   f"budget of {_MAX_UNIVERSE}")
     universe = frozenset(range(1, universe_size + 1))
     neighborhoods = tuple(frozenset(s) for s in neighborhoods)
-    for s in neighborhoods:
-        if not s <= universe:
-            raise ValueError("neighborhood outside the universe")
-    subsets = _sink_subsets(universe_size)
+    if any(s - universe for s in neighborhoods):
+        raise ValueError("neighborhood outside the universe")
     # A source pays an exact cover of its neighborhood by the family's
     # subsets of it (the neighborhood itself included) and singletons: one
     # edge at least, and exactly one for a singleton neighborhood.
     distinct = sorted({s for s in neighborhoods if s}, key=_standard_key)
-    covers = {nb: _CoverMemo(_mask(nb), subsets, proper=False) for nb in distinct}
+    covers = {nb: _CoverMemo(universe_size, _mask(nb), proper=False) for nb in distinct}
     priced = [(covers[nb], neighborhoods.count(nb)) for nb in distinct if len(nb) > 1]
     # The subsets of a neighborhood come at or before it in subsets order.
-    position = {s: i for i, s in enumerate(subsets)}
+    position = {s: i for i, s in enumerate(_sink_subsets(universe_size))}
     sources = [(frozenset((universe_size + 1 + i,)), covers[nb])
                for i, nb in enumerate(neighborhoods) if nb]
 
@@ -353,24 +355,21 @@ def min_bipartite_size(
             total += (c[family & c.below][0] - 1) * multiplicity
             if total > upper:
                 return None
-        return total, [(src, _elements(piece)) for src, c in sources
-                       for piece in c[family & c.below][1]]
+        return total, None
 
     # Every non-empty source pays at least one compression edge. The empty
     # family prices the direct compression, so one more than its size means
     # that nothing has been found yet.
     direct = sum(len(nb) for nb in neighborhoods)
-    size, (family, children, pairs) = _family_search(
-        subsets, len(subsets), len(sources), direct + 1, None, size_cap, price_edges,
-        {position[c.target]: (c, multiplicity) for c, multiplicity in priced},
-    )
-    n_sinks = universe_size + len(neighborhoods)
-    return size, _family_compression(True, n_sinks, family, children, pairs)
+    settled = {position[c.target]: (c, multiplicity) for c, multiplicity in priced}
+    size, family, children, _ = _family_search(universe_size, len(position), len(sources),
+                                               direct + 1, None, size_cap, price_edges, settled)
+    pairs = [(src, _elements(piece)) for src, c in sources for piece in c[family & c.below][1]]
+    return size, _family_compression(True, universe_size + len(neighborhoods), children, pairs)
 
 
-def twinned_optimum(
-    sets: tuple[frozenset[int], ...], universe_size: int, size_cap: int | None = None
-) -> tuple[int, DagCompression]:
+def twinned_optimum(sets: tuple[frozenset[int], ...], universe_size: int,
+                    size_cap: int | None = None) -> tuple[int, DagCompression]:
     """Optimal compression size of the twinned incidence graph of a set family."""
     doubled = tuple(s for s in sets for _ in range(2))
     return min_bipartite_size(doubled, universe_size, size_cap=size_cap)

@@ -190,7 +190,7 @@ def closure_compression_size(family: ClosedFamily) -> int:
 
 
 def _closure_parts(family: ClosedFamily):
-    """Clusters, their children and the compression-edge pairs of the
+    """The clusters' children and the compression-edge pairs of the
     canonical compression of a closed family's twinned incidence graph.
 
     Each singleton's twins connect straight to the element; each larger set
@@ -198,11 +198,10 @@ def _closure_parts(family: ClosedFamily):
     the sink max(S), plus one compression edge from each twin.
     """
     family.check_closed()
-    clusters = [s for s in family.sets if len(s) >= 2]
-    children = {s: (s - {max(s)}, frozenset((max(s),))) for s in clusters}
+    children = {s: (s - {max(s)}, frozenset((max(s),))) for s in family.sets if len(s) >= 2}
     pairs = [(frozenset((t,)), s) for i, s in enumerate(family.sets)
              for t in _twin_vertices(family.universe_size, i)]
-    return clusters, children, pairs
+    return children, pairs
 
 
 def canonical_closure_compression(family: ClosedFamily) -> DagCompression:
@@ -273,11 +272,9 @@ class AddInstance:
 def _closure_and_source(family: ClosedFamily, s_vertex: int, targets) -> DagCompression:
     """The canonical closure compression with one more sink, s_vertex, and a
     compression edge from it to each target set."""
-    clusters, children, pairs = _closure_parts(family)
+    children, pairs = _closure_parts(family)
     s_unit = frozenset((s_vertex,))
-    return _family_compression(
-        True, s_vertex, clusters, children, pairs + [(s_unit, t) for t in targets]
-    )
+    return _family_compression(True, s_vertex, children, pairs + [(s_unit, t) for t in targets])
 
 
 def _shift_instance(inst: SetCoverInstance) -> tuple[frozenset[int], ...]:
@@ -404,11 +401,11 @@ def delete_witness(
     """
     family = di.family
     u = family.universe_size
-    clusters, children, pairs = _closure_parts(replace(family, sets=family.sets[:-1]))
+    children, pairs = _closure_parts(replace(family, sets=family.sets[:-1]))
     a, b = (frozenset((t,)) for t in _twin_vertices(u, di.full_set_index))
     pairs += [(b, frozenset(range(1, u))), (b, frozenset((u,)))]
     pairs += [(a, frozenset(e + 1 for e in inst.sets[idx])) for idx in cover_indices]
-    return _family_compression(True, u + 2 * family.m, clusters, children, pairs)
+    return _family_compression(True, u + 2 * family.m, children, pairs)
 
 
 def setcover_exhaustive(inst: SetCoverInstance) -> tuple[int, tuple[int, ...]]:

@@ -329,7 +329,7 @@ def test_int64_limits_are_inclusive():
 def test_declared_vertex_count_is_bounded(monkeypatch, capsys, tmp_path):
     # A few bytes can declare millions of vertices, and validate, mst and
     # decompress allocate per declared vertex: the reader refuses the count.
-    monkeypatch.setattr(compression, "MAX_VERTICES", 5)
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 5)
     at_limit = "dagc undirected weighted\nsinks 3\nclusters 2\narcs 2\na 4 1\na 5 4\ncedges 1\nc 5 2 1\n"
     assert read_compression(at_limit).n_vertices == 5
     path = tmp_path / "big.dagc"
@@ -338,6 +338,23 @@ def test_declared_vertex_count_is_bounded(monkeypatch, capsys, tmp_path):
     for argv in (["validate", str(path)], ["decompress", str(path), *out], ["mst", str(path), *out]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == "error: bad compression file: vertex count 6 is above the limit 5\n"
+
+
+def test_declared_graph_vertex_count_is_bounded(monkeypatch, capsys, tmp_path):
+    # The same limit holds for a graph, whose vertices become a compression's
+    # sinks: compress allocates per declared vertex before it reads an edge.
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 5)
+    assert read_graph("graph directed 5 1\ne 5 1\n").n == 5
+    with pytest.raises(GraphFormatError, match="vertex count 6 is above the limit 5"):
+        read_graph("graph undirected 6 0\n")
+    path = tmp_path / "big.graph"
+    path.write_text("graph undirected 6 0\n")
+    for argv in (["compress", "--strategy", "greedy", str(path), "-o", str(tmp_path / "out")],
+                 ["compress", "--strategy", "tree", str(path), "-o", str(tmp_path / "out")],
+                 ["oracle", str(path)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "error: bad graph file: vertex count 6 is above the limit 5\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", SETCOVER)

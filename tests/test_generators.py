@@ -10,7 +10,24 @@ from dagzip import (
     validate,
     write_compression,
 )
-from dagzip.generators import rook_coords, rook_hyperplanes, rook_index
+from dagzip.generators import rook_hyperplanes
+
+
+def rook_index(spec: RookSpec, coords: tuple[int, ...]) -> int:
+    """Row-major vertex id: 1 + sum (i_k - 1) * g^(k-1)."""
+    idx = 0
+    for k, c in enumerate(coords):
+        idx += (c - 1) * spec.g ** k
+    return idx + 1
+
+
+def rook_coords(spec: RookSpec, v: int) -> tuple[int, ...]:
+    x = v - 1
+    out = []
+    for _ in range(spec.d):
+        out.append(x % spec.g + 1)
+        x //= spec.g
+    return tuple(out)
 
 
 def test_rook_indexing_row_major():

@@ -1,28 +1,43 @@
 import functools
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dagzip
 from dagzip import (
     Graph,
     OracleBudget,
     OracleBudgetExceeded,
+    SetCoverInstance,
     decide_mindag,
     decompress,
     dag_compress_greedy,
     min_bipartite_size,
     min_dag_size,
     random_graph,
+    reduce_add,
+    reduce_delete,
     twinned_optimum,
     validate,
     write_compression,
 )
 from dagzip.graphs import canonical_edge
-from dagzip.oracle import _mask, _min_cover, _min_set_cover
+from dagzip.oracle import (
+    _admissible_products,
+    _elements,
+    _mask,
+    _min_cover,
+    _min_set_cover,
+    _sink_subsets,
+)
 
 
 def _reference_min_cover(target, cands, upper):
@@ -157,6 +172,40 @@ def test_min_cover_matches_set_reference(target, pieces, data):
     upper = data.draw(st.integers(-1, len(target)), label="upper")
     want = _reference_min_cover(target, keyed, upper)
     assert _min_cover(_mask(target), [(k, _mask(c)) for k, c in keyed], upper) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), directed=st.booleans(), data=st.data())
+def test_admissible_products_match_reference(n, directed, data):
+    # The oracle's units on n sinks and a drawn edge set, loops included: the
+    # same admissible pairs, the same products as edge sets, in the same
+    # largest-first order, each needing the family bits of its two units.
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1 if directed else u, n + 1)]
+    edges = sorted(data.draw(st.sets(st.sampled_from(pairs)), label="edges"))
+    units = [(0, frozenset((v,))) for v in range(1, n + 1)]
+    units += [(1 << i, _elements(s)) for i, s in enumerate(_sink_subsets(n))]
+    position = {s: i for i, (_, s) in enumerate(units)}
+    got = _admissible_products(edges, units, directed)
+    want = _reference_admissible_products(
+        frozenset(edges), [(i, s) for i, (_, s) in enumerate(units)], directed)
+    assert [((position[a], position[b]), frozenset(e for i, e in enumerate(edges) if prod >> i & 1))
+            for (a, b), prod, _ in got] == want
+    assert all(needs == units[position[a]][0] | units[position[b]][0]
+               for (a, b), _, needs in got)
+
+
+def test_import_computes_no_layout():
+    # Importing dagzip (part of every process's set-up) must leave the memo
+    # layouts and the subset lists to their first use.
+    env = dict(os.environ)
+    src = str(Path(dagzip.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import dagzip\nfrom dagzip import oracle\n"
+            "print(oracle._cover_layout.cache_info().currsize, "
+            "oracle._sink_subsets.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.split() == ["0", "0"]
 
 
 def test_oracle_edgeless():
@@ -328,3 +377,56 @@ def test_oracle_witnesses_pinned():
         size, w = twinned_optimum(sets, u)
         got["twinned_optimum"].update(f"{size}\n{write_compression(w)}".encode())
     assert {name: h.hexdigest() for name, h in got.items()} == ORACLE_DIGESTS
+
+
+def _pinned_neighborhoods():
+    """Seeded min_bipartite_size inputs: neighbourhood tuples on universes
+    1-5 drawn from a small pool that holds the empty and the full
+    neighbourhood, so draws repeat; then the add and delete shapes of the
+    update reductions on seeded set-cover instances."""
+    rng = random.Random(13)
+    for i in range(40):
+        u = 1 + i % 5
+        full = frozenset(range(1, u + 1))
+        pool = [frozenset(), full]
+        pool += [frozenset(rng.sample(sorted(full), rng.randint(1, u))) for _ in range(3)]
+        yield tuple(rng.choice(pool) for _ in range(rng.randint(1, 6 - u // 2))), u
+    for i in range(12):
+        n = 2 + i % 3
+        proper = [frozenset(c) for r in range(1, n)
+                  for c in itertools.combinations(range(1, n + 1), r)]
+        while True:
+            sets = rng.sample(proper, rng.randint(2, min(4, len(proper))))
+            if frozenset().union(*sets) == frozenset(range(1, n + 1)):
+                break
+        inst = SetCoverInstance(n=n, sets=tuple(sets), k=1)
+        add = reduce_add(inst)
+        yield tuple(s for s in add.family.sets for _ in range(2)) + (
+            frozenset(range(1, n + 2)),), n + 1
+        delete = reduce_delete(inst)
+        neigh = [s for s in delete.family.sets for _ in range(2)]
+        neigh[2 * delete.full_set_index] -= {1}
+        yield tuple(neigh), n + 1
+
+
+# sha256 over the sizes and write_compression texts of min_bipartite_size's
+# witnesses at each size cap (mid: halfway between the optimum and the direct
+# size; direct: the direct size), taken before its memo layouts were shared
+# and its witness built once.
+BIPARTITE_DIGESTS = {
+    "None": "6370b9dc9363e021ad1c5d175613c9148d42d53a600fb9f10b077610c8b47d8d",
+    "0": "6370b9dc9363e021ad1c5d175613c9148d42d53a600fb9f10b077610c8b47d8d",
+    "mid": "706bfd10862c19c4a4bc5c1c7f529c16d4d6882ee53d65be5ec59c96113c6835",
+    "direct": "62e22a5a9a529b1221d5e9deccb3fedf1acfaa7e1f1c106e33364b8cd8181611",
+}
+
+
+def test_bipartite_witnesses_pinned():
+    got = {name: hashlib.sha256() for name in BIPARTITE_DIGESTS}
+    for neigh, u in _pinned_neighborhoods():
+        direct = sum(map(len, neigh))
+        best = min_bipartite_size(neigh, u)[0]
+        for name, cap in zip(BIPARTITE_DIGESTS, (None, 0, (best + direct) // 2, direct)):
+            size, w = min_bipartite_size(neigh, u, size_cap=cap)
+            got[name].update(f"{size}\n{write_compression(w)}".encode())
+    assert {name: h.hexdigest() for name, h in got.items()} == BIPARTITE_DIGESTS
