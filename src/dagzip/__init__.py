@@ -7,8 +7,6 @@ from .compression import (
     clusters,
     decompress,
     read_compression,
-    sink_representatives,
-    topological_order,
     validate,
     write_compression,
 )

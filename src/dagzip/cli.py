@@ -12,22 +12,10 @@ import os
 import sys
 
 from . import generators, heuristics, normalize, oracle, reductions
-from .compression import (
-    CompressionFormatError,
-    decompress,
-    read_compression,
-    validate,
-    write_compression,
-)
-from .graphs import (
-    GraphFormatError,
-    read_graph,
-    read_shores,
-    twins,
-    write_graph,
-)
+from .compression import decompress, read_compression, validate, write_compression
+from .graphs import read_graph, read_shores, twins, write_graph
 from .mst import kruskal_baseline, kruskal_compressed, write_mst
-from .reductions import SetCoverFormatError, read_setcover
+from .reductions import read_setcover
 
 USAGE_ERROR = 2
 CONTRACT_ERROR = 3
@@ -60,11 +48,16 @@ def _write_text(path: str | None, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_compression(path: str, check: bool = True):
+def _parse(path: str, reader, what: str):
+    """reader applied to the file's text; a text it refuses is a bad `what` file."""
     try:
-        d = read_compression(_read_text(path))
-    except (CompressionFormatError, ValueError) as exc:
-        raise CliError(f"bad compression file: {exc}") from exc
+        return reader(_read_text(path))
+    except ValueError as exc:
+        raise CliError(f"bad {what} file: {exc}") from exc
+
+
+def _load_compression(path: str, check: bool = True):
+    d = _parse(path, read_compression, "compression")
     if check:
         violations = validate(d)
         if violations:
@@ -139,10 +132,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    try:
-        inst = read_setcover(_read_text(args.file))
-    except SetCoverFormatError as exc:
-        raise CliError(f"bad set-cover file: {exc}") from exc
+    inst = _parse(args.file, read_setcover, "set-cover")
     try:
         if args.problem == "mindag":
             out = reductions.reduce_mindag(inst)
@@ -169,10 +159,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_normalize(args) -> int:
     d = _load_compression(args.file)
-    try:
-        shores = read_shores(_read_text(args.shores))
-    except GraphFormatError as exc:
-        raise CliError(f"bad shore file: {exc}") from exc
+    shores = _parse(args.shores, read_shores, "shore")
     try:
         if args.pass_name == "shore":
             out = normalize.shore_normalize(d, shores)
@@ -189,10 +176,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        g = read_graph(_read_text(args.file))
-    except GraphFormatError as exc:
-        raise CliError(f"bad graph file: {exc}") from exc
+    g = _parse(args.file, read_graph, "graph")
     if g.weighted:
         raise CliError("the oracle works on unweighted graphs")
     budget = oracle.OracleBudget(max_sinks=args.max_sinks)
@@ -213,10 +197,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    try:
-        g = read_graph(_read_text(args.file))
-    except GraphFormatError as exc:
-        raise CliError(f"bad graph file: {exc}") from exc
+    g = _parse(args.file, read_graph, "graph")
     if g.weighted:
         raise CliError("compression strategies work on unweighted graphs")
     if args.strategy == "tree":

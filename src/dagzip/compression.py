@@ -13,14 +13,19 @@ A DagCompression stores A and E as read-only int64 columns: the arcs
 cedge_v), canonical (u <= v when undirected) and sorted the same way, with
 their weights in cedge_w (None when unweighted). A weighted compression is
 undirected, like a weighted Graph, and its weight column is built by the
-same helper, so a weight map that misses a compression edge, has extra keys
-or gives one edge two weights is refused at construction. The tuple
-views arcs, cedges and weights are built on first use and cached, for the
-small-instance code and the tests.
+same helper, so a weight map that misses a compression edge, has extra keys,
+gives one edge two weights or holds a negative weight is refused at
+construction, as are negative counts. The tuple views arcs, cedges and
+weights are built on first use and cached, for the small-instance code and
+the tests.
 
 Every pass over (V, A) reads one index, built on first use and cached: the
 arcs in CSR form (children in ascending order), in-degrees, the Kahn
 topological order and a representative sink per vertex, all O(|V| + |A|).
+The index alone decides whether the compression is well-formed: validate()
+returns its list of violations, and every query that needs a well-formed
+compression (decompress, clusters, compressed Kruskal, shore_normalize)
+refuses any other through its check(), in validate()'s words.
 The cluster sets, Theta(n * |clusters|), are built per call, once, as a
 CSR of sorted sink arrays (_cluster_csr); clusters() and decompress() read
 it, and decompress expands every product in one ragged numpy pass.
@@ -47,10 +52,10 @@ class DagCompression(_Frozen):
     """A compression (V, A, E), immutable: attributes cannot be rebound and
     the arrays are read-only.
 
-    The constructor takes (u, v) pairs, as iterables or (k, 2) arrays, and,
-    when weighted (undirected only), a {(u, v): weight} map whose keys are
-    exactly the compression edges; undirected pairs are canonicalized and
-    repeats merged.
+    The constructor takes non-negative counts, (u, v) pairs, as iterables or
+    (k, 2) arrays, and, when weighted (undirected only), a {(u, v): weight}
+    map of non-negative weights whose keys are exactly the compression edges;
+    undirected pairs are canonicalized and repeats merged.
     """
 
     _fields = ("directed", "n_sinks", "n_clusters", "arc_u", "arc_v",
@@ -58,6 +63,8 @@ class DagCompression(_Frozen):
 
     def __init__(self, directed: bool, n_sinks: int, n_clusters: int, arcs, cedges,
                  weights: dict[tuple[int, int], int] | None = None):
+        if n_sinks < 0 or n_clusters < 0:
+            raise ValueError("sink and cluster counts must be non-negative")
         au, av = _pair_columns(arcs, False, n_sinks + n_clusters, "vertex id")
         cu, cv = _pair_columns(cedges, not directed, n_sinks + n_clusters, "vertex id")
         if weights is not None and directed:
@@ -108,17 +115,20 @@ class ClusterTable:
 
 
 class _DagIndex:
-    """The cluster DAG (V, A) of one compression in CSR form, as every pass reads it.
+    """The cluster DAG (V, A) of one compression in CSR form, as every pass
+    reads it, and the one verdict on whether the compression is well-formed.
 
     The children of v are indices[indptr[v]:indptr[v + 1]], ascending;
     outdegree and indegree count arcs per vertex (slot 0 unused). order is
     Kahn's topological order (FIFO, smallest id first), or None on a cycle.
-    rep[v] is the sink reached from v by always taking the first child; it
-    is None without an order or when some cluster vertex has no child.
+    violations names every sink with an out-arc, then every cluster vertex
+    without one, then a cycle; check() raises on any of them. rep[v] is the
+    sink reached from v by always taking the first (smallest) child; it is
+    None unless violations is empty.
     Cluster sets are not kept: they can be quadratic in size.
     """
 
-    __slots__ = ("indptr", "indices", "outdegree", "indegree", "order", "rep")
+    __slots__ = ("indptr", "indices", "outdegree", "indegree", "order", "violations", "rep")
 
     def __init__(self, d: DagCompression):
         n, s = d.n_vertices, d.n_sinks
@@ -134,8 +144,14 @@ class _DagIndex:
                 if not indeg[y]:
                     order.append(y)
         self.order = order if len(order) == n else None
+        self.violations = [f"original vertex {v} has outgoing arc"
+                           for v in (np.flatnonzero(self.outdegree[1:s + 1]) + 1).tolist()]
+        self.violations += [f"cluster vertex {v} with no outgoing arc"
+                            for v in (np.flatnonzero(self.outdegree[s + 1:] == 0) + s + 1).tolist()]
+        if self.order is None:
+            self.violations.append("cycle in cluster DAG")
         self.rep = None
-        if self.order is not None and self.outdegree[s + 1:].all():
+        if not self.violations:
             # Pointer jumping along first children ends at sinks: no cycle, no childless cluster.
             rep = np.arange(n + 1)
             rep[s + 1:] = self.indices[self.indptr[s + 1: n + 1]]
@@ -143,45 +159,15 @@ class _DagIndex:
                 rep = jumped
             self.rep = rep.tolist()
 
-    def children(self, v: int) -> list[int]:
-        return self.indices[self.indptr[v]: self.indptr[v + 1]].tolist()
-
-    def representatives(self) -> list[int]:
-        if self.rep is None:
-            raise ValueError("cluster DAG has a cycle or a cluster vertex without arcs")
-        return self.rep
+    def check(self) -> None:
+        """Raise ValueError, in validate()'s words, unless the compression is well-formed."""
+        if self.violations:
+            raise ValueError("invalid compression: " + "; ".join(self.violations))
 
 
 def validate(d: DagCompression) -> list[str]:
-    """Empty list iff the compression invariants hold; violations otherwise."""
-    index, s = d._index, d.n_sinks
-    violations = [f"original vertex {v} has outgoing arc"
-                  for v in (np.flatnonzero(index.outdegree[1:s + 1]) + 1).tolist()]
-    violations += [f"cluster vertex {v} with no outgoing arc"
-                   for v in (np.flatnonzero(index.outdegree[s + 1:] == 0) + s + 1).tolist()]
-    if index.order is None:
-        violations.append("cycle in cluster DAG")
-    if d.weighted and (d.cedge_w < 0).any():
-        violations.append("negative compression-edge weight")
-    return violations
-
-
-def topological_order(d: DagCompression) -> list[int]:
-    """Kahn's algorithm over (V, A); raises ValueError on a cycle."""
-    if d._index.order is None:
-        raise ValueError("cluster DAG contains a cycle")
-    return list(d._index.order)
-
-
-def sink_representatives(d: DagCompression) -> dict[int, int]:
-    """A reachable sink per vertex, following first children.
-
-    A vertex with several out-arcs copies the representative of the target that
-    comes first in canonical arc order, so runs are deterministic. Cluster sets
-    are never materialized here.
-    """
-    rep = d._index.representatives()
-    return dict(zip(range(1, d.n_vertices + 1), rep[1:]))
+    """Empty list iff the compression is well-formed; its violations otherwise."""
+    return list(d._index.violations)
 
 
 def _cluster_csr(d: DagCompression) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +177,7 @@ def _cluster_csr(d: DagCompression) -> tuple[np.ndarray, np.ndarray]:
     sorted union of its children's sets.
     """
     index, s = d._index, d.n_sinks
-    index.representatives()  # raises on a cycle or a cluster vertex without arcs
+    index.check()
     ptr, ind = index.indptr.tolist(), index.indices.tolist()
     members: dict[int, list[int]] = {}
     for v in reversed(index.order):
@@ -209,8 +195,9 @@ def _cluster_csr(d: DagCompression) -> tuple[np.ndarray, np.ndarray]:
 def clusters(d: DagCompression) -> ClusterTable:
     """Materialize every C(v) plus the representative function."""
     ptr, ind = (a.tolist() for a in _cluster_csr(d))
-    cluster = {v: frozenset(ind[ptr[v]: ptr[v + 1]]) for v in range(1, d.n_vertices + 1)}
-    return ClusterTable(cluster=cluster, representative=sink_representatives(d))
+    vs = range(1, d.n_vertices + 1)
+    return ClusterTable(cluster={v: frozenset(ind[ptr[v]: ptr[v + 1]]) for v in vs},
+                        representative=dict(zip(vs, d._index.rep[1:])))
 
 
 # decompress holds about 50 bytes per expanded pair at its peak, result

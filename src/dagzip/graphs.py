@@ -6,8 +6,8 @@ are legal in both variants ((v, v) directed, {v, v} undirected). A Graph
 keeps its edges as sorted int64 columns u, v and, when weighted (undirected
 only), an aligned weight column w, like a DagCompression; both are
 immutable, both build their weight column with one helper that refuses a
-map whose keys are not exactly the pairs, and the reader, the writer and
-Kruskal work on the columns.
+map whose keys are not exactly the pairs or that holds a negative weight,
+and the reader, the writer and Kruskal work on the columns.
 
 All four text formats (graph, compression, shore and set-cover files) are
 parsed by one line-record reader kept here, which skips blank and '#' lines,
@@ -77,8 +77,8 @@ class _Frozen:
 def _weight_column(weights, u: np.ndarray, v: np.ndarray, what: str) -> np.ndarray:
     """The weights of the (undirected) map along the (u, v) columns, as int64.
     Raises ValueError unless its canonical keys are exactly those pairs, two
-    keys that name one pair agree, and every weight is an integer (a numpy
-    integer too) that fits in int64."""
+    keys that name one pair agree, and every weight is a non-negative integer
+    (a numpy integer too) that fits in int64."""
     w = {canonical_edge(False, a, b): x for (a, b), x in weights.items()}
     if len(w) < len(weights):  # some pair is named twice: its weights must agree
         for (a, b), x in weights.items():
@@ -89,12 +89,15 @@ def _weight_column(weights, u: np.ndarray, v: np.ndarray, what: str) -> np.ndarr
     if len(w) != len(keys) or not all(map(w.__contains__, keys)):
         raise ValueError(f"weights must cover exactly the {what}")
     try:
-        return np.fromiter(map(index, map(w.__getitem__, keys)), np.int64, len(keys))
+        col = np.fromiter(map(index, map(w.__getitem__, keys)), np.int64, len(keys))
     except TypeError:
         e = next(e for e in keys if not hasattr(type(w[e]), "__index__"))
         raise ValueError(f"non-integer weight {w[e]!r} on {e}") from None
     except OverflowError:
         raise ValueError("weight does not fit in int64") from None
+    if (col < 0).any():
+        raise ValueError(f"negative weight on {keys[int(np.argmax(col < 0))]}")
+    return col
 
 
 def _pair_view(u: np.ndarray, v: np.ndarray) -> frozenset[tuple[int, int]]:
@@ -153,9 +156,6 @@ class Graph(_Frozen):
             if directed:
                 raise ValueError("weighted graphs are undirected")
             w = _weight_column(weights, u, v, "edge set")
-            if (w < 0).any():
-                i = int(np.argmax(w < 0))
-                raise ValueError(f"negative weight on {(int(u[i]), int(v[i]))}")
         self._fill(directed, n, u, v, w)
         if directed and isinstance(edges, frozenset):  # canonical already: its own view
             self.__dict__["edges"] = edges

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compression import DagCompression, validate
-from .generators import RookSpec, rook_canonical_compression
+from .generators import RookSpec, rook_canonical_compression, rook_graph
 from .graphs import Graph, canonical_edge, neighborhoods
 
 
@@ -260,9 +260,9 @@ def dag_compress_greedy(g: Graph) -> DagCompression:
     n = g.n
     direct = DagCompression(
         directed=g.directed, n_sinks=n, n_clusters=0,
-        arcs=frozenset(), cedges=g.edges,
+        arcs=frozenset(), cedges=np.column_stack((g.u, g.v)),
     )
-    if n == 0 or not g.edges:
+    if not g.m:
         return direct
 
     # Units are vertex ids (sinks, later cluster ids). Between distinct units
@@ -358,8 +358,6 @@ class GapRecord:
 
 def gap_experiment(g_values, merge_policy: str = "similarity") -> list[GapRecord]:
     """Canonical DAG size vs measured tree-compression size per grid side g."""
-    from .generators import rook_graph
-
     records = []
     for g_side in g_values:
         spec = RookSpec(g=g_side, d=2)
@@ -374,7 +372,7 @@ def gap_experiment(g_values, merge_policy: str = "similarity") -> list[GapRecord
                 n=spec.n,
                 dag_size=dag.size(),
                 tree_size=tree.size(),
-                tree_cedges=len(tree.cedges),
+                tree_cedges=len(tree.cedge_u),
                 ratio=tree.size() / dag.size(),
                 seconds=elapsed,
             )

@@ -88,7 +88,8 @@ def kruskal_baseline(g: Graph) -> MstResult:
 def _links(d: DagCompression) -> Iterator[tuple[int, int, int]]:
     """The links of compressed Kruskal, in order (see the module docstring)."""
     index = d._index
-    rep = index.representatives()
+    index.check()
+    rep = index.rep
     ptr, ind = index.indptr.tolist(), index.indices.tolist()
     clean = bytearray(b"\0" + b"\1" * d.n_sinks + b"\0" * d.n_clusters)
     # cedges are sorted by (u, v), so a stable sort by weight gives the (w, (u, v)) order.
@@ -115,7 +116,8 @@ def kruskal_compressed(d: DagCompression) -> MstResult:
     """Kruskal directly on a weighted undirected compression.
 
     Returns a minimum spanning forest of decompress(d) without ever
-    materializing cluster sets.
+    materializing cluster sets. Raises ValueError on an unweighted or an
+    invalid compression.
     """
     if not d.weighted:
         raise ValueError("compressed Kruskal needs a weighted undirected compression")

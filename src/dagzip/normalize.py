@@ -14,7 +14,7 @@ itself: none of them expands it or builds its cluster sets.
   become arcs, after which every cluster describes target-shore sinks only;
   size changes only by the removed vertices' arcs. Which shores each vertex
   reaches is read off in one pass over the reverse topological order of the
-  DAG index.
+  DAG index, whose check() refuses an invalid compression first.
 - twin_single_edge repeatedly bundles two compression-edge targets shared by
   a twin pair into a fresh cluster vertex (four edges out, two arcs plus two
   edges in), until each listed twin keeps at most one compression edge;
@@ -75,7 +75,8 @@ def twin_normalize(d: DagCompression, twin_pairs) -> DagCompression:
 def shore_normalize(d: DagCompression, shores: ShorePartition) -> DagCompression:
     """Push every cluster vertex onto the target shore.
 
-    Requires a directed compression whose encoded graph goes from shore1
+    Requires a well-formed directed compression (an invalid one raises
+    ValueError in validate()'s words) whose encoded graph goes from shore1
     into shore2. side[v] has bit 1 when v reaches a shore1 sink and bit 2
     when it reaches a shore2 sink. Every C(v) is non-empty, so the
     encoded edges all go shore1 -> shore2 exactly when every
@@ -88,7 +89,7 @@ def shore_normalize(d: DagCompression, shores: ShorePartition) -> DagCompression
     if not d.directed:
         raise ValueError("shore_normalize is defined for directed compressions")
     index, s, n = d._index, d.n_sinks, d.n_vertices
-    index.representatives()  # raises on a cycle or a cluster vertex without arcs
+    index.check()
     if shores.shore1 | shores.shore2 != frozenset(range(1, s + 1)):
         raise ValueError("shores must partition the vertex set")
     ptr, ind = index.indptr.tolist(), index.indices.tolist()
@@ -107,20 +108,12 @@ def shore_normalize(d: DagCompression, shores: ShorePartition) -> DagCompression
         if side[u] != 1 or side[v] != 2:
             raise ValueError(f"compression edge ({u},{v}) does not go from shore1 to shore2")
         targets[u].append(v)
-    # A source-side cluster can be switched once all its parents are: it is
-    # stuck below an arc from a sink, which only unvalidated input has.
-    stuck = set()
-    for x in index.order:
-        if x <= s or x in stuck:
-            stuck.update(y for y in kids[x] if y > s and side[y] == 1)
-    if stuck:
-        raise ValueError(f"source-shore clusters {sorted(stuck)} have arcs from "
-                         "outside the source shore")
 
     # Keep the target-side DAG; each switched vertex v gets arcs to its
     # targets, and each child y of v the compression edge (y, v). Parents
-    # come first in the topological order, so targets[v] is complete when v
-    # is reached, and the sink sources hold all compression edges at the end.
+    # come first in the topological order and no sink has an arc, so
+    # targets[v] is complete when v is reached, and the sink sources hold
+    # all compression edges at the end.
     dropped = {v for v in range(s + 1, n + 1) if side[v] != 2}
     arcs = {(u, v) for (u, v) in d.arcs if u not in dropped and v not in dropped}
     for v in index.order:

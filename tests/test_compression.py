@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -7,13 +8,14 @@ from dagzip import (
     CompressionFormatError,
     DagCompression,
     Graph,
+    ShorePartition,
     clusters,
     decompress,
+    kruskal_compressed,
     random_compression,
     read_compression,
     rook_canonical_compression,
-    sink_representatives,
-    topological_order,
+    shore_normalize,
     validate,
     write_compression,
 )
@@ -67,26 +69,38 @@ def test_validate_lists_every_violation():
         "cluster vertex 4 with no outgoing arc",
         "cycle in cluster DAG",
     ]
-    for query in (topological_order, sink_representatives, clusters, decompress):
-        with pytest.raises(ValueError):
-            query(d)
+    cases = [
+        (d.n_sinks, d.n_clusters, d.arcs, d.cedges),
+        (3, 1, {(4, 2), (4, 3)}, {(1, 4)}),  # well-formed
+        (2, 1, {(3, 1), (1, 2)}, {(3, 3)}),  # a sink with an out-arc
+        (1, 2, {(2, 3), (3, 2), (2, 1), (3, 1)}, set()),  # a cycle
+        (2, 1, set(), {(1, 2)}),  # a childless cluster
+    ]
+    for s, c, arcs, cedges in cases:
+        directed = DagCompression(True, s, c, arcs, cedges)
+        weighted = DagCompression(False, s, c, arcs, cedges, weights={e: 1 for e in cedges})
+        shores = ShorePartition(shore1={1}, shore2=set(range(2, s + 1)))
+        violations = validate(directed)
+        assert validate(weighted) == violations
+        for query in (lambda: decompress(directed), lambda: clusters(directed),
+                      lambda: decompress(weighted), lambda: clusters(weighted),
+                      lambda: kruskal_compressed(weighted),
+                      lambda: shore_normalize(directed, shores)):
+            if violations:
+                message = "invalid compression: " + "; ".join(violations)
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    query()
+            else:
+                query()
 
 
 def test_childless_cluster_has_no_representatives():
     d = DagCompression(directed=True, n_sinks=2, n_clusters=1,
                        arcs=frozenset(), cedges=frozenset({(1, 2)}))
-    assert topological_order(d) == [1, 2, 3]
+    assert d._index.order == [1, 2, 3]
+    assert d._index.rep is None
     with pytest.raises(ValueError):
-        sink_representatives(d)
-
-
-def test_query_results_are_callers_own(fig_compression):
-    order = topological_order(fig_compression)
-    order.reverse()
-    assert topological_order(fig_compression) == order[::-1]
-    rep = sink_representatives(fig_compression)
-    rep[9] = 99
-    assert sink_representatives(fig_compression)[9] == 1
+        clusters(d)
 
 
 def test_constructors_convert_lists_and_check_ranges():
@@ -108,6 +122,10 @@ def test_constructors_convert_lists_and_check_ranges():
         with pytest.raises(ValueError):
             DagCompression(directed=True, n_sinks=2, n_clusters=1,
                            arcs=bad_arcs, cedges=bad_cedges)
+    for n_sinks, n_clusters in ((2, -1), (-1, 0)):
+        with pytest.raises(ValueError, match="sink and cluster counts must be non-negative"):
+            DagCompression(directed=True, n_sinks=n_sinks, n_clusters=n_clusters,
+                           arcs=[], cedges=[])
 
 
 def test_validate_weight_coverage():
@@ -116,6 +134,10 @@ def test_validate_weight_coverage():
         with pytest.raises(ValueError, match="weights must cover exactly the compression edges"):
             DagCompression(directed=False, n_sinks=2, n_clusters=0,
                            arcs=frozenset(), cedges=frozenset({(1, 2)}), weights=weights)
+    # negative weights are refused as Graph refuses them
+    with pytest.raises(ValueError, match=r"^negative weight on \(1, 2\)$"):
+        DagCompression(directed=False, n_sinks=2, n_clusters=0,
+                       arcs=frozenset(), cedges=frozenset({(1, 2)}), weights={(1, 2): -5})
 
 
 def test_weighted_compressions_are_undirected():
@@ -180,7 +202,7 @@ def test_cluster_recurrence():
 
 
 def test_representatives_deterministic_choice(fig_compression):
-    rep = sink_representatives(fig_compression)
+    rep = clusters(fig_compression).representative
     # vertex 9 has arc targets {1, 2}; canonical order picks 1 first
     assert rep[9] == 1
     # vertex 10 has arc targets {3, 9}; canonical order picks 3 first

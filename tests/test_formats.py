@@ -357,6 +357,25 @@ def test_declared_graph_vertex_count_is_bounded(monkeypatch, capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_ascii_file_is_a_bad_file_of_its_format(capsys, tmp_path):
+    # Every command reads its input files as ASCII through one loader, which
+    # words an undecodable file as a bad file of the format it expected.
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xe9\n")
+    comp = tmp_path / "t.dagc"
+    comp.write_text("dagc directed\nsinks 3\nclusters 0\narcs 0\ncedges 1\nc 1 3\n")
+    out = ["-o", str(tmp_path / "out")]
+    for what, argv in (("compression", ["decompress", str(bad), *out]),
+                       ("graph", ["compress", "--strategy", "greedy", str(bad), *out]),
+                       ("graph", ["oracle", str(bad)]),
+                       ("shore", ["normalize", "--pass", "shore", "--shores", str(bad), str(comp), *out]),
+                       ("set-cover", ["reduce", "mindag", str(bad), "--out-prefix", str(tmp_path / "r")])):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == (f"error: bad {what} file: 'ascii' codec can't decode "
+                                           "byte 0xe9 in position 0: ordinal not in range(128)\n")
+    assert sorted(tmp_path.iterdir()) == [bad, comp]
+
+
 @pytest.mark.parametrize("text", SETCOVER)
 def test_malformed_setcover(monkeypatch, capsys, tmp_path, text):
     code, err = _piped(monkeypatch, capsys, text,

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -233,6 +234,42 @@ def test_tree_output_pinned(family, policy, directed):
     for g in _pinned_cases(family, directed):
         h.update(write_compression(tree_compress(g, merge_policy=policy)).encode())
     assert h.hexdigest() == TREE_DIGESTS[(family, policy, directed)]
+
+
+def _greedy_cases(directed):
+    for g_side in range(2, 9):
+        g = rook_graph(RookSpec(g=g_side))
+        yield g if directed else Graph(directed=False, n=g.n, edges=g.edges)
+    for seed in range(30):
+        g = random_graph(2 + seed % 13, (0.2, 0.5, 0.8)[seed % 3], seed=seed, directed=directed)
+        yield g
+        # blow every vertex up into 1-3 twins, so classes form and contract
+        rng = random.Random(seed)
+        copies, top = {}, 0
+        for v in range(1, g.n + 1):
+            k = rng.randint(1, 3)
+            copies[v] = range(top + 1, top + k + 1)
+            top += k
+        yield Graph(directed=directed, n=top,
+                    edges=[(a, b) for u, v in g.edges for a in copies[u] for b in copies[v]])
+    yield Graph(directed=directed, n=0, edges=[])
+    yield Graph(directed=directed, n=4, edges=[])
+
+
+# sha256 over the concatenated write_compression texts of dag_compress_greedy
+# on each orientation's cases, taken before the compressor read the columns.
+GREEDY_DIGEST = {
+    True: "0b3a1ab75ff205b21a838b95331a4727c89cbeeba198c6edc20f9cc95e4752e2",
+    False: "0e603a4f31e6e7b1ebedb69d4bc79a07c9288c40dd5852d77dd8dfdf307d97a0",
+}
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_greedy_output_pinned(directed):
+    h = hashlib.sha256()
+    for g in _greedy_cases(directed):
+        h.update(write_compression(dag_compress_greedy(g)).encode())
+    assert h.hexdigest() == GREEDY_DIGEST[directed]
 
 
 @st.composite

@@ -19,7 +19,6 @@ from dagzip import (
     write_compression,
     write_mst,
 )
-from dagzip.compression import sink_representatives
 
 
 def brute_force_mst_weight(g: Graph) -> int:
@@ -153,7 +152,7 @@ def test_weight_order_prefixes_are_nested_minimum_forests(mst_compression):
 
 def test_make_clean_fig_first_step(mst_compression):
     # processing {8, 9}: cleaning 8 connects children 1, 2, 3 to rep(9) = 4
-    assert sink_representatives(mst_compression)[9] == 4
+    assert mst_compression._index.rep[9] == 4
     first = next(_weight_order_prefixes(mst_compression))
     assert kruskal_compressed(first).edges[:3] == [(1, 4, 1), (2, 4, 1), (3, 4, 1)]
 
