@@ -1,7 +1,7 @@
 """The dagzip command line: every subsystem behind one executable.
 
 Exit codes: 0 success, 2 input or usage error, 3 contract violation
-(weight mismatch under --check, validation failure of a produced artifact).
+(weight or forest size mismatch under --check, validation failure of a produced artifact).
 """
 
 from __future__ import annotations
@@ -95,11 +95,11 @@ def cmd_mst(args) -> int:
         raise CliError("mst needs a weighted undirected compression")
     base = kruskal_baseline(decompress(d)) if args.baseline or args.check else None
     result = base if args.baseline and not args.check else kruskal_compressed(d)
-    if args.check and result.total_weight != base.total_weight:
-        raise CliError(
-            f"weight mismatch: compressed {result.total_weight}, baseline {base.total_weight}",
-            CONTRACT_ERROR,
-        )
+    if args.check:  # both are spanning forests of one graph: same weight, same size
+        for what, mine, theirs in (("weight", result.total_weight, base.total_weight),
+                                   ("forest size", len(result.edges), len(base.edges))):
+            if mine != theirs:
+                raise CliError(f"{what} mismatch: compressed {mine}, baseline {theirs}", CONTRACT_ERROR)
     _write_text(args.output, write_mst(result, d.n_sinks))
     return 0
 
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mst", help="minimum spanning forest of a weighted compression")
     p.add_argument("file")
     p.add_argument("--baseline", action="store_true", help="decompress first, run plain Kruskal")
-    p.add_argument("--check", action="store_true", help="run both pipelines, require equal weight")
+    p.add_argument("--check", action="store_true", help="run both pipelines, require equal weight and size")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_mst)
 

@@ -24,7 +24,7 @@ arcs in CSR form (children in ascending order), in-degrees, the Kahn
 topological order and a representative sink per vertex, all O(|V| + |A|).
 The index alone decides whether the compression is well-formed: validate()
 returns its list of violations, and every query that needs a well-formed
-compression (decompress, clusters, compressed Kruskal, shore_normalize)
+compression (decompress, clusters, compressed Kruskal, the normalize passes)
 refuses any other through its check(), in validate()'s words.
 The cluster sets, Theta(n * |clusters|), are built per call, once, as a
 CSR of sorted sink arrays (_cluster_csr); clusters() and decompress() read

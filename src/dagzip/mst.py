@@ -1,29 +1,32 @@
-"""Kruskal's algorithm on weighted undirected DAG compressions.
+"""Kruskal on weighted undirected DAG compressions, and an array Borůvka
+on explicit graphs that checks it.
 
-Both variants are one Kruskal pass (_kruskal) over a stream of weighted
-links between sinks, on a union-find with path halving and union by size:
-O(alpha(n)) amortized per link. The baseline links the edges of an explicit
-graph in (w, (u, v)) order.
+kruskal_compressed never expands a product. It takes the compression edges
+in stable (w, u, v) order on a union-find with path halving and union by
+size, and in one loop over one stack of ints makes u "clean" (its whole
+cluster in one union-find set) towards the representative sink rv of v,
+then v towards ru. A popped vertex c that is unclean is marked clean and
+pushes its children; one that is clean (a sink, or a cluster cleaned
+earlier) links rep[c] to r, the sink the walk cleans towards. A freshly
+cleaned c needs no union-find step: its link would come after its whole
+subtree joined r's set, and rep[c] lies in C(c), so it would be rejected.
+The walk towards ru starts at v, so the link between the two
+representatives is tried only when v is clean. Every link of a walk goes to
+r, so r's root is found once per walk and carried through each union.
+A vertex stays clean once marked, and no DAG vertex is reachable from its
+own subtree, so each arc is walked at most once: O((|A| + |E|) * alpha(n))
+work plus the sort of E. arcs_traversed counts the walked arcs and
+add_edge_calls one link per walked arc plus one per compression edge.
 
-The compressed variant never expands a product. It takes the compression
-edges in the same order, and for {u, v} it first makes u and then v
-"clean" (the whole cluster inside one union-find set): it walks the
-unclean part of the cluster DAG below the vertex, links each child, once
-the child's own subtree is clean, to a fixed representative sink of the
-other endpoint, and finally links the two representatives. The walk reads
-only the arcs, the representatives and which vertices it has marked
-clean, never the union-find, so the link stream (_links) is fixed by the
-compression alone and Kruskal over it is plain Kruskal. A vertex is marked
-clean when the walk first reaches it and stays clean, and a DAG vertex is
-not reachable from its own subtree, so each arc is walked at most once
-over the whole run. Each walked arc yields one link and each compression
-edge one more: at most |A| + |E| links, O((|A| + |E|) * alpha(n)) work
-plus the sort of E, and arcs_traversed = add_edge_calls - |E|.
+kruskal_baseline is Borůvka with hooking and pointer jumping (Shiloach and
+Vishkin). Each edge is keyed by its position in the stable weight order;
+the keys are distinct, so the minimum spanning forest is unique and is
+Kruskal's, and the picks sorted by key come in Kruskal's acceptance order.
+mst --check thus compares two different algorithms.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -52,64 +55,41 @@ class MstResult:
         return frozenset((u, v) for u, v, _ in self.edges)
 
 
-def _kruskal(n: int, links: Iterable[tuple[int, int, int]], n_edges: int) -> MstResult:
-    """Kruskal over links (a, b, w) between sinks 1..n, given in weight order:
-    the forest of the links that join two components, as (min, max, w).
-    n_edges links come from edges and every other one from a walked arc."""
-    parent = list(range(n + 1))
-    size = [1] * (n + 1)
-    forest: list[tuple[int, int, int]] = []
-    count = 0
-    for count, (a, b, w) in enumerate(links, 1):
-        x, y = a, b
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        if x != y:
-            if size[x] < size[y]:
-                x, y = y, x
-            parent[y] = x
-            size[x] += size[y]
-            forest.append((a, b, w) if a <= b else (b, a, w))
-    return MstResult(edges=forest, total_weight=sum(w for _, _, w in forest),
-                     stats=MstStats(add_edge_calls=count, arcs_traversed=count - n_edges))
-
-
 def kruskal_baseline(g: Graph) -> MstResult:
-    """Plain Kruskal on a weighted explicit graph; ties broken by canonical edge order."""
+    """Minimum spanning forest of a weighted explicit graph in Kruskal's
+    order, ties broken by canonical edge order. Each round, every component
+    hooks its root to the other end of its minimum-key edge (of two roots
+    that picked each other, the smaller stays root) and pointer jumping
+    relabels every vertex: O(log n) rounds."""
     if not g.weighted:
         raise ValueError("Kruskal needs a weighted graph")
     # The columns are sorted by (u, v), so a stable sort by weight gives the (w, (u, v)) order.
     order = np.argsort(g.w, kind="stable")
-    return _kruskal(g.n, zip(*(c[order].tolist() for c in (g.u, g.v, g.w))), g.m)
-
-
-def _links(d: DagCompression) -> Iterator[tuple[int, int, int]]:
-    """The links of compressed Kruskal, in order (see the module docstring)."""
-    index = d._index
-    index.check()
-    rep = index.rep
-    ptr, ind = index.indptr.tolist(), index.indices.tolist()
-    clean = bytearray(b"\0" + b"\1" * d.n_sinks + b"\0" * d.n_clusters)
-    # cedges are sorted by (u, v), so a stable sort by weight gives the (w, (u, v)) order.
-    order = np.argsort(d.cedge_w, kind="stable")
-    for u, v, w in zip(*(c[order].tolist() for c in (d.cedge_u, d.cedge_v, d.cedge_w))):
-        ru, rv = rep[u], rep[v]
-        # Clean u towards sink rv, then v towards ru. A popped x >= 1 is
-        # walked; a popped -x links rep(x) to r after x's subtree is clean.
-        for work, r in (([u], rv), ([v], ru)):
-            while work:
-                x = work.pop()
-                if x < 0:
-                    yield rep[-x], r, w
-                elif not clean[x]:
-                    clean[x] = 1
-                    for i in range(ptr[x + 1] - 1, ptr[x] - 1, -1):
-                        c = ind[i]
-                        work.append(-c)
-                        work.append(c)
-        yield ru, rv, w
+    u, v, w = g.u[order], g.v[order], g.w[order]
+    label = np.arange(g.n + 1)
+    live = np.arange(g.m)  # keys of the edges between two components
+    picks = []
+    while True:
+        lu, lv = label[u[live]], label[v[live]]
+        apart = lu != lv
+        live, lu, lv = live[apart], lu[apart], lv[apart]
+        if not len(live):
+            break
+        best = np.full(g.n + 1, g.m)
+        np.minimum.at(best, lu, live)
+        np.minimum.at(best, lv, live)
+        roots = np.flatnonzero(best < g.m)
+        pick = best[roots]
+        label[roots] = other = label[u[pick]] + label[v[pick]] - roots
+        mutual = (label[other] == roots) & (roots < other)
+        label[roots[mutual]] = roots[mutual]
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+        picks.append(pick[~mutual])  # a mutual pair picked one edge: keep it once
+    keys = np.sort(np.concatenate(picks)) if picks else live
+    forest = list(zip(u[keys].tolist(), v[keys].tolist(), w[keys].tolist()))
+    return MstResult(edges=forest, total_weight=sum(w for _, _, w in forest),
+                     stats=MstStats(add_edge_calls=g.m))
 
 
 def kruskal_compressed(d: DagCompression) -> MstResult:
@@ -121,7 +101,42 @@ def kruskal_compressed(d: DagCompression) -> MstResult:
     """
     if not d.weighted:
         raise ValueError("compressed Kruskal needs a weighted undirected compression")
-    return _kruskal(d.n_sinks, _links(d), len(d.cedge_u))
+    index = d._index
+    index.check()
+    parent = list(range(d.n_sinks + 1))
+    size = [1] * (d.n_sinks + 1)
+    rep = index.rep
+    ptr, ind = index.indptr.tolist(), index.indices.tolist()
+    clean = bytearray(b"\0" + b"\1" * d.n_sinks + b"\0" * d.n_clusters)
+    forest: list[tuple[int, int, int]] = []
+    # cedges are sorted by (u, v), so a stable sort by weight gives the (w, (u, v)) order.
+    order = np.argsort(d.cedge_w, kind="stable")
+    for u, v, w in zip(*(c[order].tolist() for c in (d.cedge_u, d.cedge_v, d.cedge_w))):
+        ru, rv = rep[u], rep[v]
+        for work, r in (([] if clean[u] else [u], rv), ([v], ru)):
+            y = r  # r's root, found once and carried through the walk's unions
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            while work:
+                c = work.pop()
+                if not clean[c]:
+                    clean[c] = 1
+                    work += ind[ptr[c]:ptr[c + 1]][::-1]  # the first child pops first
+                    continue  # c's own link to r would be rejected (module docstring)
+                x = a = rep[c]
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                if x != y:
+                    if size[x] < size[y]:
+                        x, y = y, x
+                    parent[y] = x
+                    size[x] += size[y]
+                    y = x
+                    forest.append((a, r, w) if a <= r else (r, a, w))
+    s = d.n_sinks + 1  # the walked arcs are the cleaned clusters' out-arcs
+    arcs = int(index.outdegree[s:][np.frombuffer(clean, bool)[s:]].sum())
+    return MstResult(edges=forest, total_weight=sum(w for _, _, w in forest),
+                     stats=MstStats(add_edge_calls=arcs + len(d.cedge_u), arcs_traversed=arcs))
 
 
 def write_mst(result: MstResult, n: int) -> str:

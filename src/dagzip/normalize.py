@@ -1,8 +1,9 @@
 """Size-preserving rewrite passes on compressions of directed bipartite graphs.
 
 Three passes, each leaving the encoded graph untouched. They are
-defined for unweighted compressions only, and they work on the compression
-itself: none of them expands it or builds its cluster sets.
+defined for unweighted well-formed compressions only (an invalid one is
+refused by the DAG index's check(), in validate()'s words), and they work on
+the compression itself: none of them expands it or builds its cluster sets.
 
 - twin_normalize mirrors the lower-degree member of each twin pair onto the
   other, so twins of the graph become twins of the cluster DAG and of the
@@ -50,6 +51,7 @@ def twin_normalize(d: DagCompression, twin_pairs) -> DagCompression:
     twins, and small callers can compute them on the expanded graph).
     """
     _require_unweighted(d, "twin_normalize")
+    d._index.check()
     arcs = set(d.arcs)
     cedges = set(d.cedges)
 
@@ -143,6 +145,7 @@ def twin_single_edge(d: DagCompression, twin_pairs) -> DagCompression:
     keeping the size and the encoded graph unchanged.
     """
     _require_unweighted(d, "twin_single_edge")
+    d._index.check()
     arcs = set(d.arcs)
     cedges = set(d.cedges)
     next_id = d.n_vertices

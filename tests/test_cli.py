@@ -6,6 +6,7 @@ import pytest
 
 from dagzip import (
     SetCoverInstance,
+    kruskal_compressed,
     read_compression,
     read_graph,
     write_compression,
@@ -300,6 +301,19 @@ def test_weight_mismatch_exits_3(mst_file, capsys, monkeypatch):
     code, _, err = run_cli(["mst", mst_file, "--check"], capsys)
     assert code == 3
     assert "mismatch" in err
+
+
+def test_forest_size_mismatch_exits_3(mst_file, capsys, monkeypatch):
+    import dagzip.cli as cli_mod
+
+    def one_edge_short(d):
+        res = kruskal_compressed(d)
+        res.edges.pop()
+        return res  # total_weight still the right one
+
+    monkeypatch.setattr(cli_mod, "kruskal_compressed", one_edge_short)
+    code, out, err = run_cli(["mst", mst_file, "--check"], capsys)
+    assert (code, out, err) == (3, "", "error: forest size mismatch: compressed 5, baseline 6\n")
 
 
 def test_unwritable_output_exits_2(mst_file, capsys, tmp_path):

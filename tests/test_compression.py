@@ -16,6 +16,8 @@ from dagzip import (
     read_compression,
     rook_canonical_compression,
     shore_normalize,
+    twin_normalize,
+    twin_single_edge,
     validate,
     write_compression,
 )
@@ -75,6 +77,8 @@ def test_validate_lists_every_violation():
         (2, 1, {(3, 1), (1, 2)}, {(3, 3)}),  # a sink with an out-arc
         (1, 2, {(2, 3), (3, 2), (2, 1), (3, 1)}, set()),  # a cycle
         (2, 1, set(), {(1, 2)}),  # a childless cluster
+        (2, 2, {(3, 4), (4, 3), (3, 1), (4, 2)}, {(1, 3)}),  # a two-cluster cycle above sinks 1 and 2
+        (4, 0, {(1, 4)}, {(1, 3), (2, 3)}),  # a sink with an out-arc, no clusters
     ]
     for s, c, arcs, cedges in cases:
         directed = DagCompression(True, s, c, arcs, cedges)
@@ -85,7 +89,9 @@ def test_validate_lists_every_violation():
         for query in (lambda: decompress(directed), lambda: clusters(directed),
                       lambda: decompress(weighted), lambda: clusters(weighted),
                       lambda: kruskal_compressed(weighted),
-                      lambda: shore_normalize(directed, shores)):
+                      lambda: shore_normalize(directed, shores),
+                      lambda: twin_normalize(directed, [(1, 2)] if s > 1 else []),
+                      lambda: twin_single_edge(directed, [])):
             if violations:
                 message = "invalid compression: " + "; ".join(violations)
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -225,6 +225,46 @@ def test_mst_weight_matches_baseline_and_networkx(n_sinks, n_clusters, density, 
     assert mine.stats.arcs_traversed <= len(d.arcs)
 
 
+@st.composite
+def weighted_graphs(draw):
+    """Weighted graphs on 1..n: random edge lists (loops allowed), long paths
+    and stars, each thinned to leave isolated vertices and several
+    components; weights from {1, 2}, a wider range, or ascending along the
+    edge list (the longest hooking chains)."""
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["random", "path", "star"]))
+    if shape == "path":
+        walk = draw(st.permutations(range(1, n + 1)))
+        pairs = list(zip(walk, walk[1:]))
+    elif shape == "star":
+        hub = draw(st.integers(1, n))
+        pairs = [(hub, x) for x in range(1, n + 1) if x != hub]
+    else:
+        vertex = st.integers(1, n)
+        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    if draw(st.booleans()):
+        pairs = [p for p, keep in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                            max_size=len(pairs)))) if keep]
+    kind = draw(st.sampled_from(["ties", "wide", "ascending"]))
+    weights = {}
+    for i, (a, b) in enumerate(pairs):
+        w = i if kind == "ascending" else draw(st.integers(1, 2) if kind == "ties" else st.integers(0, 50))
+        weights[min(a, b), max(a, b)] = w
+    return Graph(directed=False, n=n, edges=list(weights), weights=weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_graphs())
+def test_baseline_is_sequential_kruskal(g):
+    # The direct encoding (no clusters, one compression edge per edge) turns
+    # compressed Kruskal into plain sequential Kruskal.
+    direct = DagCompression(directed=False, n_sinks=g.n, n_clusters=0, arcs=[],
+                            cedges=g.edges, weights=dict(g.weights))
+    base = kruskal_baseline(g)
+    assert base.edges == kruskal_compressed(direct).edges
+    assert base.total_weight == _msf_weight(g)
+
+
 def _pinned_compressions(family):
     if family == "rook":
         for g in range(5, 41):
@@ -251,4 +291,7 @@ def test_compressed_output_pinned(family):
     for d in _pinned_compressions(family):
         r = kruskal_compressed(d)
         h.update(repr((r.edges, r.total_weight, r.stats)).encode())
+        # Counted, not handed to the union-find: every walked arc and every edge is one link.
+        assert r.stats.add_edge_calls == r.stats.arcs_traversed + len(d.cedge_u)
+        assert r.stats.arcs_traversed <= len(d.arc_u)
     assert h.hexdigest() == MST_DIGESTS[family]
