@@ -65,6 +65,13 @@ def _load_compression(path: str, check: bool = True):
     return d
 
 
+def _write_produced(path: str | None, d) -> None:
+    """Write a compression the command made; one that fails validation is a contract violation."""
+    if validate(d):
+        raise CliError("produced compression failed validation", CONTRACT_ERROR)
+    _write_text(path, write_compression(d))
+
+
 def _default_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -171,7 +178,7 @@ def cmd_normalize(args) -> int:
                 out = normalize.twin_single_edge(d, pairs)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    _write_text(args.output, write_compression(out))
+    _write_produced(args.output, out)
     return 0
 
 
@@ -204,10 +211,7 @@ def cmd_compress(args) -> int:
         d = heuristics.tree_compress(g, merge_policy=args.policy)
     else:
         d = heuristics.dag_compress_greedy(g)
-    violations = validate(d)
-    if violations:
-        raise CliError("produced compression failed validation", CONTRACT_ERROR)
-    _write_text(args.output, write_compression(d))
+    _write_produced(args.output, d)
     return 0
 
 

@@ -1,38 +1,41 @@
 """Size-preserving rewrite passes on compressions of directed bipartite graphs.
 
-Three passes, each leaving the encoded graph untouched. They are
-defined for unweighted well-formed compressions only (an invalid one is
-refused by the DAG index's check(), in validate()'s words), and they work on
-the compression itself: none of them expands it or builds its cluster sets.
+Three passes, each leaving the encoded graph untouched. They are defined for
+unweighted well-formed compressions only (an invalid one is refused by the
+DAG index's check(), in validate()'s words), and they work on the
+compression's columns: none of them expands it or builds its cluster sets.
+Each pass hands its arcs and compression edges to one rebuild (_rebuild),
+which removes the cluster vertices left reaching no sink and renumbers.
 
 - twin_normalize mirrors the lower-degree member of each twin pair onto the
   other, so twins of the graph become twins of the cluster DAG and of the
-  compression-edge relation; never grows the size.
+  compression-edge relation; never grows the size. A pair joined by a
+  compression edge (between the two, or a loop on either) is left as it is.
 - shore_normalize (directed compressions only) removes cluster vertices
   whose reachable sinks straddle both shores (such vertices can never carry
   a compression edge) and then switches source-side cluster vertices, parents
   first: their arcs become compression edges and their compression edges
   become arcs, after which every cluster describes target-shore sinks only;
-  size changes only by the removed vertices' arcs. Which shores each vertex
-  reaches is read off in one pass over the reverse topological order of the
-  DAG index, whose check() refuses an invalid compression first.
-- twin_single_edge repeatedly bundles two compression-edge targets shared by
-  a twin pair into a fresh cluster vertex (four edges out, two arcs plus two
-  edges in), until each listed twin keeps at most one compression edge;
-  size-neutral.
+  size changes only by the removed vertices' arcs.
+- twin_single_edge bundles, per twin class (pairs sharing a member form
+  one), two shared compression-edge targets at a time into a fresh cluster
+  vertex, until each twin keeps at most one; size-neutral for a pair.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
+import numpy as np
+
 from .compression import DagCompression
-from .graphs import ShorePartition, canonical_edge
+from .graphs import ShorePartition
 
 
-def _require_unweighted(d: DagCompression, pass_name: str) -> None:
+def _check(d: DagCompression, pass_name: str) -> None:
     if d.weighted:
         raise ValueError(f"{pass_name} is defined for unweighted compressions")
+    d._index.check()
 
 
 def _sink_pairs(d: DagCompression, twin_pairs):
@@ -43,42 +46,52 @@ def _sink_pairs(d: DagCompression, twin_pairs):
         yield pair
 
 
+def _rebuild(d: DagCompression, n: int, arcs, cedges, drop=frozenset()) -> DagCompression:
+    """d's sinks and clusters up to n with these arcs and compression edges, less
+    each vertex in drop and each cluster vertex that then reaches no sink (with
+    their arcs and edges), the kept vertices renumbered in order: sinks keep ids."""
+    s = d.n_sinks
+    out = DagCompression(d.directed, s, n - s, arcs, cedges)
+    if not (drop or out._index.violations):  # each cluster vertex has a child: all reach sinks
+        return out
+    ptr, ind = out._index.indptr.tolist(), out._index.indices.tolist()
+    live = [0 < v <= s for v in range(n + 1)]
+    for v in reversed(out._index.order):  # children first
+        if v > s and v not in drop:
+            live[v] = any(live[k] for k in ind[ptr[v]: ptr[v + 1]])
+    new = np.cumsum(live) * live  # each vertex's id once the dropped ones are gone; 0 if dropped
+    kept = (new[np.column_stack(c)] for c in ((out.arc_u, out.arc_v), (out.cedge_u, out.cedge_v)))
+    return DagCompression(d.directed, s, int(new.max()) - s, *(p[p.all(axis=1)] for p in kept))
+
+
 def twin_normalize(d: DagCompression, twin_pairs) -> DagCompression:
     """Mirror each twin pair's incidences from the lower-total-degree member.
 
     The pairs must be sink pairs that are twins of the graph d encodes; this
     is the caller's responsibility (the reduction constructors know their
-    twins, and small callers can compute them on the expanded graph).
+    twins, and small callers can compute them on the expanded graph). A pair
+    joined by a compression edge (a loop, or one between the two) is skipped.
     """
-    _require_unweighted(d, "twin_normalize")
-    d._index.check()
-    arcs = set(d.arcs)
-    cedges = set(d.cedges)
-
-    def substitute(pairs, src, dst):
-        return {(dst if x == src else x, dst if y == src else y) for (x, y) in pairs}
-
+    _check(d, "twin_normalize")
+    # Arcs (tag 0) and compression edges (tag -1, below every vertex id) in one
+    # table, handled alike: a twin's arcs are its parent arcs, from cluster vertices.
+    rows = np.concatenate([np.column_stack((u, v, np.full(len(u), tag))) for u, v, tag
+                           in ((d.arc_u, d.arc_v, 0), (d.cedge_u, d.cedge_v, -1))])
+    loops = set(d.cedge_u[d.cedge_u == d.cedge_v].tolist())  # no mirror adds or removes one
     for pair in _sink_pairs(d, twin_pairs):
-        # Each twin with its arcs and its compression edges, one scan each.
-        inc = [(t, {e for e in arcs if t in e}, {e for e in cedges if t in e}) for t in pair]
-        (t1, a1, c1), (t2, a2, c2) = inc
-        if substitute(a1, t1, 0) == substitute(a2, t2, 0) and \
-           substitute(c1, t1, 0) == substitute(c2, t2, 0):
+        on = [(rows[:, :2] == t).any(axis=1) for t in pair]  # each twin's arcs and edges
+        if loops.intersection(pair) or (on[0] & on[1]).any():
             continue
         # The source has the lower degree; the first twin on a tie.
-        (src, sa, sc), (dst, da, dc) = sorted(inc, key=lambda i: len(i[1]) + len(i[2]))
-        arcs -= da
-        cedges -= dc
-        arcs |= substitute(sa, src, dst)
-        cedges |= {canonical_edge(d.directed, *e) for e in substitute(sc, src, dst)}
-    return DagCompression(d.directed, d.n_sinks, d.n_clusters, frozenset(arcs), frozenset(cedges))
+        (src, sm), (dst, dm) = sorted(zip(pair, on), key=lambda i: np.count_nonzero(i[1]))
+        rows = np.concatenate((rows[~dm], np.where(rows[sm] == src, dst, rows[sm])))
+    return _rebuild(d, d.n_vertices, *(rows[rows[:, 2] == tag, :2] for tag in (0, -1)))
 
 
 def shore_normalize(d: DagCompression, shores: ShorePartition) -> DagCompression:
     """Push every cluster vertex onto the target shore.
 
-    Requires a well-formed directed compression (an invalid one raises
-    ValueError in validate()'s words) whose encoded graph goes from shore1
+    Requires a directed compression whose encoded graph goes from shore1
     into shore2. side[v] has bit 1 when v reaches a shore1 sink and bit 2
     when it reaches a shore2 sink. Every C(v) is non-empty, so the
     encoded edges all go shore1 -> shore2 exactly when every
@@ -87,19 +100,15 @@ def shore_normalize(d: DagCompression, shores: ShorePartition) -> DagCompression
     cluster vertices are switched, or removed when they carry no
     compression edge at all.
     """
-    _require_unweighted(d, "shore_normalize")
+    _check(d, "shore_normalize")
     if not d.directed:
         raise ValueError("shore_normalize is defined for directed compressions")
     index, s, n = d._index, d.n_sinks, d.n_vertices
-    index.check()
     if shores.shore1 | shores.shore2 != frozenset(range(1, s + 1)):
         raise ValueError("shores must partition the vertex set")
     ptr, ind = index.indptr.tolist(), index.indices.tolist()
     kids = [ind[ptr[v]: ptr[v + 1]] for v in range(n + 1)]
-    side = [0] * (n + 1)
-    for bit, shore in ((1, shores.shore1), (2, shores.shore2)):
-        for v in shore:
-            side[v] = bit
+    side = [0] + [1 if v in shores.shore1 else 2 for v in range(1, s + 1)] + [0] * (n - s)
     for v in reversed(index.order):
         if v > s:
             for k in kids[v]:
@@ -112,61 +121,48 @@ def shore_normalize(d: DagCompression, shores: ShorePartition) -> DagCompression
         targets[u].append(v)
 
     # Keep the target-side DAG; each switched vertex v gets arcs to its
-    # targets, and each child y of v the compression edge (y, v). Parents
-    # come first in the topological order and no sink has an arc, so
-    # targets[v] is complete when v is reached, and the sink sources hold
-    # all compression edges at the end.
+    # targets, and each child y of v the compression edge (y, v). Parents come
+    # first in the topological order and sinks have no arcs, so targets[v] is
+    # complete when v is reached and the sinks hold all compression edges.
     dropped = {v for v in range(s + 1, n + 1) if side[v] != 2}
-    arcs = {(u, v) for (u, v) in d.arcs if u not in dropped and v not in dropped}
+    arcs = [(u, v) for u, v in zip(d.arc_u.tolist(), d.arc_v.tolist()) if side[u] == 2]
     for v in index.order:
         if v > s and side[v] == 1 and targets[v]:
-            arcs.update((v, t) for t in targets[v])
+            arcs += ((v, t) for t in targets[v])
             for y in kids[v]:
                 targets[y].append(v)
             dropped.discard(v)
-
-    kept = [v for v in range(1, n + 1) if v not in dropped]
-    remap = dict(zip(kept, range(1, n + 1)))  # sinks keep their ids
-    return DagCompression(
-        directed=True,
-        n_sinks=s,
-        n_clusters=len(kept) - s,
-        arcs=[(remap[u], remap[v]) for (u, v) in arcs],
-        cedges=[(u, remap[t]) for u in range(1, s + 1) for t in targets[u]],
-    )
+    return _rebuild(d, n, arcs, [(u, t) for u in range(1, s + 1) for t in targets[u]], dropped)
 
 
 def twin_single_edge(d: DagCompression, twin_pairs) -> DagCompression:
-    """Reduce every listed twin pair to a single compression edge each.
+    """Reduce every twin of the listed pairs to a single compression edge.
 
-    Requires the twin and shore passes to have run: both twins of a pair
-    must carry identical compression-edge target sets and no arcs. Each step
-    replaces the edges to two shared targets by a fresh cluster over them,
-    keeping the size and the encoded graph unchanged.
+    Pairs that share a member form one class. Requires the twin and shore
+    passes to have run: the twins of a class must carry identical target
+    sets and no arcs. Each step swaps the k twins' 2k edges to two shared
+    targets for k edges to a fresh cluster over both plus its two arcs: it
+    keeps the graph, is size-neutral for a pair and never grows a class.
     """
-    _require_unweighted(d, "twin_single_edge")
-    d._index.check()
-    arcs = set(d.arcs)
-    cedges = set(d.cedges)
-    next_id = d.n_vertices
-
-    for pair in _sink_pairs(d, twin_pairs):
-        for t in pair:
-            if any(t in e for e in arcs):
-                raise ValueError(f"twin {t} still has incident arcs; run shore_normalize first")
-            if any(y == t for (_, y) in cedges):
-                raise ValueError(f"twin {t} used as compression-edge target")
-        targets1, targets2 = (sorted(y for (x, y) in cedges if x == t) for t in pair)
-        if targets1 != targets2:
-            raise ValueError(f"twins {pair} have different targets; run twin_normalize first")
-        targets = targets1
+    _check(d, "twin_single_edge")
+    classes = {}  # each twin's class so far, as an ascending tuple
+    for t1, t2 in _sink_pairs(d, twin_pairs):
+        joined = tuple(sorted({*classes.get(t1, (t1,)), *classes.get(t2, (t2,))}))
+        classes.update(dict.fromkeys(joined, joined))
+    cu, cv, next_id = d.cedge_u.tolist(), d.cedge_v.tolist(), d.n_vertices
+    row = np.searchsorted(d.cedge_u, np.arange(d.n_sinks + 2)).tolist()  # t's edges: row[t]:row[t + 1]
+    arcs, cedges = [], [(u, v) for u, v in zip(cu, cv) if u not in classes]
+    for cls in sorted(set(classes.values())):
+        for t in cls:
+            if d._index.indegree[t] or t in cv:
+                raise ValueError(f"twin {t} has a parent arc or an in-edge; run shore_normalize first")
+        targets = [cv[row[t]: row[t + 1]] for t in cls]  # ascending: the columns are sorted
+        if targets.count(targets[0]) < len(cls):
+            raise ValueError(f"twins {cls} have different targets; run twin_normalize first")
+        targets = targets[0]
         while len(targets) >= 2:
-            u, v = targets[0], targets[1]
             next_id += 1
-            for t in pair:
-                cedges -= {(t, u), (t, v)}
-                cedges.add((t, next_id))
-            arcs |= {(next_id, u), (next_id, v)}
+            arcs += [(next_id, targets[0]), (next_id, targets[1])]
             targets = targets[2:] + [next_id]  # the fresh id is the largest
-    return DagCompression(d.directed, d.n_sinks, next_id - d.n_sinks,
-                          frozenset(arcs), frozenset(cedges))
+        cedges += [(t, y) for t in cls for y in targets]
+    return _rebuild(d, next_id, [*zip(d.arc_u.tolist(), d.arc_v.tolist()), *arcs], cedges)

@@ -5,10 +5,13 @@ import io
 import pytest
 
 from dagzip import (
+    DagCompression,
     SetCoverInstance,
+    decompress,
     kruskal_compressed,
     read_compression,
     read_graph,
+    validate,
     write_compression,
     write_setcover,
     write_shores,
@@ -256,6 +259,72 @@ def test_normalize_cli_refuses_weighted(tmp_path, capsys, pass_name):
     _one_line_error(code, err, "is defined for unweighted compressions")
     assert not out.exists()
 
+
+
+def _normalize_files(tmp_path, dagc, shores):
+    comp, shore_file = tmp_path / "in.dagc", tmp_path / "in.shores"
+    comp.write_text(dagc, encoding="ascii")
+    shore_file.write_text(shores, encoding="ascii")
+    return str(comp), str(shore_file)
+
+
+def _normalize_chain(tmp_path, capsys, comp, shores, passes):
+    """Run the passes in turn from comp; the last output as a compression."""
+    for i, pass_name in enumerate(passes):
+        out = str(tmp_path / f"out{i}.dagc")
+        code, _, err = run_cli(["normalize", "--pass", pass_name, "--shores", shores, comp, "-o", out], capsys)
+        assert code == 0, err
+        comp = out
+    return read_compression((tmp_path / f"out{len(passes) - 1}.dagc").read_text())
+
+
+def test_normalize_cli_keeps_twins_joined_by_edges(tmp_path, capsys):
+    # 1 and 2 are twins with loops and edges both ways, all of shore1
+    comp, shores = _normalize_files(tmp_path, "dagc directed\nsinks 2\nclusters 0\narcs 0\n"
+                                    "cedges 4\nc 1 1\nc 1 2\nc 2 1\nc 2 2\n", "shore1 2 1 2\nshore2 0\n")
+    out = _normalize_chain(tmp_path, capsys, comp, shores, ["twins"])
+    assert out == read_compression(open(comp).read())
+
+
+def test_normalize_cli_twins_output_is_valid(tmp_path, capsys):
+    # mirroring twin 4 onto 3 leaves clusters 5 and 6 with no child
+    comp, shores = _normalize_files(tmp_path, "dagc directed\nsinks 4\nclusters 3\narcs 4\n"
+                                    "a 5 3\na 6 3\na 7 1\na 7 2\ncedges 3\nc 4 7\nc 5 1\nc 6 2\n",
+                                    "shore1 2 3 4\nshore2 2 1 2\n")
+    out = _normalize_chain(tmp_path, capsys, comp, shores, ["twins"])
+    assert validate(out) == []
+    assert decompress(out) == decompress(read_compression(open(comp).read()))
+    assert out.size() <= 7
+
+
+def test_normalize_cli_chain_on_a_twin_class(tmp_path, capsys):
+    # sources 3, 4 and 5 each reach sinks 1 and 2: three twin pairs, one class
+    cedges = "".join(f"c {t} {y}\n" for t in (3, 4, 5) for y in (1, 2))
+    comp, shores = _normalize_files(tmp_path, f"dagc directed\nsinks 5\nclusters 0\narcs 0\ncedges 6\n{cedges}",
+                                    "shore1 3 3 4 5\nshore2 2 1 2\n")
+    out = _normalize_chain(tmp_path, capsys, comp, shores, ["twins", "shore", "single-edge"])
+    assert validate(out) == []
+    assert decompress(out) == decompress(read_compression(open(comp).read()))
+    assert out.cedges == frozenset({(3, 6), (4, 6), (5, 6)}) and out.size() == 5
+
+
+@pytest.mark.parametrize("command", ["compress", "normalize"])
+def test_produced_compression_is_validated(tmp_path, capsys, monkeypatch, command):
+    import dagzip.cli as cli_mod
+
+    invalid = DagCompression(directed=True, n_sinks=2, n_clusters=1, arcs=[], cedges=[(1, 2)])
+    monkeypatch.setattr(cli_mod.heuristics, "tree_compress", lambda g, merge_policy: invalid)
+    monkeypatch.setattr(cli_mod.normalize, "twin_normalize", lambda d, pairs: invalid)
+    comp, shores = _normalize_files(tmp_path, "dagc directed\nsinks 2\nclusters 0\narcs 0\ncedges 1\nc 1 2\n",
+                                    "shore1 1 1\nshore2 1 2\n")
+    graph = tmp_path / "in.graph"
+    graph.write_text("graph directed 2 1\ne 1 2\n", encoding="ascii")
+    out = tmp_path / "out.dagc"
+    argv = {"compress": ["compress", "--strategy", "tree", str(graph)],
+            "normalize": ["normalize", "--pass", "twins", "--shores", shores, comp]}[command]
+    code, _, err = run_cli(argv + ["-o", str(out)], capsys)
+    assert (code, err) == (3, "error: produced compression failed validation\n")
+    assert not out.exists()
 
 def test_gap_cli(tmp_path, capsys):
     out = tmp_path / "gap.csv"

@@ -5,13 +5,17 @@ import pytest
 
 from dagzip import (
     DagCompression,
+    Graph,
     ShorePartition,
     clusters,
+    dag_compress_greedy,
     decompress,
     shore_normalize,
+    tree_compress,
     twin_normalize,
     twin_single_edge,
     twinned_incidence,
+    twins,
     validate,
     write_compression,
 )
@@ -329,3 +333,60 @@ def test_shore_normalize_rejects_arcs_from_sinks():
     shores = ShorePartition(shore1=frozenset({1, 2}), shore2=frozenset({3}))
     with pytest.raises(ValueError, match="invalid compression: original vertex 1 has outgoing arc"):
         shore_normalize(d, shores)
+
+
+def test_twin_normalize_skips_twins_joined_by_an_edge():
+    # the loops and the edge {1, 2} join the twins: a mirror of 1 onto 2 drops {1, 2}
+    d = DagCompression(directed=False, n_sinks=2, n_clusters=0, arcs=[],
+                       cedges=[(1, 1), (1, 2), (2, 2)])
+    assert twin_normalize(d, [(1, 2)]) == d
+
+
+def test_twin_normalize_removes_clusters_left_without_sinks():
+    # mirroring 4 onto 3 removes the arcs (5, 3) and (6, 3); clusters 5 and 6
+    # then reach no sink, nor does 8, whose one child is 5
+    d = DagCompression(directed=True, n_sinks=4, n_clusters=4,
+                       arcs=[(5, 3), (6, 3), (7, 1), (7, 2), (8, 5)],
+                       cedges=[(4, 7), (8, 1), (6, 2)])
+    out = twin_normalize(d, [(3, 4)])
+    assert validate(out) == []
+    assert decompress(out) == decompress(d)
+    assert out == DagCompression(directed=True, n_sinks=4, n_clusters=1, arcs=[(5, 1), (5, 2)],
+                                 cedges=[(3, 5), (4, 5)])
+
+
+def test_twin_single_edge_bundles_a_class_once():
+    # sources 3, 4 and 5 each reach sinks 1 and 2: pairs that share a member form one class
+    d = DagCompression(directed=True, n_sinks=5, n_clusters=0, arcs=[],
+                       cedges=[(t, y) for t in (3, 4, 5) for y in (1, 2)])
+    out = twin_single_edge(d, [(3, 4), (3, 5), (4, 5)])
+    assert out == DagCompression(directed=True, n_sinks=5, n_clusters=1, arcs=[(6, 1), (6, 2)],
+                                 cedges=[(3, 6), (4, 6), (5, 6)])
+    assert out.size() == d.size() - 1
+    assert twin_single_edge(d, [(4, 5), (3, 4)]) == out
+    uneven = DagCompression(directed=True, n_sinks=5, n_clusters=0, arcs=[],
+                            cedges=[(3, 1), (3, 2), (4, 1), (4, 2), (5, 1)])
+    with pytest.raises(ValueError, match=r"twins \(3, 4, 5\) have different targets"):
+        twin_single_edge(uneven, [(3, 4), (4, 5)])
+
+
+def test_twin_normalize_differential():
+    """On small random graphs with twins, encoded directly, by the tree
+    compressor and by the greedy one, the twin pass keeps a valid compression
+    of the same graph and never grows it."""
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(2000):
+        n, directed = rng.randint(2, 6), rng.random() < 0.5
+        g = Graph(directed, n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+                                if (directed or u <= v) and rng.random() < 0.5])
+        pairs = twins(g)
+        if not pairs:
+            continue
+        for d in (DagCompression(directed, n, 0, [], g.edges), tree_compress(g), dag_compress_greedy(g)):
+            out = twin_normalize(d, pairs)
+            assert validate(out) == []
+            assert decompress(out) == g
+            assert out.size() <= d.size()
+            checked += 1
+    assert checked > 900
