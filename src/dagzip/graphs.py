@@ -194,15 +194,20 @@ class ShorePartition:
             raise ValueError("shores must be disjoint")
 
 
-def neighborhoods(g: Graph) -> tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]]:
-    """Per-vertex (in, out) neighborhood sets; for undirected graphs both maps coincide."""
-    ins: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
-    outs: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
-    tails, heads = (g.u, g.v) if g.directed else (np.r_[g.u, g.v], np.r_[g.v, g.u])
-    for u, v in zip(tails.tolist(), heads.tolist()):
+def _twin_classes(g: Graph) -> dict[tuple[frozenset[int], frozenset[int]], list[int]]:
+    """The vertices grouped by their (in, out) neighborhood sets, keyed by them:
+    ascending members, groups in smallest-member order. For undirected graphs
+    in and out coincide."""
+    outs = [set() for _ in range(g.n + 1)]
+    ins = [set() for _ in range(g.n + 1)] if g.directed else outs
+    for u, v in zip(g.u.tolist(), g.v.tolist()):
         outs[u].add(v)
         ins[v].add(u)
-    return {v: frozenset(s) for v, s in ins.items()}, {v: frozenset(s) for v, s in outs.items()}
+    groups = defaultdict(list)
+    for v in range(1, g.n + 1):
+        out = frozenset(outs[v])
+        groups[frozenset(ins[v]) if g.directed else out, out].append(v)
+    return groups
 
 
 def twins(g: Graph) -> set[frozenset[int]]:
@@ -212,11 +217,7 @@ def twins(g: Graph) -> set[frozenset[int]]:
     ordinary neighborhood members. Pairs within one equivalence class are all
     reported, which makes the result transitively closed by construction.
     """
-    ins, outs = neighborhoods(g)
-    groups: dict[tuple[frozenset[int], frozenset[int]], list[int]] = defaultdict(list)
-    for v in range(1, g.n + 1):
-        groups[(ins[v], outs[v])].append(v)
-    return {frozenset(p) for members in groups.values() for p in combinations(members, 2)}
+    return {frozenset(p) for members in _twin_classes(g).values() for p in combinations(members, 2)}
 
 
 INT64_MAX = 2 ** 63 - 1  # counts, vertex ids and weights must fit in int64

@@ -34,6 +34,7 @@ matrices are live at a time.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import time
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ import numpy as np
 
 from .compression import DagCompression, validate
 from .generators import RookSpec, rook_canonical_compression, rook_graph
-from .graphs import Graph, canonical_edge, neighborhoods
+from .graphs import Graph, _twin_classes
 
 
 def validate_tree_compression(d: DagCompression) -> list[str]:
@@ -248,101 +249,47 @@ def tree_compress(g: Graph, merge_policy: str = "similarity") -> DagCompression:
 
 
 def dag_compress_greedy(g: Graph) -> DagCompression:
-    """Greedy compressor: contract exact-twin classes one at a time.
+    """Greedy compressor: contract twin classes of g into cluster vertices, one at a time.
 
-    Each round groups the current units by their quotient neighborhoods,
-    scores every class of two or more units by the size saved if it were
-    contracted into a shared cluster vertex, and contracts the best class
-    (re-grouping afterwards, so savings never double-count shared edges).
-    Remaining quotient edges are emitted directly. Falls back to the direct
-    encoding whenever that is smaller, so the result never exceeds |E|.
+    The members of a twin class K share their in- and out-neighborhoods, so
+    every neighborhood holds all of K or none of it. Hence K meets itself all
+    or nothing, and contracting K into a cluster vertex c, which maps each
+    neighborhood s to (s - K) | {c}, makes no new twins: the classes are g's
+    own, found once. While some class would save size, the first one (in
+    smallest-member order) with the largest saving on its current
+    neighborhoods is contracted. The edges between the final units are then
+    emitted directly. Falls back to the direct encoding whenever that is
+    smaller, so the result never exceeds |E|.
     """
     n = g.n
-    direct = DagCompression(
-        directed=g.directed, n_sinks=n, n_clusters=0,
-        arcs=frozenset(), cedges=np.column_stack((g.u, g.v)),
-    )
+    direct = DagCompression(g.directed, n, 0, frozenset(), np.column_stack((g.u, g.v)))
     if not g.m:
         return direct
+    classes = [(nbs, frozenset(k)) for nbs, k in _twin_classes(g).items() if len(k) > 1]
+    unit = list(range(n + 1))  # each vertex's cluster vertex once its class is contracted
 
-    # Units are vertex ids (sinks, later cluster ids). Between distinct units
-    # the quotient relation is all-or-nothing: members of a class are twins,
-    # so a unit's neighborhood contains a class entirely or not at all. Only
-    # a class's relation to its own members can be partial; those products
-    # are emitted at member granularity the moment the class forms.
-    units = list(range(1, n + 1))
-    gi, go = neighborhoods(g)
-    out_nb: dict[int, frozenset[int]] = {v: go[v] for v in units}
-    in_nb: dict[int, frozenset[int]] = {v: gi[v] for v in units}
+    def saving(i):
+        (inn, out), k = classes[i]
+        outside = len({unit[x] for x in inn - k}) + len({unit[x] for x in out - k})
+        return (len(k) - 1) * outside - len(k) + (len(k) ** 2 - 1 if k <= out else 0)
 
-    arcs: set[tuple[int, int]] = set()
-    cedges: set[tuple[int, int]] = set()
-    next_id = n
-    n_clusters = 0
-
-    def class_saving(members, inn, out):
-        k = len(members)
-        g_set = frozenset(members)
-        saving = (k - 1) * (len(out - g_set) + len(inn - g_set)) - k
-        inside = out & g_set
-        if inside == g_set:
-            saving += k * k - 1
-        else:
-            saving += (k - 1) * len(inside)
-        return saving
-
-    while True:
-        groups: dict[tuple[frozenset[int], frozenset[int]], list[int]] = {}
-        for u in units:
-            groups.setdefault((in_nb[u], out_nb[u]), []).append(u)
-        best_key = None
-        best_saving = 0
-        for key in sorted(groups, key=lambda k: min(groups[k])):
-            members = groups[key]
-            if len(members) < 2:
-                continue
-            saving = class_saving(members, *key)
-            if saving > best_saving:
-                best_saving = saving
-                best_key = key
-        if best_key is None:
-            break
-        members = sorted(groups[best_key])
-        inn, out = best_key
-        g_set = frozenset(members)
-        next_id += 1
-        n_clusters += 1
-        c = next_id
-        for u in members:
-            arcs.add((c, u))
-        full_self = g_set <= out
-        if not full_self:
-            for w in sorted(out & g_set):
-                cedges.add(canonical_edge(g.directed, c, w))
-        mu = {u: (c if u in g_set else u) for u in units}
-        new_units = [c] + [u for u in units if u not in g_set]
-        new_out = {c: frozenset({mu[x] for x in out - g_set} | ({c} if full_self else set()))}
-        new_in = {c: frozenset({mu[x] for x in inn - g_set} | ({c} if full_self else set()))}
-        for u in units:
-            if u in g_set:
-                continue
-            new_out[u] = frozenset(mu[x] for x in out_nb[u])
-            new_in[u] = frozenset(mu[x] for x in in_nb[u])
-        out_nb, in_nb, units = new_out, new_in, new_units
-
-    for u in units:
-        for v in out_nb[u]:
-            cedges.add(canonical_edge(g.directed, u, v))
-    result = DagCompression(
-        directed=g.directed,
-        n_sinks=n,
-        n_clusters=n_clusters,
-        arcs=frozenset(arcs),
-        cedges=frozenset(cedges),
-    )
-    if result.size() > direct.size():
-        return direct
-    return result
+    # Savings only fall as classes are contracted, so a top entry whose saving,
+    # recomputed, has not fallen is the first class with the largest saving.
+    heap = [(-saving(i), i) for i in range(len(classes))]
+    heapq.heapify(heap)
+    arcs, c = [], n
+    while heap and heap[0][0] < 0:
+        s, i = heapq.heappop(heap)
+        if (now := saving(i)) < -s:
+            heapq.heappush(heap, (-now, i))
+            continue
+        c += 1
+        for v in classes[i][1]:
+            unit[v] = c
+            arcs.append((c, v))
+    units = np.array(unit)
+    result = DagCompression(g.directed, n, c - n, arcs, np.column_stack((units[g.u], units[g.v])))
+    return direct if result.size() > direct.size() else result
 
 
 @dataclass

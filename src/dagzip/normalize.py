@@ -39,10 +39,11 @@ def _check(d: DagCompression, pass_name: str) -> None:
 
 
 def _sink_pairs(d: DagCompression, twin_pairs):
-    """The pairs as ascending (t1, t2) tuples, in order; raises on reaching a non-sink."""
+    """The pairs as ascending (t1, t2) tuples, in order; raises on reaching one
+    that is not two distinct sinks."""
     for pair in sorted(tuple(sorted(p)) for p in twin_pairs):
-        if pair[1] > d.n_sinks:
-            raise ValueError(f"twin pair {pair} must consist of sinks")
+        if len(pair) != 2 or not 1 <= pair[0] < pair[1] <= d.n_sinks:
+            raise ValueError(f"twin pair {pair} must be two distinct sinks")
         yield pair
 
 

@@ -126,6 +126,10 @@ def test_greedy_rook_has_no_twins_to_use():
     assert decompress(out) == graph
 
 
+def _twin_class(g, v):
+    return {v} | {w for p in twins(g) if v in p for w in p}
+
+
 def test_greedy_never_exceeds_direct():
     for seed in range(120):
         g = random_graph(2 + seed % 7, 0.45, seed=seed, directed=bool(seed % 2))
@@ -133,21 +137,21 @@ def test_greedy_never_exceeds_direct():
         assert validate(out) == []
         assert decompress(out) == g
         assert out.size() <= g.m
+        for c in range(out.n_sinks + 1, out.n_vertices + 1):  # clusters are g's own classes
+            children = {v for u, v in out.arcs if u == c}
+            assert children == _twin_class(g, min(children))
 
 
-def test_greedy_nested_contraction():
-    # two twin groups that become twins of each other after one round
-    edges = set()
-    for u in (1, 2):
-        for v in (5, 6):
-            edges.add((u, v))
-    for u in (3, 4):
-        for v in (5, 6):
-            edges.add((u, v))
-    g = Graph(directed=True, n=6, edges=frozenset(edges))
+def test_greedy_contracts_the_first_of_two_tied_classes():
+    # 1..4 (out-set {5, 6}) and 5, 6 (in-set 1..4) are g's two twin classes,
+    # each saving 2. The first is contracted: 4 arcs and 2 edges. Then {5, 6}
+    # has the one in-neighbor 7 and saves nothing.
+    g = Graph(directed=True, n=6, edges=[(u, v) for u in (1, 2, 3, 4) for v in (5, 6)])
     out = dag_compress_greedy(g)
     assert decompress(out) == g
-    assert out.size() <= 1 + 4 + 2  # one 4-way class + targets is enough
+    assert out.arcs == {(7, 1), (7, 2), (7, 3), (7, 4)}
+    assert out.cedges == {(7, 5), (7, 6)}
+    assert out.size() == 6
 
 
 def test_greedy_not_below_oracle_minimum():
@@ -286,6 +290,19 @@ def test_compressors_round_trip(g):
     for d in (tree_compress(g), tree_compress(g, merge_policy="balanced"), dag_compress_greedy(g)):
         assert validate(d) == []
         assert decompress(d) == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_twin_classes_meet_themselves_all_or_nothing(g):
+    # A member u with an edge u -> w into its class K lies in in(w), which is
+    # in(v) for every member v: so K lies inside out(u), and likewise for in(u).
+    for v in range(1, g.n + 1):
+        k = _twin_class(g, v)
+        out = {w for w in range(1, g.n + 1) if g.has_edge(v, w)}
+        inn = {w for w in range(1, g.n + 1) if g.has_edge(w, v)}
+        assert out & k in (set(), k)
+        assert inn & k in (set(), k)
 
 
 def test_tree_size_guard_is_exact(monkeypatch):

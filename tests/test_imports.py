@@ -1,5 +1,6 @@
 """No module of the package, test file or demo imports a name it never uses,
-and no function of the package has a parameter it never reads.
+no function of the package has a parameter it never reads, and every
+module-level function of the package is exported or referenced.
 
 The package's own __init__.py is exempt from the import check: it imports
 names to re-export them. Dunder methods and parameters whose names start
@@ -57,3 +58,34 @@ def _unread_parameters(tree: ast.Module) -> list[str]:
 def test_no_unread_parameters(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unread_parameters(tree) == []
+
+
+def _names(node: ast.AST, bare: bool) -> set[str]:
+    """The names node takes from modules (from-imported names and attributes),
+    and its bare names too if bare."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.ImportFrom):
+            names.update(alias.name for alias in n.names)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif bare and isinstance(n, ast.Name):
+            names.add(n.id)
+    return names
+
+
+def test_every_package_function_is_exported_or_referenced():
+    # Referenced means imported from its module by another package module, or
+    # named by its own module outside the function's definition. A bare name
+    # in another module is a local of that module, not a reference.
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    exported = _names(trees.pop("__init__.py"), False)
+    unused = []
+    for name, tree in trees.items():
+        others = set().union(*(_names(t, False) for t in trees.values() if t is not tree))
+        for f in tree.body:
+            if isinstance(f, ast.FunctionDef):
+                own = set().union(*(_names(s, True) for s in tree.body if s is not f))
+                if f.name not in exported | others | own:
+                    unused.append(f"{name}: {f.name}")
+    assert unused == []

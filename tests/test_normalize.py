@@ -121,6 +121,14 @@ def test_twin_normalize_requires_sinks():
         twin_normalize(d, [(2, 4)])
 
 
+@pytest.mark.parametrize("normalize", [twin_normalize, twin_single_edge])
+@pytest.mark.parametrize("pair", [frozenset({3}), (3, 4, 1), (3, 3), (0, 3)])
+def test_twin_passes_refuse_pairs_that_are_not_two_distinct_sinks(normalize, pair):
+    d = DagCompression(directed=True, n_sinks=4, n_clusters=0, arcs=[], cedges=[(3, 1), (4, 1)])
+    with pytest.raises(ValueError, match=r"^twin pair \(.*\) must be two distinct sinks$"):
+        normalize(d, [pair])
+
+
 def test_shore_normalize_identity_when_one_shored():
     sets = (frozenset({1, 2}), frozenset({2}))
     tg = twinned_incidence(sets, 2)
