@@ -128,6 +128,12 @@ def random_graph(n: int, p: float, seed: int, directed: bool = True) -> Graph:
     return Graph(directed=directed, n=n, edges=frozenset(edges))
 
 
+# random_compression holds about 240 bytes per arc at its peak (tracemalloc,
+# 338k arcs), so 8M expected arcs is about 2 GB. Larger draws are refused
+# before they start.
+MAX_RANDOM_ARCS = 8_000_000
+
+
 def random_compression(
     n_sinks: int,
     n_clusters: int,
@@ -140,12 +146,19 @@ def random_compression(
 
     Arcs only go from a cluster vertex to lower-numbered vertices, so the
     cluster DAG is acyclic by construction, and every cluster vertex gets at
-    least one out-arc. Weights are uniform in 1..max_weight.
+    least one out-arc. Weights are uniform in 1..max_weight. Cluster vertex
+    n_sinks + i draws over n_sinks + i - 1 lower vertices, so the expected arc
+    count is n_clusters (n_sinks + (n_clusters - 1) / 2) arc_density; above
+    MAX_RANDOM_ARCS it raises ValueError before drawing.
     """
     if n_sinks < 1 or n_clusters < 0 or edge_count < 0 or max_weight < 1:
         raise ValueError("parameters must be positive")
     if not 0.0 < arc_density <= 1.0:
         raise ValueError("arc density must lie in (0, 1]")
+    expected = n_clusters * (n_sinks + (n_clusters - 1) / 2) * arc_density
+    if expected > MAX_RANDOM_ARCS:
+        raise ValueError(f"a random compression of {n_clusters} clusters over {n_sinks} sinks "
+                         f"expects {expected:.0f} arcs, above the limit of {MAX_RANDOM_ARCS}")
     rng = random.Random(seed)
     total = n_sinks + n_clusters
     arcs: set[tuple[int, int]] = set()

@@ -248,6 +248,22 @@ def tree_compress(g: Graph, merge_policy: str = "similarity") -> DagCompression:
     )
 
 
+def _saving(directed: bool, nbs: tuple[frozenset[int], frozenset[int]], k: frozenset[int],
+            unit: list[int]) -> int:
+    """The size change of contracting twin class k into one cluster vertex c,
+    whose members share the (in, out) neighborhoods nbs and where vertex x is
+    now unit[x]. Each member's edges to the outside units become one edge of
+    c each, at the cost of |k| arcs; when k lies in its own neighborhood,
+    the edges inside k (|k|^2, or |k|(|k|+1)/2 undirected) become one loop
+    on c. An undirected class has one neighborhood, counted once."""
+    inn, out = nbs
+    outside = len({unit[x] for x in out - k})
+    if directed:
+        outside += len({unit[x] for x in inn - k})
+    inside = (len(k) ** 2 if directed else len(k) * (len(k) + 1) // 2) - 1 if k <= out else 0
+    return (len(k) - 1) * outside - len(k) + inside
+
+
 def dag_compress_greedy(g: Graph) -> DagCompression:
     """Greedy compressor: contract twin classes of g into cluster vertices, one at a time.
 
@@ -269,9 +285,7 @@ def dag_compress_greedy(g: Graph) -> DagCompression:
     unit = list(range(n + 1))  # each vertex's cluster vertex once its class is contracted
 
     def saving(i):
-        (inn, out), k = classes[i]
-        outside = len({unit[x] for x in inn - k}) + len({unit[x] for x in out - k})
-        return (len(k) - 1) * outside - len(k) + (len(k) ** 2 - 1 if k <= out else 0)
+        return _saving(g.directed, *classes[i], unit)
 
     # Savings only fall as classes are contracted, so a top entry whose saving,
     # recomputed, has not fallen is the first class with the largest saving.

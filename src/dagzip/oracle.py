@@ -13,7 +13,9 @@ family pays arcs for an exact minimum cover of each member by smaller
 members and singletons. Each target set has a memo of covers per call
 (_CoverMemo) on a layout computed once per process, at first use. Its key is
 family & below, the members that may serve it, so a lookup is one AND and
-one dict get; keys with the same maximal members share one search. Families
+one dict get. A key reduces to its maximal members, and the cover of those
+depends on nothing else, so the layout holds one table of them per process:
+each such cover is searched once and shared by every later call. Families
 grow member by member, and a partial family is dropped with all its
 extensions once the arcs and edges it already fixes reach the best size.
 Only the pricing of the compression edges differs.
@@ -21,6 +23,9 @@ Only the pricing of the compression edges differs.
 The generic oracle prices the compression edges by an exact minimum cover
 of the edge set, as a mask whose bit i is the i-th edge in sorted order, by
 admissible products, each carrying the family bits of the units it needs.
+A unit pair is admissible when the second unit's sinks lie inside the
+common out-neighbour mask of the first unit's members, so one AND decides
+it, and only admissible pairs build their edge masks.
 Restricting to one vertex per distinct cluster set and to proper-subset
 children loses nothing: vertices sharing a cluster set can be collapsed
 onto the topologically last one (redirecting incidences, dropping
@@ -84,7 +89,9 @@ def _mask(s) -> int:
     return sum(1 << e for e in s)
 
 
+@functools.cache
 def _elements(mask: int) -> frozenset[int]:
+    """The set of sinks of a mask; the oracles only pass masks below 2^6."""
     return frozenset(e for e in range(mask.bit_length()) if mask >> e & 1)
 
 
@@ -139,15 +146,16 @@ def _sink_subsets(n: int) -> tuple[int, ...]:
 
 @functools.cache
 def _cover_layout(n: int, target: int, proper: bool):
-    """A _CoverMemo's static part, once per process: below, the inside
-    candidates largest first, the _above masks and the singletons."""
+    """A _CoverMemo's per-process part, built at first use: below, the inside
+    candidates largest first, the _above masks, the singletons and the table
+    of searched covers keyed by maximal members, which every call shares."""
     inside = [(i, s) for i, s in enumerate(_sink_subsets(n))
               if not s & ~target and not (proper and s == target)]
     inside.sort(key=lambda t: -t[1].bit_count())
     # For each member's bit, the bits of the larger members containing it.
     above = {1 << i: sum(1 << j for j, t in inside if s != t and not s & ~t) for i, s in inside}
     return (sum(1 << i for i, _ in inside), tuple((1 << i, (s, s)) for i, s in inside), above,
-            tuple((1 << e, 1 << e) for e in sorted(_elements(target))))
+            tuple((1 << e, 1 << e) for e in sorted(_elements(target))), {})
 
 
 class _CoverMemo(dict):
@@ -160,16 +168,20 @@ class _CoverMemo(dict):
 
     A candidate inside another one never appears in the first minimum
     cover: the larger one comes first in the search and does at least as
-    well. So every key shares the cover of its maximal members, which is
-    searched once.
+    well. So every key shares the cover of its maximal members (top). A
+    cover depends only on (n, target, proper) and top, never on the
+    instance, so top -> cover lives in the layout's table and each one is
+    searched once per process; key -> cover stays in this per-call dict,
+    because keys range over every family and tops only over antichains.
     """
 
-    __slots__ = ("target", "below", "_inside", "_above", "_singles")
+    __slots__ = ("target", "below", "_inside", "_above", "_singles", "_tops")
 
     def __init__(self, n: int, target: int, proper: bool = True):
         super().__init__()
         self.target = target
-        self.below, self._inside, self._above, self._singles = _cover_layout(n, target, proper)
+        layout = _cover_layout(n, target, proper)
+        self.below, self._inside, self._above, self._singles, self._tops = layout
 
     def __missing__(self, key: int):
         top = rest = key
@@ -178,11 +190,11 @@ class _CoverMemo(dict):
             rest ^= bit
             if key & self._above[bit]:
                 top ^= bit
-        got = self.get(top)
+        got = self._tops.get(top)
         if got is None:
             cands = [pair for bit, pair in self._inside if top & bit]
             cands += self._singles
-            got = self[top] = _min_cover(self.target, cands, self.target.bit_count())
+            got = self._tops[top] = _min_cover(self.target, cands, self.target.bit_count())
         self[key] = got
         return got
 
@@ -266,19 +278,29 @@ def _admissible_products(edges: list, units, directed: bool):
     """((a, b), product, needs) for every pair of units whose full product
     lies inside the edge list, largest product first, then in `units` order
     (b after a when undirected). units are (family bit, set) pairs, the
-    product is a mask whose bit i is edges[i], built pair by pair up to the
-    first missing edge, and needs the family bits of a and b."""
+    product is a mask whose bit i is edges[i], and needs the family bits of
+    a and b. A pair is admissible when b's sink mask lies inside the common
+    out-neighbour mask of a's members, one AND; only then is its product
+    built."""
     edge_bit = {e: 1 << i for i, e in enumerate(edges)}
     edge_bit.update({(v, u): bit for (u, v), bit in edge_bit.items() if not directed})
+    out_nbrs: dict[int, int] = {}
+    for u, v in edge_bit:
+        out_nbrs[u] = out_nbrs.get(u, 0) | 1 << v
+    masks = [_mask(s) for _, s in units]
     out = []
     for i, (need_a, a) in enumerate(units):
-        for need_b, b in units if directed else units[i:]:
-            prod = 0
-            for bit in map(edge_bit.get, itertools.product(a, b)):
-                if bit is None:
-                    break
-                prod |= bit
-            else:
+        common = -1
+        for x in a:
+            common &= out_nbrs.get(x, 0)
+        if not common:
+            continue
+        for j in range(0 if directed else i, len(units)):
+            if not masks[j] & ~common:
+                need_b, b = units[j]
+                prod = 0
+                for pair in itertools.product(a, b):
+                    prod |= edge_bit[pair]
                 out.append(((a, b), prod, need_a | need_b))
     out.sort(key=lambda t: -t[1].bit_count())
     return out

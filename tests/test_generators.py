@@ -10,6 +10,8 @@ from dagzip import (
     validate,
     write_compression,
 )
+from dagzip import generators
+from dagzip.cli import main
 from dagzip.generators import rook_hyperplanes
 
 
@@ -136,6 +138,29 @@ def test_random_compression_rejects_density_outside_unit_interval():
     # the upper bound itself is valid: every cluster vertex points at every lower vertex
     d = random_compression(5, 3, 1.0, 0, 7, seed=42)
     assert len(d.arc_u) == sum(range(5, 8))
+
+
+def test_random_compression_arc_guard_is_exact(monkeypatch):
+    # 4 clusters over 8 sinks draw over 8 + 9 + 10 + 11 lower vertices: 19 expected arcs
+    monkeypatch.setattr(generators, "MAX_RANDOM_ARCS", 18)
+    with pytest.raises(ValueError, match="^a random compression of 4 clusters over 8 sinks "
+                                         "expects 19 arcs, above the limit of 18$"):
+        random_compression(8, 4, 0.5, 6, 7, seed=42)
+    monkeypatch.setattr(generators, "MAX_RANDOM_ARCS", 19)
+    accepted = write_compression(random_compression(8, 4, 0.5, 6, 7, seed=42))
+    monkeypatch.undo()  # the guard leaves the draw alone
+    assert accepted == write_compression(random_compression(8, 4, 0.5, 6, 7, seed=42))
+
+
+def test_random_compression_arc_guard_on_the_command_line(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "rc.dagc"
+    monkeypatch.setattr(generators, "MAX_RANDOM_ARCS", 18)
+    argv = ["generate", "random-compression", "--sinks", "8", "--clusters", "4",
+            "--arc-density", "0.5", "--edges", "6", "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: a random compression of 4 clusters over 8 sinks "
+                                       "expects 19 arcs, above the limit of 18\n")
+    assert not out.exists()
 
 
 def test_random_compression_seed_determinism():

@@ -200,12 +200,68 @@ def test_import_computes_no_layout():
     env = dict(os.environ)
     src = str(Path(dagzip.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # The shared cover tables live in the layouts, so they start empty too.
     code = ("import dagzip\nfrom dagzip import oracle\n"
             "print(oracle._cover_layout.cache_info().currsize, "
-            "oracle._sink_subsets.cache_info().currsize)")
+            "oracle._sink_subsets.cache_info().currsize, "
+            "oracle._elements.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.split() == ["0", "0", "0"]
+
+
+def _sharing_inputs():
+    """Seeded universe-3/4 calls of both oracles, as (name, call) pairs."""
+    rng = random.Random(19)
+    for i in range(16):
+        u = 3 + i % 2
+        neigh = tuple(frozenset(rng.sample(range(1, u + 1), rng.randint(0, u)))
+                      for _ in range(rng.randint(2, 5)))
+        yield f"bipartite {neigh} {u}", functools.partial(min_bipartite_size, neigh, u)
+    for seed in range(16):
+        g = random_graph(3 + seed % 2, (0.3, 0.5, 0.7)[seed % 3], seed=seed, directed=seed % 4 < 2)
+        yield f"mindag {seed}", functools.partial(min_dag_size, g)
+
+
+def _antichains(n: int, target: int, proper: bool) -> set[int]:
+    """Index masks over _sink_subsets(n) of the antichains of the sets that a
+    cover of target may use: its subsets, proper ones only if proper."""
+    inside = [(i, s) for i, s in enumerate(_sink_subsets(n))
+              if not s & ~target and not (proper and s == target)]
+    return {sum(1 << i for i, _ in chain)
+            for r in range(len(inside) + 1) for chain in itertools.combinations(inside, r)
+            if all(a & b not in (a, b) for (_, a), (_, b) in itertools.combinations(chain, 2))}
+
+
+def test_shared_covers_do_not_depend_on_call_order():
+    # Each cover searched once per process serves every later call, so no
+    # result may depend on what ran before it: a fresh table per call, and
+    # the whole list forwards and backwards, give the same sizes and texts.
+    from dagzip.oracle import _cover_layout
+
+    calls = list(_sharing_inputs())
+
+    def run(call):
+        size, w = call()
+        return f"{size}\n{write_compression(w)}"
+
+    fresh = {}
+    for name, call in calls:
+        _cover_layout.cache_clear()
+        fresh[name] = run(call)
+    for order in (calls, calls[::-1]):
+        _cover_layout.cache_clear()
+        assert {name: run(call) for name, call in order} == fresh
+    # Every table key is the maximal members of some family: an antichain of
+    # the sets that may serve the target, so a table never outgrows them.
+    filled = 0
+    for n in (3, 4):
+        for target in _sink_subsets(n):
+            for proper in (True, False):
+                tops = _cover_layout(n, target, proper)[-1]
+                assert set(tops) <= _antichains(n, target, proper), (n, target, proper)
+                filled += len(tops)
+    assert filled
 
 
 def test_oracle_edgeless():
