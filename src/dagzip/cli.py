@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 2 input or usage error, 3 contract violation
 (weight or forest size mismatch under --check, validation failure of a produced artifact).
+The library makes its own refusals: any ValueError prints as one line "error: <message>", exit 2.
 """
 
 from __future__ import annotations
@@ -56,12 +57,11 @@ def _parse(path: str, reader, what: str):
         raise CliError(f"bad {what} file: {exc}") from exc
 
 
-def _load_compression(path: str, check: bool = True):
+def _load_compression(path: str):
     d = _parse(path, read_compression, "compression")
-    if check:
-        violations = validate(d)
-        if violations:
-            raise CliError("invalid compression: " + "; ".join(violations))
+    violations = validate(d)
+    if violations:
+        raise CliError("invalid compression: " + "; ".join(violations))
     return d
 
 
@@ -80,7 +80,7 @@ def _default_seed(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    d = _load_compression(args.file, check=False)
+    d = _parse(args.file, read_compression, "compression")
     violations = validate(d)
     if violations:
         for v in violations:
@@ -115,15 +115,13 @@ def cmd_generate(args) -> int:
     if args.family == "rook":
         spec = generators.RookSpec(g=args.g, d=args.d, include_loops=not args.no_loops)
         if args.compress:
-            if args.no_loops:
-                raise CliError("the canonical rook compression exists only with loops on")
             _write_text(args.output, write_compression(generators.rook_canonical_compression(spec)))
         else:
             _write_text(args.output, write_graph(generators.rook_graph(spec)))
     elif args.family == "random":
         g = generators.random_graph(args.n, args.p, _default_seed(args), directed=args.directed)
         _write_text(args.output, write_graph(g))
-    elif args.family == "random-compression":
+    else:
         d = generators.random_compression(
             n_sinks=args.sinks,
             n_clusters=args.clusters,
@@ -133,25 +131,20 @@ def cmd_generate(args) -> int:
             seed=_default_seed(args),
         )
         _write_text(args.output, write_compression(d))
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown family {args.family!r}")
     return 0
 
 
 def cmd_reduce(args) -> int:
     inst = _parse(args.file, read_setcover, "set-cover")
-    try:
-        if args.problem == "mindag":
-            out = reductions.reduce_mindag(inst)
-            extra = {"k_prime": out.k_prime}
-        elif args.problem == "add":
-            out = reductions.reduce_add(inst)
-            extra = {"k_new": out.k_new, "new_edge": list(out.new_edge)}
-        else:
-            out = reductions.reduce_delete(inst)
-            extra = {"k_new": out.k_new, "removed_edge": list(out.removed_edge)}
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.problem == "mindag":
+        out = reductions.reduce_mindag(inst)
+        extra = {"k_prime": out.k_prime}
+    elif args.problem == "add":
+        out = reductions.reduce_add(inst)
+        extra = {"k_new": out.k_new, "new_edge": list(out.new_edge)}
+    else:
+        out = reductions.reduce_delete(inst)
+        extra = {"k_new": out.k_new, "removed_edge": list(out.removed_edge)}
     files = {"graph": write_graph(out.graph)}
     if hasattr(out, "compression"):
         files["dagc"] = write_compression(out.compression)
@@ -167,46 +160,34 @@ def cmd_reduce(args) -> int:
 def cmd_normalize(args) -> int:
     d = _load_compression(args.file)
     shores = _parse(args.shores, read_shores, "shore")
-    try:
-        if args.pass_name == "shore":
-            out = normalize.shore_normalize(d, shores)
+    if args.pass_name == "shore":
+        out = normalize.shore_normalize(d, shores)
+    else:
+        pairs = [p for p in twins(decompress(d)) if p <= shores.shore1]
+        if args.pass_name == "twins":
+            out = normalize.twin_normalize(d, pairs)
         else:
-            pairs = [p for p in twins(decompress(d)) if p <= shores.shore1]
-            if args.pass_name == "twins":
-                out = normalize.twin_normalize(d, pairs)
-            else:
-                out = normalize.twin_single_edge(d, pairs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+            out = normalize.twin_single_edge(d, pairs)
     _write_produced(args.output, out)
     return 0
 
 
 def cmd_oracle(args) -> int:
     g = _parse(args.file, read_graph, "graph")
-    if g.weighted:
-        raise CliError("the oracle works on unweighted graphs")
     budget = oracle.OracleBudget(max_sinks=args.max_sinks)
-    try:
-        if args.k is not None:
-            yes, witness = oracle.decide_mindag(g, args.k, budget)
-            print(f"size <= {args.k}: {'yes' if yes else 'no'}")
-            if yes and args.witness:
-                _write_text(args.witness, write_compression(witness))
-        else:
-            best, witness = oracle.min_dag_size(g, budget)
-            print(f"minimum compression size: {best}")
-            if args.witness:
-                _write_text(args.witness, write_compression(witness))
-    except oracle.OracleBudgetExceeded as exc:
-        raise CliError(str(exc)) from exc
+    if args.k is not None:
+        yes, witness = oracle.decide_mindag(g, args.k, budget)
+        print(f"size <= {args.k}: {'yes' if yes else 'no'}")
+    else:
+        best, witness = oracle.min_dag_size(g, budget)
+        print(f"minimum compression size: {best}")
+    if args.witness and witness is not None:  # decide_mindag's witness is None on "no"
+        _write_text(args.witness, write_compression(witness))
     return 0
 
 
 def cmd_compress(args) -> int:
     g = _parse(args.file, read_graph, "graph")
-    if g.weighted:
-        raise CliError("compression strategies work on unweighted graphs")
     if args.strategy == "tree":
         d = heuristics.tree_compress(g, merge_policy=args.policy)
     else:

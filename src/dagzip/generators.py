@@ -68,8 +68,11 @@ def rook_canonical_compression(spec: RookSpec) -> DagCompression:
 
     For d = 2 these are the g row clusters and g column clusters, each with g
     arcs into its grid line, giving size 2g^2 + 2g; in general d*g clusters,
-    d*g^d arcs and d*g loops. Decompresses to the rook graph with loops on.
+    d*g^d arcs and d*g loops. Decompresses to the rook graph with loops on,
+    so a spec without loops raises ValueError.
     """
+    if not spec.include_loops:
+        raise ValueError("the canonical rook compression exists only with loops on")
     planes = np.array(rook_hyperplanes(spec))
     cids = np.arange(spec.n + 1, spec.n + 1 + len(planes))
     return DagCompression(
@@ -114,18 +117,9 @@ def random_graph(n: int, p: float, seed: int, directed: bool = True) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = random.Random(seed)
-    edges: set[tuple[int, int]] = set()
-    if directed:
-        for u in range(1, n + 1):
-            for v in range(1, n + 1):
-                if rng.random() < p:
-                    edges.add((u, v))
-    else:
-        for u in range(1, n + 1):
-            for v in range(u + 1, n + 1):
-                if rng.random() < p:
-                    edges.add((u, v))
-    return Graph(directed=directed, n=n, edges=frozenset(edges))
+    edges = frozenset((u, v) for u in range(1, n + 1)
+                      for v in range(1 if directed else u + 1, n + 1) if rng.random() < p)
+    return Graph(directed=directed, n=n, edges=edges)
 
 
 # random_compression holds about 240 bytes per arc at its peak (tracemalloc,

@@ -27,8 +27,9 @@ internal node is admissible iff it is admissible with both children. A
 round's nodes have children from earlier rounds only, so each round is one
 row-major array step: first over the sink columns, then over the rows of
 the transposed node-pair matrix, whose rows are the columns. Maximality is
-then built in place in a second (2n)^2 bool matrix, so at most two such
-matrices are live at a time.
+then built in place in that one (2n)^2 bool matrix, in row blocks: a
+parent's id is above its children's, so each block reads only rows that no
+earlier block has rewritten.
 """
 
 from __future__ import annotations
@@ -179,10 +180,10 @@ def _and_children(adm: np.ndarray, left: np.ndarray, right: np.ndarray, rounds) 
 
 _ROW_BLOCK = 1024  # rows per gathered block, so the maximality pass adds no full matrix
 
-# tree_compress holds at most two (2n)^2 bool matrices (admissibility and
-# maximality) and, for "similarity", two n^2 float32 ones (the signatures
-# and their overlap scores): 16 n^2 bytes, which is 2 GB at n = 11180.
-# Larger inputs are refused before they allocate.
+# tree_compress holds one (2n)^2 bool matrix (admissibility, then maximality)
+# and, for "similarity", two n^2 float32 ones (the signatures and their
+# overlap scores). 2 (2n)^2 + 8 n^2 = 16 n^2 bytes is an upper bound on those,
+# which is 2 GB at n = 11180. Larger inputs are refused before they allocate.
 MAX_TREE_MATRIX_BYTES = 2_000_000_000
 
 
@@ -191,9 +192,11 @@ def tree_compress(g: Graph, merge_policy: str = "similarity") -> DagCompression:
 
     merge_policy "similarity" pairs nodes by largest neighborhood overlap
     (lexicographic tie-break); "balanced" pairs by index. The output always
-    decompresses to g exactly. Raises ValueError before allocating when its
-    matrices would exceed MAX_TREE_MATRIX_BYTES.
+    decompresses to g exactly. Raises ValueError on a weighted graph, and
+    before allocating when its matrices would exceed MAX_TREE_MATRIX_BYTES.
     """
+    if g.weighted:
+        raise ValueError("compression strategies work on unweighted graphs")
     if g.n < 1:
         raise ValueError("need at least one vertex")
     if merge_policy not in ("similarity", "balanced"):
@@ -226,15 +229,14 @@ def tree_compress(g: Graph, merge_policy: str = "similarity") -> DagCompression:
 
     # Maximal: admissible, and stepping either side up to its parent is not.
     # Row and column 0 are identically false, which makes the root maximal-safe.
-    mx_t = np.take(adm_t, parent, axis=1)
+    # A block's parent rows lie in it or after it (or are row 0, which stays
+    # false), so they still hold admissibility when the block reads them.
     for lo in range(0, total + 1, _ROW_BLOCK):
-        mx_t[lo: lo + _ROW_BLOCK] |= adm_t[parent[lo: lo + _ROW_BLOCK]]
-    np.logical_not(mx_t, out=mx_t)
-    mx_t &= adm_t
-    del adm_t
+        rows = adm_t[lo: lo + _ROW_BLOCK]
+        rows &= ~(np.take(rows, parent, axis=1) | adm_t[parent[lo: lo + _ROW_BLOCK]])
 
     # flatnonzero + divmod: np.nonzero on a 2-d bool matrix is several times slower
-    vs, us = np.divmod(np.flatnonzero(mx_t), total + 1)
+    vs, us = np.divmod(np.flatnonzero(adm_t), total + 1)
     if not g.directed:
         keep = us <= vs
         us, vs = us[keep], vs[keep]
@@ -275,8 +277,11 @@ def dag_compress_greedy(g: Graph) -> DagCompression:
     smallest-member order) with the largest saving on its current
     neighborhoods is contracted. The edges between the final units are then
     emitted directly. Falls back to the direct encoding whenever that is
-    smaller, so the result never exceeds |E|.
+    smaller, so the result never exceeds |E|. Raises ValueError on a weighted
+    graph.
     """
+    if g.weighted:
+        raise ValueError("compression strategies work on unweighted graphs")
     n = g.n
     direct = DagCompression(g.directed, n, 0, frozenset(), np.column_stack((g.u, g.v)))
     if not g.m:

@@ -310,8 +310,11 @@ def min_dag_size(g: Graph, budget: OracleBudget | None = None) -> tuple[int, Dag
     """Exact minimum of |A| + |E| over all DAG compressions of g, with witness.
 
     Without a size_cap the returned value is the true minimum; with one the
-    search stops at the first compression within the cap.
+    search stops at the first compression within the cap. Raises ValueError
+    on a weighted graph.
     """
+    if g.weighted:
+        raise ValueError("the oracle works on unweighted graphs")
     budget = budget or OracleBudget()
     if g.n > budget.max_sinks:
         raise OracleBudgetExceeded(f"{g.n} sinks exceed the budget of {budget.max_sinks}")

@@ -413,16 +413,13 @@ def setcover_exhaustive(inst: SetCoverInstance) -> tuple[int, tuple[int, ...]]:
     if len(inst.sets) > _MAX_SETS:
         raise ValueError(f"instance has more than {_MAX_SETS} sets")
     universe = inst.universe
-    covered_all = frozenset().union(*inst.sets) if inst.sets else frozenset()
-    if not covered_all >= universe:
+    if not frozenset().union(*inst.sets) >= universe:
         raise ValueError("universe cannot be covered")
     indices = range(len(inst.sets))
-    for r in range(0, len(inst.sets) + 1):
+    for r in range(0, len(inst.sets) + 1):  # ends at the whole collection, a cover
         for combo in itertools.combinations(indices, r):
-            covered = frozenset().union(*(inst.sets[i] for i in combo)) if combo else frozenset()
-            if covered >= universe:
+            if frozenset().union(*(inst.sets[i] for i in combo)) >= universe:
                 return r, combo
-    raise ValueError("universe cannot be covered")
 
 
 @dataclass

@@ -453,3 +453,132 @@ def test_negative_count_shores(tmp_path, capsys, fig_compression):
     code, _, err = run_cli(["normalize", "--pass", "twins", "--shores", str(shores),
                             str(comp)], capsys)
     _one_line_error(code, err, "negative count -1 in 'shore1' line")
+
+
+# Refusals that no other CLI test reaches: each test asserts the exit code
+# and the whole stderr line.
+WEIGHTED_GRAPH = "graph undirected 2 1 weighted\ne 1 2 5\n"
+
+
+def _file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="ascii")
+    return str(path)
+
+
+def test_unreadable_input_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "missing.dagc")
+    assert run_cli(["validate", path], capsys) == (
+        2, "", f"error: cannot read {path}: [Errno 2] No such file or directory: '{path}'\n")
+
+
+def test_mst_refuses_unweighted(tmp_path, capsys, fig_compression):
+    comp = _file(tmp_path, "fig.dagc", write_compression(fig_compression))
+    assert run_cli(["mst", comp], capsys) == (
+        2, "", "error: mst needs a weighted undirected compression\n")
+
+
+def test_generate_rook_compress_refuses_no_loops(tmp_path, capsys):
+    out = tmp_path / "rook.dagc"
+    argv = ["generate", "rook", "--g", "3", "--compress", "--no-loops", "-o", str(out)]
+    assert run_cli(argv, capsys) == (
+        2, "", "error: the canonical rook compression exists only with loops on\n")
+    assert not out.exists()
+
+
+def test_reduce_refuses_a_collection_that_misses_the_universe(tmp_path, capsys):
+    inst = SetCoverInstance(n=3, sets=(frozenset({1}), frozenset({2})), k=1)
+    src = _file(tmp_path, "sc.txt", write_setcover(inst))
+    for problem in ("mindag", "add", "delete"):
+        argv = ["reduce", problem, src, "--out-prefix", str(tmp_path / "red")]
+        assert run_cli(argv, capsys) == (2, "", "error: collection does not cover the universe\n")
+    assert not list(tmp_path.glob("red.*"))
+
+
+@pytest.mark.parametrize("extra", [[], ["--k", "3"]])
+def test_oracle_refuses_weighted(tmp_path, capsys, extra):
+    g = _file(tmp_path, "w.graph", WEIGHTED_GRAPH)
+    assert run_cli(["oracle", g, *extra], capsys) == (
+        2, "", "error: the oracle works on unweighted graphs\n")
+
+
+@pytest.mark.parametrize("extra", [[], ["--k", "3"]])
+def test_oracle_refuses_over_budget(tmp_path, capsys, extra):
+    g = _file(tmp_path, "five.graph", "graph directed 5 1\ne 1 2\n")
+    assert run_cli(["oracle", g, *extra], capsys) == (
+        2, "", "error: 5 sinks exceed the budget of 4\n")
+    assert run_cli(["oracle", g, "--max-sinks", "3", *extra], capsys) == (
+        2, "", "error: 5 sinks exceed the budget of 3\n")
+
+
+def test_oracle_decision_writes_the_witness_only_on_yes(tmp_path, capsys):
+    g = _file(tmp_path, "k22.graph", "graph directed 4 4\ne 1 3\ne 1 4\ne 2 3\ne 2 4\n")
+    no, yes = tmp_path / "no.dagc", tmp_path / "yes.dagc"
+    assert run_cli(["oracle", g, "--k", "3", "--witness", str(no)], capsys) == (
+        0, "size <= 3: no\n", "")
+    assert not no.exists()
+    assert run_cli(["oracle", g, "--k", "4", "--witness", str(yes)], capsys) == (
+        0, "size <= 4: yes\n", "")
+    witness = read_compression(yes.read_text())
+    assert witness.size() == 4 and validate(witness) == []
+    assert decompress(witness) == read_graph(open(g).read())
+
+
+@pytest.mark.parametrize("strategy", ["tree", "greedy"])
+def test_compress_refuses_weighted(tmp_path, capsys, strategy):
+    g = _file(tmp_path, "w.graph", WEIGHTED_GRAPH)
+    out = tmp_path / "out.dagc"
+    argv = ["compress", "--strategy", strategy, g, "-o", str(out)]
+    assert run_cli(argv, capsys) == (
+        2, "", "error: compression strategies work on unweighted graphs\n")
+    assert not out.exists()
+
+
+def test_gap_refuses_a_non_integer_entry(tmp_path, capsys):
+    out = tmp_path / "gap.csv"
+    assert run_cli(["gap", "--g", "2,x", "--out", str(out)], capsys) == (
+        2, "", "error: bad --g list '2,x'\n")
+    assert not out.exists()
+
+
+def test_library_value_errors_exit_2_in_their_own_words(tmp_path, capsys, monkeypatch,
+                                                        mst_file, fig_compression):
+    import dagzip.cli as cli_mod
+
+    comp = _file(tmp_path, "directed.dagc", write_compression(fig_compression))
+    graph = _file(tmp_path, "g.graph", "graph directed 2 1\ne 1 2\n")
+    inst = SetCoverInstance(n=2, sets=(frozenset({1}), frozenset({2})), k=1)
+    sc = _file(tmp_path, "sc.txt", write_setcover(inst))
+    shores = _file(tmp_path, "fig.shores", "shore1 1 1\nshore2 1 2\n")
+    out = str(tmp_path / "out")
+    cases = [
+        (cli_mod, "validate", ["validate", comp]),
+        (cli_mod, "decompress", ["decompress", comp]),
+        (cli_mod, "kruskal_compressed", ["mst", mst_file]),
+        (cli_mod.generators, "rook_graph", ["generate", "rook", "--g", "2"]),
+        (cli_mod.generators, "rook_canonical_compression", ["generate", "rook", "--g", "2", "--compress"]),
+        (cli_mod.generators, "random_graph", ["generate", "random", "--n", "2", "--p", "0.5"]),
+        (cli_mod.generators, "random_compression",
+         ["generate", "random-compression", "--sinks", "2", "--clusters", "1", "--edges", "1"]),
+        (cli_mod.reductions, "reduce_mindag", ["reduce", "mindag", sc, "--out-prefix", out]),
+        (cli_mod.reductions, "reduce_add", ["reduce", "add", sc, "--out-prefix", out]),
+        (cli_mod.reductions, "reduce_delete", ["reduce", "delete", sc, "--out-prefix", out]),
+        (cli_mod.normalize, "twin_normalize", ["normalize", "--pass", "twins", "--shores", shores, comp]),
+        (cli_mod.normalize, "shore_normalize", ["normalize", "--pass", "shore", "--shores", shores, comp]),
+        (cli_mod.normalize, "twin_single_edge",
+         ["normalize", "--pass", "single-edge", "--shores", shores, comp]),
+        (cli_mod.oracle, "min_dag_size", ["oracle", graph]),
+        (cli_mod.oracle, "decide_mindag", ["oracle", graph, "--k", "1"]),
+        (cli_mod.heuristics, "tree_compress", ["compress", "--strategy", "tree", graph]),
+        (cli_mod.heuristics, "dag_compress_greedy", ["compress", "--strategy", "greedy", graph]),
+        (cli_mod.heuristics, "gap_experiment", ["gap", "--g", "2", "--out", out]),
+    ]
+
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    for owner, name, argv in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, boom)
+            assert run_cli(argv, capsys) == (2, "", "error: boom\n"), name
+    assert not list(tmp_path.glob("out*"))

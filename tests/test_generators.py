@@ -105,6 +105,12 @@ def test_canonical_decompresses_to_rook_3d():
         assert decompress(c) == rook_graph(spec)
 
 
+def test_canonical_compression_refuses_no_loops():
+    with pytest.raises(ValueError) as exc:
+        rook_canonical_compression(RookSpec(g=3, include_loops=False))
+    assert str(exc.value) == "the canonical rook compression exists only with loops on"
+
+
 def test_random_graph_contract():
     assert random_graph(0, 0.5, seed=1).m == 0
     full = random_graph(4, 1.0, seed=1, directed=True)

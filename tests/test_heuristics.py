@@ -60,6 +60,23 @@ def test_tree_shape_rejects_two_trees():
     assert validate_tree_compression(d) == ["expected a unique root, found 2"]
 
 
+def test_tree_shape_names_a_one_child_cluster_and_a_shared_child():
+    one_child = DagCompression(directed=True, n_sinks=1, n_clusters=1, arcs=[(2, 1)], cedges=[])
+    assert validate_tree_compression(one_child) == ["cluster vertex 2 has 1 children, want 2"]
+    # C(3) = {1, 2} and C(4) = C(3) + {2}: one root, but sink 2 has two parents
+    shared = DagCompression(directed=True, n_sinks=2, n_clusters=2,
+                            arcs=[(3, 1), (3, 2), (4, 3), (4, 2)], cedges=[(4, 4)])
+    assert validate_tree_compression(shared) == ["a vertex has two parents"]
+
+
+@pytest.mark.parametrize("compress", [tree_compress, dag_compress_greedy])
+def test_compressors_refuse_weighted(compress):
+    g = Graph(directed=False, n=2, edges=[(1, 2)], weights={(1, 2): 5})
+    with pytest.raises(ValueError) as exc:
+        compress(g)
+    assert str(exc.value) == "compression strategies work on unweighted graphs"
+
+
 def test_tree_single_vertex():
     g = Graph(directed=True, n=1, edges=frozenset({(1, 1)}))
     t = tree_compress(g)

@@ -226,6 +226,22 @@ def test_twin_single_edge_requires_symmetry():
         twin_single_edge(d, [(a, b)])
 
 
+@pytest.mark.parametrize("extra", ["arc", "edge"])
+def test_twin_single_edge_requires_twins_without_parents_or_in_edges(extra):
+    sets = (frozenset({1, 2}),)
+    tg = twinned_incidence(sets, 2)
+    a, b = tg.a_vertex(0), tg.b_vertex(0)
+    c = tg.graph.n + 1
+    arcs = {(c, a)} if extra == "arc" else set()
+    cedges = set(tg.graph.edges) | ({(c, c)} if extra == "arc" else {(1, a)})
+    d = DagCompression(directed=True, n_sinks=tg.graph.n, n_clusters=len(arcs),
+                       arcs=arcs, cedges=cedges)
+    assert validate(d) == []
+    with pytest.raises(ValueError) as exc:
+        twin_single_edge(d, [(a, b)])
+    assert str(exc.value) == f"twin {a} has a parent arc or an in-edge; run shore_normalize first"
+
+
 def test_pipeline_on_random_twinned_compressions():
     rng = random.Random(31)
     done = 0

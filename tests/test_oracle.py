@@ -293,6 +293,14 @@ def test_oracle_budget_enforced():
         OracleBudget(max_sinks=6)
 
 
+def test_oracle_refuses_weighted():
+    g = Graph(directed=False, n=2, edges=[(1, 2)], weights={(1, 2): 5})
+    for call in (lambda: min_dag_size(g), lambda: decide_mindag(g, 3)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "the oracle works on unweighted graphs"
+
+
 def test_decide_mindag():
     empty = Graph(directed=True, n=2, edges=frozenset())
     yes, witness = decide_mindag(empty, 0)

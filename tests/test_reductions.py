@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from dagzip import (
+    ClosedFamily,
     Graph,
     SetCoverInstance,
     add_witness,
@@ -88,6 +89,10 @@ def test_setcover_exhaustive_basics():
     bad = SetCoverInstance(n=2, sets=(frozenset({1}),), k=0)
     with pytest.raises(ValueError):
         setcover_exhaustive(bad)
+    many = SetCoverInstance(n=21, sets=tuple(frozenset({e}) for e in range(1, 22)), k=0)
+    with pytest.raises(ValueError) as exc:
+        setcover_exhaustive(many)
+    assert str(exc.value) == "instance has more than 20 sets"
 
 
 def test_setcover_exhaustive_matches_second_solver():
@@ -117,6 +122,18 @@ def test_closure_worked_example():
     assert [set(s) for s in family.sets] == expected
     assert family.m == 13
     family.check_closed()
+
+
+@pytest.mark.parametrize("universe_size, sets, message", [
+    (2, [{1}], "singleton {2} missing, family not closed"),
+    (3, [{1}, {2}, {3}, {1, 2, 3}], "initial segment [1, 2] of [1, 2, 3] missing"),
+    (2, [{2}, {1}], "family not in standard order"),
+])
+def test_check_closed_names_the_violation(universe_size, sets, message):
+    family = ClosedFamily(universe_size, tuple(map(frozenset, sets)))
+    with pytest.raises(ValueError) as exc:
+        family.check_closed()
+    assert str(exc.value) == message
 
 
 def test_closure_rejects_trivial_cases():
