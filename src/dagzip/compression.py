@@ -118,8 +118,9 @@ class _DagIndex:
     """The cluster DAG (V, A) of one compression in CSR form, as every pass
     reads it, and the one verdict on whether the compression is well-formed.
 
-    The children of v are indices[indptr[v]:indptr[v + 1]], ascending;
-    outdegree and indegree count arcs per vertex (slot 0 unused). order is
+    The children of v are ind[ptr[v]:ptr[v + 1]], ascending, in Python lists
+    that Kahn's pass builds and the walks reuse; outdegree and indegree are
+    arrays that count arcs per vertex (slot 0 unused). order is
     Kahn's topological order (FIFO, smallest id first), or None on a cycle.
     violations names every sink with an out-arc, then every cluster vertex
     without one, then a cycle; check() raises on any of them. rep[v] is the
@@ -128,15 +129,15 @@ class _DagIndex:
     Cluster sets are not kept: they can be quadratic in size.
     """
 
-    __slots__ = ("indptr", "indices", "outdegree", "indegree", "order", "violations", "rep")
+    __slots__ = ("ptr", "ind", "outdegree", "indegree", "order", "violations", "rep")
 
     def __init__(self, d: DagCompression):
         n, s = d.n_vertices, d.n_sinks
         self.outdegree = np.bincount(d.arc_u, minlength=n + 1)
-        self.indptr = np.concatenate(([0], np.cumsum(self.outdegree)))
-        self.indices = d.arc_v
+        indptr = np.concatenate(([0], np.cumsum(self.outdegree)))
         self.indegree = np.bincount(d.arc_v, minlength=n + 1)
-        ptr, ind, indeg = self.indptr.tolist(), self.indices.tolist(), self.indegree.tolist()
+        self.ptr, self.ind = ptr, ind = indptr.tolist(), d.arc_v.tolist()
+        indeg = self.indegree.tolist()
         order = (np.flatnonzero(self.indegree[1:] == 0) + 1).tolist()
         for x in order:  # the list grows while it is read: Kahn's FIFO queue
             for y in ind[ptr[x]:ptr[x + 1]]:
@@ -154,7 +155,7 @@ class _DagIndex:
         if not self.violations:
             # Pointer jumping along first children ends at sinks: no cycle, no childless cluster.
             rep = np.arange(n + 1)
-            rep[s + 1:] = self.indices[self.indptr[s + 1: n + 1]]
+            rep[s + 1:] = d.arc_v[indptr[s + 1: n + 1]]
             while not np.array_equal(jumped := rep[rep], rep):
                 rep = jumped
             self.rep = rep.tolist()
@@ -170,20 +171,31 @@ def validate(d: DagCompression) -> list[str]:
     return list(d._index.violations)
 
 
+# _cluster_csr holds about 24 bytes per cluster-set member at its peak
+# (tracemalloc, decompressing a 4000-cluster chain: 8M members, 193 MB), so
+# 80M members is about 2 GB.
+MAX_CLUSTER_MEMBERS = 80_000_000
+
+
 def _cluster_csr(d: DagCompression) -> tuple[np.ndarray, np.ndarray]:
     """Every C(v) in CSR form: cind[cptr[v]:cptr[v + 1]] is C(v), ascending (slot 0 empty).
 
     Sink v is [v]; each cluster vertex, in reverse topological order, is the
-    sorted union of its children's sets.
+    sorted union of its children's sets. Raises ValueError once the cluster
+    vertices' sets hold more than MAX_CLUSTER_MEMBERS members in all.
     """
     index, s = d._index, d.n_sinks
     index.check()
-    ptr, ind = index.indptr.tolist(), index.indices.tolist()
+    ptr, ind = index.ptr, index.ind
     members: dict[int, list[int]] = {}
+    total = 0
     for v in reversed(index.order):
         if v > s:
             kids = ind[ptr[v]: ptr[v + 1]]
-            members[v] = sorted(set(chain.from_iterable(members.get(k, (k,)) for k in kids)))
+            members[v] = got = sorted(set(chain.from_iterable(members.get(k, (k,)) for k in kids)))
+            total += len(got)
+            if total > MAX_CLUSTER_MEMBERS:
+                raise ValueError(f"the cluster sets exceed the limit of {MAX_CLUSTER_MEMBERS} members in all")
     lists = [members[v] for v in range(s + 1, d.n_vertices + 1)]
     cptr = np.ones(d.n_vertices + 2, dtype=np.int64)  # cptr[v + 1] = |C(v)| before the sum
     cptr[:2] = 0

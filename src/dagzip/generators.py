@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compression import DagCompression
-from .graphs import Graph, canonical_edge
+from .graphs import INT64_MAX, Graph, canonical_edge
 
 
 @dataclass(frozen=True)
@@ -91,31 +91,35 @@ def rook_mst_compression(g: int, max_weight: int = 1, seed: int = 0) -> DagCompr
     max_weight is 1, otherwise seeded uniform draws) so the result is a valid
     input for the compressed MST run.
     """
-    spec = RookSpec(g=g, d=2)
-    base = rook_canonical_compression(spec)
+    if max_weight > INT64_MAX:
+        raise ValueError("max_weight does not fit in int64")
+    base = rook_canonical_compression(RookSpec(g=g, d=2))
     rng = random.Random(seed)
-    weights = {
-        e: 1 if max_weight <= 1 else rng.randint(1, max_weight)
-        for e in sorted(base.cedges)
-    }
-    return DagCompression(
-        directed=False,
-        n_sinks=base.n_sinks,
-        n_clusters=base.n_clusters,
-        arcs=base.arcs,
-        cedges=base.cedges,
-        weights=weights,
-    )
+    # The loops (c, c) come in cluster order, canonical when undirected too.
+    w = np.array([1 if max_weight <= 1 else rng.randint(1, max_weight) for _ in base.cedge_u], np.int64)
+    return DagCompression._from_arrays(False, base.n_sinks, base.n_clusters, base.arc_u, base.arc_v,
+                                       base.cedge_u, base.cedge_v, w)
+
+
+# random_graph holds about 170 bytes per edge at its peak (tracemalloc, 1M
+# edges at p = 1), so 12M candidate pairs is about 2 GB even when every draw
+# keeps its pair. More draws are refused before they start.
+MAX_RANDOM_PAIRS = 12_000_000
 
 
 def random_graph(n: int, p: float, seed: int, directed: bool = True) -> Graph:
     """Each candidate pair independently with probability p, reproducible per seed.
 
     Directed graphs draw over all n^2 ordered pairs including loops; undirected
-    graphs draw over the proper unordered pairs.
+    graphs draw over the n (n - 1) / 2 proper unordered pairs. Above
+    MAX_RANDOM_PAIRS draws it raises ValueError before drawing.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    draws = n * n if directed else n * (n - 1) // 2
+    if draws > MAX_RANDOM_PAIRS:
+        raise ValueError(f"a random graph on {n} vertices draws {draws} candidate pairs, "
+                         f"above the limit of {MAX_RANDOM_PAIRS}")
     rng = random.Random(seed)
     edges = frozenset((u, v) for u in range(1, n + 1)
                       for v in range(1 if directed else u + 1, n + 1) if rng.random() < p)

@@ -105,8 +105,7 @@ def kruskal_compressed(d: DagCompression) -> MstResult:
     index.check()
     parent = list(range(d.n_sinks + 1))
     size = [1] * (d.n_sinks + 1)
-    rep = index.rep
-    ptr, ind = index.indptr.tolist(), index.indices.tolist()
+    rep, ptr, ind = index.rep, index.ptr, index.ind
     clean = bytearray(b"\0" + b"\1" * d.n_sinks + b"\0" * d.n_clusters)
     forest: list[tuple[int, int, int]] = []
     # cedges are sorted by (u, v), so a stable sort by weight gives the (w, (u, v)) order.

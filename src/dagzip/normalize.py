@@ -55,7 +55,7 @@ def _rebuild(d: DagCompression, n: int, arcs, cedges, drop=frozenset()) -> DagCo
     out = DagCompression(d.directed, s, n - s, arcs, cedges)
     if not (drop or out._index.violations):  # each cluster vertex has a child: all reach sinks
         return out
-    ptr, ind = out._index.indptr.tolist(), out._index.indices.tolist()
+    ptr, ind = out._index.ptr, out._index.ind
     live = [0 < v <= s for v in range(n + 1)]
     for v in reversed(out._index.order):  # children first
         if v > s and v not in drop:
@@ -107,7 +107,7 @@ def shore_normalize(d: DagCompression, shores: ShorePartition) -> DagCompression
     index, s, n = d._index, d.n_sinks, d.n_vertices
     if shores.shore1 | shores.shore2 != frozenset(range(1, s + 1)):
         raise ValueError("shores must partition the vertex set")
-    ptr, ind = index.indptr.tolist(), index.indices.tolist()
+    ptr, ind = index.ptr, index.ind
     kids = [ind[ptr[v]: ptr[v + 1]] for v in range(n + 1)]
     side = [0] + [1 if v in shores.shore1 else 2 for v in range(1, s + 1)] + [0] * (n - s)
     for v in reversed(index.order):

@@ -4,7 +4,7 @@ Sink sets are int bitmasks: bit e stands for sink e, so the lowest set bit
 is the smallest element. The candidate cluster sets are _sink_subsets(n),
 the non-singleton subsets in (len, sorted) order, and a family of them is
 an index mask over that list. Sets turn back into frozensets only for the
-witness, which is built once, after the search.
+witness, which is built once, after the search, from the winning family.
 
 Both oracles run one search (_family_search) over families in combinations
 order by family size, keeping the first strict improvement and stopping at
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .compression import DagCompression
 from .graphs import Graph
@@ -75,7 +75,6 @@ class OracleBudgetExceeded(ValueError):
 @dataclass(frozen=True)
 class OracleBudget:
     max_sinks: int = 4
-    size_cap: int | None = None
 
     def __post_init__(self):
         if self.max_sinks > 5:
@@ -199,13 +198,13 @@ class _CoverMemo(dict):
         return got
 
 
-def _family_search(n: int, max_family: int, floor: int, best_size: int, payload,
+def _family_search(n: int, max_family: int, floor: int, best_size: int,
                    size_cap: int | None, price_edges, settled=None):
-    """(size, family, children, payload) of the first family of
-    _sink_subsets(n), in combinations order by family size, that beats
-    best_size. price_edges(family, upper) gives the compression edges' count
-    and payload, or None above `upper`; floor bounds that count below. The
-    search ends once 2 |F| + floor reaches the best size, or at the first
+    """(size, family, children) of the first family of _sink_subsets(n), in
+    combinations order by family size, that beats best_size; family 0 if
+    none does. price_edges(family, upper) gives the compression edges'
+    count, or None above `upper`; floor bounds that count below. The search
+    ends once 2 |F| + floor reaches the best size, or at the first
     improvement within size_cap; the best family's children come last.
 
     Families grow one member at a time in increasing index order. A member's
@@ -225,12 +224,12 @@ def _family_search(n: int, max_family: int, floor: int, best_size: int, payload,
 
     def grow(start: int, left: int, family: int, arcs: int, extra: int) -> bool:
         # Extend the family by `left` members from index start; True stops the search.
-        nonlocal best_size, best, payload
+        nonlocal best_size, best
         if not left:
             edges = price_edges(family, best_size - arcs - 1)
             if edges is None:
                 return False
-            best_size, best, payload = arcs + edges[0], family, edges[1]
+            best_size, best = arcs + edges, family
             return size_cap is not None and best_size <= size_cap
         bound = floor + 2 * (left - 1)
         for i in range(start, len(covers) - left + 1):
@@ -252,7 +251,7 @@ def _family_search(n: int, max_family: int, floor: int, best_size: int, payload,
             break
     children = {_elements(c.target): tuple(map(_elements, c[best & c.below][1]))
                 for i, c in enumerate(covers) if best >> i & 1}
-    return best_size, best, children, payload
+    return best_size, best, children
 
 
 def _family_compression(directed: bool, n_sinks: int, children: dict, pairs) -> DagCompression:
@@ -306,7 +305,8 @@ def _admissible_products(edges: list, units, directed: bool):
     return out
 
 
-def min_dag_size(g: Graph, budget: OracleBudget | None = None) -> tuple[int, DagCompression]:
+def min_dag_size(g: Graph, budget: OracleBudget | None = None,
+                 size_cap: int | None = None) -> tuple[int, DagCompression]:
     """Exact minimum of |A| + |E| over all DAG compressions of g, with witness.
 
     Without a size_cap the returned value is the true minimum; with one the
@@ -329,29 +329,30 @@ def min_dag_size(g: Graph, budget: OracleBudget | None = None) -> tuple[int, Dag
 
     def price_edges(family, upper):
         cands = [(key, prod) for key, prod, needs in products if not needs & ~family]
-        return _min_cover(everything, cands, upper)
+        got = _min_cover(everything, cands, upper)
+        return None if got is None else got[0]
 
-    direct = [(frozenset((u,)), frozenset((v,))) for u, v in edges]
-    size, _, children, pairs = _family_search(g.n, min(_MAX_CLUSTERS, len(subsets)), 0, len(edges),
-                                              direct, budget.size_cap, price_edges)
-    return size, _family_compression(g.directed, g.n, children, pairs)
+    # Family 0 is the direct compression. The winner's cover is searched again:
+    # _min_cover gives the same first minimum cover under any bound that admits it.
+    size, family, children = _family_search(g.n, min(_MAX_CLUSTERS, len(subsets)), 0, len(edges),
+                                            size_cap, price_edges)
+    cands = [(key, prod) for key, prod, needs in products if not needs & ~family]
+    return size, _family_compression(g.directed, g.n, children, _min_cover(everything, cands, size)[1])
 
 
 def decide_mindag(g: Graph, k: int,
                   budget: OracleBudget | None = None) -> tuple[bool, DagCompression | None]:
     """Does g admit a compression of size at most k? Witness returned on yes."""
-    size, witness = min_dag_size(g, replace(budget or OracleBudget(), size_cap=k))
-    if size <= k:
-        return True, witness
-    return False, None
+    size, witness = min_dag_size(g, budget, size_cap=k)
+    return (True, witness) if size <= k else (False, None)
 
 
 def min_bipartite_size(neighborhoods: tuple[frozenset[int], ...], universe_size: int,
                        size_cap: int | None = None) -> tuple[int, DagCompression]:
     """Exact optimum for a directed bipartite graph given per-source neighborhoods.
 
-    Sinks 1..universe_size form the target shore; source i (vertex id
-    universe_size + i) has out-edges to exactly neighborhoods[i-1]. Exhaustive
+    The graph is _source_graph(neighborhoods, universe_size): sinks
+    1..universe_size, then one source per neighborhood. Exhaustive
     over helper-cluster families of non-singleton sink subsets, pruned by a
     running best. Sound for any number of sources, so twinned incidence
     graphs of set families are in scope.
@@ -380,21 +381,26 @@ def min_bipartite_size(neighborhoods: tuple[frozenset[int], ...], universe_size:
             total += (c[family & c.below][0] - 1) * multiplicity
             if total > upper:
                 return None
-        return total, None
+        return total
 
     # Every non-empty source pays at least one compression edge. The empty
     # family prices the direct compression, so one more than its size means
     # that nothing has been found yet.
     direct = sum(len(nb) for nb in neighborhoods)
     settled = {position[c.target]: (c, multiplicity) for c, multiplicity in priced}
-    size, family, children, _ = _family_search(universe_size, len(position), len(sources),
-                                               direct + 1, None, size_cap, price_edges, settled)
+    size, family, children = _family_search(universe_size, len(position), len(sources),
+                                            direct + 1, size_cap, price_edges, settled)
     pairs = [(src, _elements(piece)) for src, c in sources for piece in c[family & c.below][1]]
     return size, _family_compression(True, universe_size + len(neighborhoods), children, pairs)
 
 
-def twinned_optimum(sets: tuple[frozenset[int], ...], universe_size: int,
-                    size_cap: int | None = None) -> tuple[int, DagCompression]:
+def _source_graph(neighborhoods, universe_size: int) -> Graph:
+    """The directed graph min_bipartite_size solves: sinks 1..universe_size, then
+    source i (0-based) as vertex universe_size + 1 + i, out-edges to neighborhoods[i]."""
+    return Graph(directed=True, n=universe_size + len(neighborhoods),
+                 edges=frozenset((universe_size + 1 + i, e) for i, s in enumerate(neighborhoods) for e in s))
+
+
+def twinned_optimum(sets: tuple[frozenset[int], ...], universe_size: int) -> tuple[int, DagCompression]:
     """Optimal compression size of the twinned incidence graph of a set family."""
-    doubled = tuple(s for s in sets for _ in range(2))
-    return min_bipartite_size(doubled, universe_size, size_cap=size_cap)
+    return min_bipartite_size(tuple(s for s in sets for _ in range(2)), universe_size)

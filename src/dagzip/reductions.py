@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from .compression import DagCompression
 from .graphs import Graph, ShorePartition, _LineReader
-from .oracle import _family_compression, _min_set_cover, _standard_key, twinned_optimum
+from .oracle import _family_compression, _min_set_cover, _source_graph, _standard_key, twinned_optimum
 
 # setcover_exhaustive refuses collections with more sets than this.
 _MAX_SETS = 20
@@ -90,9 +90,6 @@ class ClosedFamily:
     def m(self) -> int:
         return len(self.sets)
 
-    def index_of(self, s: frozenset[int]) -> int:
-        return self.sets.index(frozenset(s))
-
     def check_closed(self) -> None:
         present = set(self.sets)
         for e in range(1, self.universe_size + 1):
@@ -141,7 +138,7 @@ class TwinnedGraph:
     """Bipartite encoding of a set family with two twin source vertices per set.
 
     Element e of the universe is vertex e; set i (0-based) gets sources
-    a = universe_size + 2i + 1 and b = universe_size + 2i + 2.
+    a = universe_size + 2i + 1 and b = universe_size + 2i + 2, as in _source_graph.
     """
 
     graph: Graph
@@ -169,16 +166,9 @@ def twinned_incidence(sets, universe_size: int | None = None) -> TwinnedGraph:
     if universe_size is None:
         raise ValueError("universe_size required for a raw set list")
     sets = tuple(frozenset(s) for s in sets)
-    n = universe_size + 2 * len(sets)
-    edges: set[tuple[int, int]] = set()
-    for i, s in enumerate(sets):
-        for t in _twin_vertices(universe_size, i):
-            edges.update((t, e) for e in s)
-    graph = Graph(directed=True, n=n, edges=frozenset(edges))
-    shores = ShorePartition(
-        shore1=frozenset(range(universe_size + 1, n + 1)),
-        shore2=frozenset(range(1, universe_size + 1)),
-    )
+    graph = _source_graph([s for s in sets for _ in range(2)], universe_size)
+    shores = ShorePartition(shore1=frozenset(range(universe_size + 1, graph.n + 1)),
+                            shore2=frozenset(range(1, universe_size + 1)))
     return TwinnedGraph(graph=graph, shores=shores, sets=sets, universe_size=universe_size)
 
 
@@ -217,7 +207,6 @@ class MindagInstance:
 
     twinned: TwinnedGraph
     k_prime: int
-    family: ClosedFamily
     meta: dict = field(default_factory=dict)
 
     @property
@@ -247,7 +236,7 @@ def reduce_mindag(inst: SetCoverInstance) -> MindagInstance:
         "m_with_target": family.m + 1,
         "s_closure": s_closure,
     }
-    return MindagInstance(twinned=twinned, k_prime=k_prime, family=family, meta=meta)
+    return MindagInstance(twinned=twinned, k_prime=k_prime, meta=meta)
 
 
 @dataclass
@@ -260,7 +249,6 @@ class AddInstance:
     """
 
     graph: Graph
-    shores: ShorePartition
     compression: DagCompression
     new_edge: tuple[int, int]
     k_new: int
@@ -294,17 +282,9 @@ def reduce_add(inst: SetCoverInstance) -> AddInstance:
     shifted = _shift_instance(inst)
     infected = tuple(s | {1} for s in shifted)
     family = _close(infected, inst.n + 1)
-    twinned = twinned_incidence(family)
-    s_vertex = twinned.graph.n + 1
-    graph = Graph(
-        directed=True,
-        n=s_vertex,
-        edges=twinned.graph.edges | {(s_vertex, e) for e in range(2, inst.n + 2)},
-    )
-    shores = ShorePartition(
-        shore1=twinned.shores.shore1 | {s_vertex},
-        shore2=twinned.shores.shore2,
-    )
+    sources = [s for s in family.sets for _ in range(2)] + [frozenset(range(2, inst.n + 2))]
+    graph = _source_graph(sources, inst.n + 1)
+    s_vertex = graph.n
     compression = _closure_and_source(
         family, s_vertex, [frozenset((e,)) for e in range(2, inst.n + 2)]
     )
@@ -318,7 +298,6 @@ def reduce_add(inst: SetCoverInstance) -> AddInstance:
     }
     return AddInstance(
         graph=graph,
-        shores=shores,
         compression=compression,
         new_edge=(s_vertex, 1),
         k_new=inst.k + b_size,
@@ -340,7 +319,6 @@ class DeleteInstance:
     """Instance of the edge-deletion update problem."""
 
     graph: Graph
-    shores: ShorePartition
     compression: DagCompression
     removed_edge: tuple[int, int]
     k_new: int
@@ -367,7 +345,7 @@ def reduce_delete(inst: SetCoverInstance) -> DeleteInstance:
     twinned = twinned_incidence(family)
     compression = canonical_closure_compression(family)
     b_size = closure_compression_size(family)
-    j = family.index_of(full)
+    j = family.m - 1  # the full set is strictly the largest, so it comes last
     removed = (twinned.a_vertex(j), 1)
     meta = {
         "n": inst.n,
@@ -378,7 +356,6 @@ def reduce_delete(inst: SetCoverInstance) -> DeleteInstance:
     }
     return DeleteInstance(
         graph=twinned.graph,
-        shores=twinned.shores,
         compression=compression,
         removed_edge=removed,
         k_new=inst.k + b_size - 2,

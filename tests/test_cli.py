@@ -534,6 +534,30 @@ def test_compress_refuses_weighted(tmp_path, capsys, strategy):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["generate", "rook", "--g", "0"], "side length must be >= 1"),
+    (["generate", "rook", "--g", "3", "--d", "1"], "dimension must be >= 2"),
+    (["generate", "random-compression", "--sinks", "0", "--clusters", "1", "--edges", "1"],
+     "parameters must be positive"),
+])
+def test_generate_refuses_bad_parameters(tmp_path, capsys, argv, line):
+    out = tmp_path / "out"
+    assert run_cli([*argv, "-o", str(out)], capsys) == (2, "", f"error: {line}\n")
+    assert not out.exists()
+
+
+def test_tree_compress_refuses_an_empty_graph(tmp_path, capsys):
+    g = _file(tmp_path, "empty.graph", "graph directed 0 0\n")
+    assert run_cli(["compress", "--strategy", "tree", g], capsys) == (
+        2, "", "error: need at least one vertex\n")
+
+
+def test_oracle_refuses_a_non_positive_budget(tmp_path, capsys):
+    g = _file(tmp_path, "g.graph", "graph directed 2 1\ne 1 2\n")
+    assert run_cli(["oracle", g, "--max-sinks", "0"], capsys) == (
+        2, "", "error: max_sinks must be positive\n")
+
+
 def test_gap_refuses_a_non_integer_entry(tmp_path, capsys):
     out = tmp_path / "gap.csv"
     assert run_cli(["gap", "--g", "2,x", "--out", str(out)], capsys) == (

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from dagzip import (
     DagCompression,
     Graph,
+    RookSpec,
+    clusters,
     decompress,
+    rook_canonical_compression,
     rook_mst_compression,
     write_compression,
     write_graph,
@@ -117,3 +120,32 @@ def test_edge_keys_must_fit_in_int64(monkeypatch):
     monkeypatch.setattr(compression, "INT64_MAX", 99)
     with pytest.raises(ValueError, match="got 9 sinks"):
         decompress(d)
+
+
+def test_cluster_table_guard_is_exact(monkeypatch):
+    d = rook_mst_compression(4, max_weight=3, seed=1)  # 8 cluster sets of 4 sinks: 32 members
+    monkeypatch.setattr(compression, "MAX_CLUSTER_MEMBERS", 31)
+    for build in (decompress, clusters):
+        with pytest.raises(ValueError, match="^the cluster sets exceed the limit of 31 members in all$"):
+            build(d)
+    monkeypatch.setattr(compression, "MAX_CLUSTER_MEMBERS", 32)
+    assert decompress(d).m == 8 * 10 - 16
+    assert sum(map(len, clusters(d).cluster.values())) == 32 + 16
+
+
+def test_cluster_table_guard_on_the_command_line(monkeypatch, capsys, tmp_path):
+    weighted, plain = tmp_path / "rook.dagc", tmp_path / "plain.dagc"
+    weighted.write_text(write_compression(rook_mst_compression(4, max_weight=3, seed=1)))
+    plain.write_text(write_compression(rook_canonical_compression(RookSpec(g=2))))  # 4 sets of 2
+    shores = tmp_path / "plain.shores"
+    shores.write_text("shore1 2 1 2\nshore2 2 3 4\n")
+    monkeypatch.setattr(compression, "MAX_CLUSTER_MEMBERS", 7)
+    out = ["-o", str(tmp_path / "out")]
+    for argv in (["decompress", str(weighted)], ["mst", "--baseline", str(weighted)],
+                 ["mst", "--check", str(weighted)], ["decompress", str(plain)],
+                 ["normalize", "--pass", "twins", "--shores", str(shores), str(plain)],
+                 ["normalize", "--pass", "single-edge", "--shores", str(shores), str(plain)]):
+        assert main(argv + out) == 2, argv
+        assert capsys.readouterr().err == "error: the cluster sets exceed the limit of 7 members in all\n"
+    assert not (tmp_path / "out").exists()
+    assert main(["mst", str(weighted)] + out) == 0  # compressed Kruskal builds no cluster sets

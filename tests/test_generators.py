@@ -173,3 +173,22 @@ def test_random_compression_seed_determinism():
     a = random_compression(8, 4, 0.4, 6, 7, seed=42)
     b = random_compression(8, 4, 0.4, 6, 7, seed=42)
     assert write_compression(a) == write_compression(b)
+
+
+def test_random_graph_draw_guard_is_exact(monkeypatch, capsys, tmp_path):
+    # 5 vertices draw 25 candidate pairs when directed, 10 when undirected
+    for directed, draws in ((True, 25), (False, 10)):
+        monkeypatch.setattr(generators, "MAX_RANDOM_PAIRS", draws - 1)
+        with pytest.raises(ValueError, match=f"^a random graph on 5 vertices draws {draws} "
+                                             f"candidate pairs, above the limit of {draws - 1}$"):
+            random_graph(5, 0.5, seed=3, directed=directed)
+        monkeypatch.setattr(generators, "MAX_RANDOM_PAIRS", draws)
+        accepted = random_graph(5, 0.5, seed=3, directed=directed)
+        monkeypatch.undo()  # the guard leaves the draw alone
+        assert accepted == random_graph(5, 0.5, seed=3, directed=directed)
+    monkeypatch.setattr(generators, "MAX_RANDOM_PAIRS", 24)
+    out = tmp_path / "g.graph"
+    assert main(["generate", "random", "--n", "5", "--p", "0.5", "--directed", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: a random graph on 5 vertices draws 25 candidate pairs, above the limit of 24\n")
+    assert not out.exists()

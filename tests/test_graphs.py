@@ -183,6 +183,15 @@ def test_weighted_graph_constructor_checks():
         Graph(directed=True, n=3, edges=[(1, 2), (1, 4)])
 
 
+def test_graph_constructor_refusals():
+    with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+        Graph(directed=True, n=-1, edges=[])
+    with pytest.raises(ValueError, match=r"^expected \(u, v\) pairs, got shape \(1, 3\)$"):
+        Graph(directed=True, n=3, edges=[(1, 2, 3)])
+    with pytest.raises(ValueError, match=r"^edge out of range 1\.\.3$"):  # 2^64 overflows int64
+        Graph(directed=True, n=3, edges=[(1, 2 ** 64)])
+
+
 def test_non_integer_weights_are_refused():
     """A float weight is an error, not truncated; numpy integers are integers."""
     for x in (1.7, 2.0, np.float64(3.0), "4", None):

@@ -186,6 +186,8 @@ def test_rook_mst_compression_contract():
     res = kruskal_compressed(d)
     base = kruskal_baseline(decompress(d))
     assert res.total_weight == base.total_weight == 35
+    with pytest.raises(ValueError, match="^max_weight does not fit in int64$"):
+        rook_mst_compression(2, max_weight=2 ** 63)
 
 
 @pytest.mark.parametrize("d", [

@@ -37,6 +37,7 @@ from dagzip.oracle import (
     _min_cover,
     _min_set_cover,
     _sink_subsets,
+    _source_graph,
 )
 
 
@@ -494,3 +495,27 @@ def test_bipartite_witnesses_pinned():
             size, w = min_bipartite_size(neigh, u, size_cap=cap)
             got[name].update(f"{size}\n{write_compression(w)}".encode())
     assert {name: h.hexdigest() for name, h in got.items()} == BIPARTITE_DIGESTS
+
+
+def test_bipartite_witnesses_decompress_to_the_source_graph():
+    # min_bipartite_size and _source_graph number the sources alike.
+    for neigh, u in _pinned_neighborhoods():
+        size, w = min_bipartite_size(neigh, u)
+        assert w.size() == size
+        assert decompress(w) == _source_graph(neigh, u), (neigh, u)
+
+
+def test_bipartite_refuses_a_neighborhood_outside_the_universe():
+    with pytest.raises(ValueError, match="^neighborhood outside the universe$"):
+        min_bipartite_size((frozenset({1}), frozenset({3})), 2)
+
+
+def test_min_dag_size_stops_at_the_size_cap():
+    k23 = Graph(True, 5, [(a, b) for a in (1, 2) for b in (3, 4, 5)])
+    budget = OracleBudget(max_sinks=5)
+    best = min_dag_size(k23, budget)[0]
+    assert best < k23.m
+    for k in range(best - 1, k23.m + 1):
+        size, w = min_dag_size(k23, budget, size_cap=k)
+        assert size == best if k < best else size <= k
+        assert w.size() == size and decompress(w) == k23

@@ -379,6 +379,17 @@ def test_sandwich_preconditions():
         check_sandwich((frozenset({1, 2}),), frozenset({1}), 2)  # subset of a member
     with pytest.raises(ValueError):
         check_sandwich((frozenset({1}),), frozenset({2}), 2)  # not coverable
+    with pytest.raises(ValueError, match="^new set must be non-empty$"):
+        check_sandwich((frozenset({1}),), frozenset(), 2)
+    with pytest.raises(ValueError, match="^new set outside the universe$"):
+        check_sandwich((frozenset({1}),), frozenset({3}), 2)
+
+
+def test_setcover_and_twinned_incidence_refusals():
+    with pytest.raises(ValueError, match="^empty set in collection$"):
+        SetCoverInstance(n=2, sets=(frozenset({1}), frozenset()), k=1)
+    with pytest.raises(ValueError, match="^universe_size required for a raw set list$"):
+        twinned_incidence([frozenset({1})])
 
 
 def test_sandwich_random_sweep():
