@@ -204,9 +204,19 @@ def _cluster_csr(d: DagCompression) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(cptr, out=cptr), cind
 
 
+# clusters() holds about 100 bytes per cluster-set member, sinks' own sets
+# included, and 400 per vertex on top of the CSR (tracemalloc: a 2000-cluster
+# chain, 2M members, peaked at 200 MB; 200,001 vertices at 99 MB).
+MAX_CLUSTER_TABLE_BYTES = 2_000_000_000
+
+
 def clusters(d: DagCompression) -> ClusterTable:
-    """Materialize every C(v) plus the representative function."""
-    ptr, ind = (a.tolist() for a in _cluster_csr(d))
+    """Materialize every C(v) plus the representative function; refused above MAX_CLUSTER_TABLE_BYTES."""
+    cptr, cind = _cluster_csr(d)
+    if (need := 100 * len(cind) + 400 * d.n_vertices) > MAX_CLUSTER_TABLE_BYTES:
+        raise ValueError(f"the cluster table needs about {need} bytes, "
+                         f"above the limit of {MAX_CLUSTER_TABLE_BYTES}")
+    ptr, ind = cptr.tolist(), cind.tolist()
     vs = range(1, d.n_vertices + 1)
     return ClusterTable(cluster={v: frozenset(ind[ptr[v]: ptr[v + 1]]) for v in vs},
                         representative=dict(zip(vs, d._index.rep[1:])))

@@ -1,11 +1,10 @@
 """Size-preserving rewrite passes on compressions of directed bipartite graphs.
 
-Three passes, each leaving the encoded graph untouched. They are defined for
-unweighted well-formed compressions only (an invalid one is refused by the
-DAG index's check(), in validate()'s words), and they work on the
-compression's columns: none of them expands it or builds its cluster sets.
-Each pass hands its arcs and compression edges to one rebuild (_rebuild),
-which removes the cluster vertices left reaching no sink and renumbers.
+Three passes, each leaving the encoded graph untouched, for unweighted
+well-formed compressions only (an invalid one is refused by the DAG index's
+check(), in validate()'s words). Each reads the arcs and compression edges
+once, as (u, v) lists; one rebuild (_rebuild) then drops each cluster vertex
+left reaching no sink and renumbers. No pass expands it or builds cluster sets.
 
 - twin_normalize mirrors the lower-degree member of each twin pair onto the
   other, so twins of the graph become twins of the cluster DAG and of the
@@ -25,8 +24,7 @@ which removes the cluster vertices left reaching no sink and renumbers.
 from __future__ import annotations
 
 from collections import defaultdict
-
-import numpy as np
+from itertools import accumulate
 
 from .compression import DagCompression
 from .graphs import ShorePartition
@@ -36,6 +34,11 @@ def _check(d: DagCompression, pass_name: str) -> None:
     if d.weighted:
         raise ValueError(f"{pass_name} is defined for unweighted compressions")
     d._index.check()
+
+
+def _pairs(d: DagCompression):
+    """d's arcs and compression edges, as lists of (u, v) in column order."""
+    return ([*zip(d.arc_u.tolist(), d.arc_v.tolist())], [*zip(d.cedge_u.tolist(), d.cedge_v.tolist())])
 
 
 def _sink_pairs(d: DagCompression, twin_pairs):
@@ -60,9 +63,9 @@ def _rebuild(d: DagCompression, n: int, arcs, cedges, drop=frozenset()) -> DagCo
     for v in reversed(out._index.order):  # children first
         if v > s and v not in drop:
             live[v] = any(live[k] for k in ind[ptr[v]: ptr[v + 1]])
-    new = np.cumsum(live) * live  # each vertex's id once the dropped ones are gone; 0 if dropped
-    kept = (new[np.column_stack(c)] for c in ((out.arc_u, out.arc_v), (out.cedge_u, out.cedge_v)))
-    return DagCompression(d.directed, s, int(new.max()) - s, *(p[p.all(axis=1)] for p in kept))
+    new = [*accumulate(live)]  # each kept vertex's id once the dropped ones are gone
+    kept = ([(new[u], new[v]) for u, v in ps if live[u] and live[v]] for ps in (arcs, cedges))
+    return DagCompression(d.directed, s, new[-1] - s, *kept)
 
 
 def twin_normalize(d: DagCompression, twin_pairs) -> DagCompression:
@@ -74,19 +77,15 @@ def twin_normalize(d: DagCompression, twin_pairs) -> DagCompression:
     joined by a compression edge (a loop, or one between the two) is skipped.
     """
     _check(d, "twin_normalize")
-    # Arcs (tag 0) and compression edges (tag -1, below every vertex id) in one
-    # table, handled alike: a twin's arcs are its parent arcs, from cluster vertices.
-    rows = np.concatenate([np.column_stack((u, v, np.full(len(u), tag))) for u, v, tag
-                           in ((d.arc_u, d.arc_v, 0), (d.cedge_u, d.cedge_v, -1))])
-    loops = set(d.cedge_u[d.cedge_u == d.cedge_v].tolist())  # no mirror adds or removes one
+    arcs, cedges = _pairs(d)
     for pair in _sink_pairs(d, twin_pairs):
-        on = [(rows[:, :2] == t).any(axis=1) for t in pair]  # each twin's arcs and edges
-        if loops.intersection(pair) or (on[0] & on[1]).any():
-            continue
-        # The source has the lower degree; the first twin on a tie.
-        (src, sm), (dst, dm) = sorted(zip(pair, on), key=lambda i: np.count_nonzero(i[1]))
-        rows = np.concatenate((rows[~dm], np.where(rows[sm] == src, dst, rows[sm])))
-    return _rebuild(d, d.n_vertices, *(rows[rows[:, 2] == tag, :2] for tag in (0, -1)))
+        degree = [sum(t in p for p in arcs + cedges) for t in pair]  # parent arcs mirror like edges
+        src, dst = pair if degree[0] <= degree[1] else pair[::-1]  # the first twin on a tie
+        if not any(u in pair and v in pair for u, v in cedges):  # no loop on a twin, no edge between them
+            arcs, cedges = ([p for p in ps if dst not in p] + [(dst, v) if u == src else (u, dst)
+                                                              for u, v in ps if src in (u, v)]
+                            for ps in (arcs, cedges))
+    return _rebuild(d, d.n_vertices, arcs, cedges)
 
 
 def shore_normalize(d: DagCompression, shores: ShorePartition) -> DagCompression:
@@ -107,16 +106,15 @@ def shore_normalize(d: DagCompression, shores: ShorePartition) -> DagCompression
     index, s, n = d._index, d.n_sinks, d.n_vertices
     if shores.shore1 | shores.shore2 != frozenset(range(1, s + 1)):
         raise ValueError("shores must partition the vertex set")
-    ptr, ind = index.ptr, index.ind
-    kids = [ind[ptr[v]: ptr[v + 1]] for v in range(n + 1)]
+    kids = [index.ind[index.ptr[v]: index.ptr[v + 1]] for v in range(n + 1)]
     side = [0] + [1 if v in shores.shore1 else 2 for v in range(1, s + 1)] + [0] * (n - s)
-    for v in reversed(index.order):
-        if v > s:
-            for k in kids[v]:
-                side[v] |= side[k]
+    for v in reversed(index.order):  # children first; a sink has none
+        for k in kids[v]:
+            side[v] |= side[k]
 
+    arcs, cedges = _pairs(d)
     targets = defaultdict(list)  # compression-edge targets by source
-    for u, v in zip(d.cedge_u.tolist(), d.cedge_v.tolist()):
+    for u, v in cedges:
         if side[u] != 1 or side[v] != 2:
             raise ValueError(f"compression edge ({u},{v}) does not go from shore1 to shore2")
         targets[u].append(v)
@@ -126,7 +124,7 @@ def shore_normalize(d: DagCompression, shores: ShorePartition) -> DagCompression
     # first in the topological order and sinks have no arcs, so targets[v] is
     # complete when v is reached and the sinks hold all compression edges.
     dropped = {v for v in range(s + 1, n + 1) if side[v] != 2}
-    arcs = [(u, v) for u, v in zip(d.arc_u.tolist(), d.arc_v.tolist()) if side[u] == 2]
+    arcs = [(u, v) for u, v in arcs if side[u] == 2]
     for v in index.order:
         if v > s and side[v] == 1 and targets[v]:
             arcs += ((v, t) for t in targets[v])
@@ -150,20 +148,21 @@ def twin_single_edge(d: DagCompression, twin_pairs) -> DagCompression:
     for t1, t2 in _sink_pairs(d, twin_pairs):
         joined = tuple(sorted({*classes.get(t1, (t1,)), *classes.get(t2, (t2,))}))
         classes.update(dict.fromkeys(joined, joined))
-    cu, cv, next_id = d.cedge_u.tolist(), d.cedge_v.tolist(), d.n_vertices
-    row = np.searchsorted(d.cedge_u, np.arange(d.n_sinks + 2)).tolist()  # t's edges: row[t]:row[t + 1]
-    arcs, cedges = [], [(u, v) for u, v in zip(cu, cv) if u not in classes]
+    arcs, cedges = _pairs(d)
+    targets = defaultdict(list)  # by source, ascending: the columns are sorted
+    for u, v in cedges:
+        targets[u].append(v)
+    heads, next_id = {v for _, v in arcs + cedges}, d.n_vertices
+    cedges = [(u, v) for u, v in cedges if u not in classes]
     for cls in sorted(set(classes.values())):
-        for t in cls:
-            if d._index.indegree[t] or t in cv:
-                raise ValueError(f"twin {t} has a parent arc or an in-edge; run shore_normalize first")
-        targets = [cv[row[t]: row[t + 1]] for t in cls]  # ascending: the columns are sorted
-        if targets.count(targets[0]) < len(cls):
+        if blocked := sorted(heads.intersection(cls)):
+            raise ValueError(f"twin {blocked[0]} has a parent arc or an in-edge; run shore_normalize first")
+        shared = targets[cls[0]]
+        if any(targets[t] != shared for t in cls):
             raise ValueError(f"twins {cls} have different targets; run twin_normalize first")
-        targets = targets[0]
-        while len(targets) >= 2:
+        while len(shared) >= 2:
             next_id += 1
-            arcs += [(next_id, targets[0]), (next_id, targets[1])]
-            targets = targets[2:] + [next_id]  # the fresh id is the largest
-        cedges += [(t, y) for t in cls for y in targets]
-    return _rebuild(d, next_id, [*zip(d.arc_u.tolist(), d.arc_v.tolist()), *arcs], cedges)
+            arcs += [(next_id, shared[0]), (next_id, shared[1])]
+            shared = shared[2:] + [next_id]  # the fresh id is the largest
+        cedges += [(t, y) for t in cls for y in shared]
+    return _rebuild(d, next_id, arcs, cedges)

@@ -606,3 +606,28 @@ def test_library_value_errors_exit_2_in_their_own_words(tmp_path, capsys, monkey
             patch.setattr(owner, name, boom)
             assert run_cli(argv, capsys) == (2, "", "error: boom\n"), name
     assert not list(tmp_path.glob("out*"))
+
+
+# One fault each: the arc lines and the one compression edge's endpoints.
+INVALID_COMPRESSIONS = {
+    "cycle in cluster DAG": ("sinks 2\nclusters 2\narcs 3\na 3 1\na 3 4\na 4 3\n", "3 2"),
+    "original vertex 1 has outgoing arc": ("sinks 2\nclusters 1\narcs 2\na 1 3\na 3 2\n", "3 2"),
+    "cluster vertex 3 with no outgoing arc": ("sinks 2\nclusters 1\narcs 0\n", "1 3"),
+}
+
+
+@pytest.mark.parametrize("violation", list(INVALID_COMPRESSIONS))
+@pytest.mark.parametrize("argv", [["decompress"], ["mst"], ["mst", "--baseline"], ["mst", "--check"],
+                                  *(["normalize", "--pass", p] for p in ("twins", "shore", "single-edge"))])
+def test_loading_commands_refuse_an_invalid_compression(tmp_path, capsys, violation, argv):
+    # mst reads a weighted undirected file, the other commands an unweighted directed one
+    arcs, cedge = INVALID_COMPRESSIONS[violation]
+    text = (f"dagc undirected weighted\n{arcs}cedges 1\nc {cedge} 5\n" if argv[0] == "mst"
+            else f"dagc directed\n{arcs}cedges 1\nc {cedge}\n")
+    comp = _file(tmp_path, "bad.dagc", text)
+    if argv[0] == "normalize":
+        argv = [*argv, "--shores", _file(tmp_path, "bad.shores", "shore1 1 1\nshore2 1 2\n")]
+    out = tmp_path / "out"
+    assert run_cli([*argv, comp, "-o", str(out)], capsys) == (
+        2, "", f"error: invalid compression: {violation}\n")
+    assert not out.exists()

@@ -133,6 +133,17 @@ def test_cluster_table_guard_is_exact(monkeypatch):
     assert sum(map(len, clusters(d).cluster.values())) == 32 + 16
 
 
+def test_cluster_table_size_guard_is_exact(monkeypatch):
+    d = rook_mst_compression(4, max_weight=3, seed=1)  # 24 vertices; 48 members, the sinks' own included
+    need = 100 * 48 + 400 * 24
+    monkeypatch.setattr(compression, "MAX_CLUSTER_TABLE_BYTES", need - 1)
+    with pytest.raises(ValueError, match=f"^the cluster table needs about {need} bytes, above the limit of {need - 1}$"):
+        clusters(d)
+    assert decompress(d).m == 8 * 10 - 16  # the CSR alone is not limited by the table's size
+    monkeypatch.setattr(compression, "MAX_CLUSTER_TABLE_BYTES", need)
+    assert sum(map(len, clusters(d).cluster.values())) == 48
+
+
 def test_cluster_table_guard_on_the_command_line(monkeypatch, capsys, tmp_path):
     weighted, plain = tmp_path / "rook.dagc", tmp_path / "plain.dagc"
     weighted.write_text(write_compression(rook_mst_compression(4, max_weight=3, seed=1)))

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +19,9 @@ from dagzip import (
     twins,
     validate,
     write_compression,
+    write_shores,
 )
+from dagzip.cli import main
 
 
 def random_family(rng, max_universe=5):
@@ -414,3 +417,105 @@ def test_twin_normalize_differential():
             assert out.size() <= d.size()
             checked += 1
     assert checked > 900
+
+
+def random_class_compression(rng, directed, class_size):
+    """A valid compression of a random bipartite graph whose sources come in
+    twin classes, with its shores and twin pairs.
+
+    Sources 1..S come in classes of class_size, each class joined to one
+    random set of the targets after them. Per source: the set's blocks
+    behind fresh clusters, either the class's shared ones or its own. Some
+    directed classes also reach their first block through one source-side
+    cluster over the class. The pairs list a class's consecutive members, or
+    all of its pairs.
+    """
+    m, k = rng.randint(2, 5), rng.randint(1, 3)
+    n_src = k * class_size
+    arcs, cedges, pairs = set(), set(), []
+    next_id = n_src + m
+
+    def new_cluster(children):
+        nonlocal next_id
+        next_id += 1
+        arcs.update((next_id, c) for c in children)
+        return next_id
+
+    def blocks(members):  # the members cut into blocks; a block of one is its target
+        cuts = [0, *sorted(rng.sample(range(1, len(members)), rng.randint(0, len(members) - 1))), len(members)]
+        return [b[0] if len(b) == 1 else new_cluster(b) for b in (members[i:j] for i, j in zip(cuts, cuts[1:]))]
+
+    for c in range(k):
+        cls = list(range(c * class_size + 1, (c + 1) * class_size + 1))
+        members = sorted(rng.sample(range(n_src + 1, n_src + m + 1), rng.randint(1, m)))
+        shared = blocks(members)
+        for t in cls:
+            cedges.update((t, y) for y in (shared if rng.random() < 0.5 else blocks(members)))
+        if directed and rng.random() < 0.3:
+            cedges.add((new_cluster(cls), shared[0]))
+        pairs += combinations(cls, 2) if rng.random() < 0.5 else zip(cls, cls[1:])
+    d = DagCompression(directed, n_src + m, next_id - n_src - m, arcs, cedges)
+    shores = ShorePartition(frozenset(range(1, n_src + 1)), frozenset(range(n_src + 1, n_src + m + 1)))
+    return d, shores, pairs
+
+
+def _outcome(normalize, d, *args):
+    """The pass's output and its text, or None and its refusal's line."""
+    try:
+        out = normalize(d, *args)
+    except ValueError as exc:
+        return None, f"error: {exc}\n"
+    assert validate(out) == [] and decompress(out) == decompress(d)
+    return out, write_compression(out)
+
+
+# sha256 of the texts of each sample's outputs and refusals, taken before the
+# passes moved from numpy rows to pair lists.
+NORMALIZE_SAMPLE_DIGESTS = {
+    "undirected": "e7740c4e829aaf73f0b618173c0f3030b8f4de62eb101f168a2b285096e561fa",
+    "classes of three": "bd1ee2f5eb721a0313850110448f4452e99550993c90d251a8b104bf85ce0de1",
+    "cli chain": "1ad63ca2137c8803c42ae0e4f19c98b761c083afe17dba779e512036c870e0e5",
+}
+
+
+def test_undirected_twin_passes_pinned():
+    rng = random.Random(23)
+    h = hashlib.sha256()
+    for i in range(120):
+        d, _, pairs = random_class_compression(rng, False, 2 + i % 2)
+        d1, text = _outcome(twin_normalize, d, pairs)
+        h.update(text.encode())
+        h.update(_outcome(twin_single_edge, d1, pairs)[1].encode())
+    assert h.hexdigest() == NORMALIZE_SAMPLE_DIGESTS["undirected"]
+
+
+def test_twin_classes_of_three_pinned():
+    rng = random.Random(24)
+    h = hashlib.sha256()
+    for _ in range(120):
+        d, shores, pairs = random_class_compression(rng, True, 3)
+        d1, text = _outcome(twin_normalize, d, pairs)
+        d2, text2 = _outcome(shore_normalize, d1, shores)
+        h.update((text + text2 + _outcome(twin_single_edge, d2, pairs)[1]).encode())
+    assert h.hexdigest() == NORMALIZE_SAMPLE_DIGESTS["classes of three"]
+
+
+def test_normalize_cli_chain_pinned(tmp_path, capsys):
+    """dagzip normalize twins -> shore -> single-edge, on twinned incidence
+    graphs and on twin classes of two and three, each finding its own pairs."""
+    rng = random.Random(25)
+    cases = [random_twinned_compression(rng)[:2] for _ in range(20)]
+    cases = [(d, tg.shores) for d, tg in cases]
+    cases += [random_class_compression(rng, True, 2 + i % 2)[:2] for i in range(20)]
+    h = hashlib.sha256()
+    for d, shores in cases:
+        comp, shore_file = tmp_path / "in.dagc", tmp_path / "in.shores"
+        comp.write_text(write_compression(d), encoding="ascii")
+        shore_file.write_text(write_shores(shores), encoding="ascii")
+        for pass_name in ("twins", "shore", "single-edge"):
+            out = tmp_path / f"{pass_name}.dagc"
+            code = main(["normalize", "--pass", pass_name, "--shores", str(shore_file), str(comp), "-o", str(out)])
+            captured = capsys.readouterr()
+            h.update(f"{code}\n{captured.out}{captured.err}".encode() + out.read_bytes())
+            comp = out
+    assert h.hexdigest() == NORMALIZE_SAMPLE_DIGESTS["cli chain"]
