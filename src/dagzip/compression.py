@@ -27,8 +27,9 @@ returns its list of violations, and every query that needs a well-formed
 compression (decompress, clusters, compressed Kruskal, the normalize passes)
 refuses any other through its check(), in validate()'s words.
 The cluster sets, Theta(n * |clusters|), are built per call, once, as a
-CSR of sorted sink arrays (_cluster_csr); clusters() and decompress() read
-it, and decompress expands every product in one ragged numpy pass.
+CSR of sorted sink arrays (_cluster_csr); clusters() reads every set, and
+decompress() builds only the sets below compression-edge endpoints and
+expands every product in one ragged numpy pass.
 """
 
 from __future__ import annotations
@@ -172,31 +173,43 @@ def validate(d: DagCompression) -> list[str]:
 
 
 # _cluster_csr holds about 24 bytes per cluster-set member at its peak
-# (tracemalloc, decompressing a 4000-cluster chain: 8M members, 193 MB), so
+# (tracemalloc, all sets of a 4000-cluster chain: 8M members, 193 MB), so
 # 80M members is about 2 GB.
 MAX_CLUSTER_MEMBERS = 80_000_000
 
 
-def _cluster_csr(d: DagCompression) -> tuple[np.ndarray, np.ndarray]:
-    """Every C(v) in CSR form: cind[cptr[v]:cptr[v + 1]] is C(v), ascending (slot 0 empty).
+def _cluster_csr(d: DagCompression, tops: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """C(v) in CSR form for the vertices in tops and every vertex below them
+    (every vertex when tops is None): cind[cptr[v]:cptr[v + 1]] is C(v),
+    ascending; the other sets are left empty.
 
-    Sink v is [v]; each cluster vertex, in reverse topological order, is the
-    sorted union of its children's sets. Raises ValueError once the cluster
-    vertices' sets hold more than MAX_CLUSTER_MEMBERS members in all.
+    Sink v is [v]. One pass over the topological order marks the cluster
+    vertices to fold; each of them, in reverse topological order, is the
+    sorted union of its children's sets. Raises ValueError once those sets
+    hold more than MAX_CLUSTER_MEMBERS members in all.
     """
     index, s = d._index, d.n_sinks
     index.check()
     ptr, ind = index.ptr, index.ind
+    folded = [v for v in index.order if v > s]  # parents before children
+    if tops is not None:
+        below = np.zeros(d.n_vertices + 1, bool)
+        below[tops] = True
+        below = below.tolist()
+        for v in folded:
+            if below[v]:
+                for k in ind[ptr[v]: ptr[v + 1]]:
+                    below[k] = True
+        folded = [v for v in folded if below[v]]
     members: dict[int, list[int]] = {}
     total = 0
-    for v in reversed(index.order):
-        if v > s:
-            kids = ind[ptr[v]: ptr[v + 1]]
-            members[v] = got = sorted(set(chain.from_iterable(members.get(k, (k,)) for k in kids)))
-            total += len(got)
-            if total > MAX_CLUSTER_MEMBERS:
-                raise ValueError(f"the cluster sets exceed the limit of {MAX_CLUSTER_MEMBERS} members in all")
-    lists = [members[v] for v in range(s + 1, d.n_vertices + 1)]
+    for v in reversed(folded):
+        kids = ind[ptr[v]: ptr[v + 1]]
+        members[v] = got = sorted(set(chain.from_iterable(members.get(k, (k,)) for k in kids)))
+        total += len(got)
+        if total > MAX_CLUSTER_MEMBERS:
+            raise ValueError(f"the cluster sets exceed the limit of {MAX_CLUSTER_MEMBERS} members in all")
+    lists = [members.get(v, ()) for v in range(s + 1, d.n_vertices + 1)]
     cptr = np.ones(d.n_vertices + 2, dtype=np.int64)  # cptr[v + 1] = |C(v)| before the sum
     cptr[:2] = 0
     cptr[s + 2:] = np.fromiter(map(len, lists), np.int64, len(lists))
@@ -247,7 +260,7 @@ def decompress(d: DagCompression) -> Graph:
     n = d.n_sinks
     if (n + 1) ** 2 > INT64_MAX:
         raise ValueError(f"decompress needs (sinks + 1)^2 to fit in int64, got {n} sinks")
-    cptr, cind = _cluster_csr(d)
+    cptr, cind = _cluster_csr(d, np.concatenate((d.cedge_u, d.cedge_v)))
     size = np.diff(cptr)
     nv = size[d.cedge_v]
     counts = size[d.cedge_u] * nv

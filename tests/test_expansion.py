@@ -133,6 +133,22 @@ def test_cluster_table_guard_is_exact(monkeypatch):
     assert sum(map(len, clusters(d).cluster.values())) == 32 + 16
 
 
+def _chain(n):
+    """Cluster n + i -> sink i and cluster n + i - 1, so C(n + i) = {1..i}, with one
+    compression edge, a loop on the one-sink cluster n + 1."""
+    arcs = [(n + i, i) for i in range(1, n + 1)] + [(n + i, n + i - 1) for i in range(2, n + 1)]
+    return DagCompression(directed=True, n_sinks=n, n_clusters=n, arcs=arcs, cedges=[(n + 1, n + 1)])
+
+
+def test_decompress_folds_only_the_sets_below_compression_edges(monkeypatch):
+    # 2000 clusters hold 2,001,000 members, but the one product needs only C(2001) = {1}.
+    d = _chain(2000)
+    monkeypatch.setattr(compression, "MAX_CLUSTER_MEMBERS", 1)
+    assert decompress(d) == Graph(True, 2000, [(1, 1)])
+    with pytest.raises(ValueError, match="^the cluster sets exceed the limit of 1 members in all$"):
+        clusters(d)  # which folds every vertex
+
+
 def test_cluster_table_size_guard_is_exact(monkeypatch):
     d = rook_mst_compression(4, max_weight=3, seed=1)  # 24 vertices; 48 members, the sinks' own included
     need = 100 * 48 + 400 * 24

@@ -557,6 +557,70 @@ def test_writers_match_reference(data):
         [f"mst {n} {len(rows)} {total}", *rows, ""])
 
 
+# Every decimal width a record can have: 0, 10^k - 1 and 10^k up to 10^18,
+# the uint32 edge 2^32 - 1 and 2^32, and INT64_MAX.
+WIDTHS = sorted({0, 2 ** 32 - 1, 2 ** 32, graphs.INT64_MAX}
+                | {10 ** k + d for k in range(1, 19) for d in (-1, 0)})
+
+
+def _assert_writers_match(directed, n, edges, weights=None):
+    """write_graph, write_compression and write_mst against the reference rows,
+    on the edges as graph edges, as arcs and compression edges, and as a forest,
+    with every block formatted in digit passes and then with one %."""
+    for rows in (0, graphs.INT64_MAX):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "DIGIT_PASS_ROWS", rows)
+            _assert_writers_match_once(directed, n, edges, weights)
+
+
+def _assert_writers_match_once(directed, n, edges, weights):
+    g = Graph(directed, n, edges, weights)
+    kind = "directed" if directed else "undirected"
+    flag = " weighted" if weights is not None else ""
+    rows = _reference_text_rows("e", g.u, g.v, g.w)
+    assert write_graph(g) == "\n".join([f"graph {kind} {n} {g.m}{flag}", *rows, ""])
+    d = DagCompression(directed, n, 0, edges, edges, weights)
+    arcs = _reference_text_rows("a", d.arc_u, d.arc_v)
+    cedges = _reference_text_rows("c", d.cedge_u, d.cedge_v, d.cedge_w)
+    assert write_compression(d) == "\n".join([f"dagc {kind}{flag}", f"sinks {n}", "clusters 0",
+                                              f"arcs {len(arcs)}", *arcs,
+                                              f"cedges {len(cedges)}", *cedges, ""])
+    forest = [(u, v, weights[u, v]) for u, v in g.edges] if weights is not None else []
+    cols = np.array(sorted(forest), np.int64).reshape(-1, 3).T
+    total = sum(cols[2].tolist())
+    assert write_mst(MstResult(forest[::-1], total, MstStats()), n) == "\n".join(
+        [f"mst {n} {len(forest)} {total}", *_reference_text_rows("t", *cols), ""])
+
+
+@pytest.mark.parametrize("top", WIDTHS[1:])
+def test_writers_match_reference_at_every_width(top):
+    # Each block's largest value is top, and its rows mix every smaller width.
+    ids = [x for x in WIDTHS if 1 <= x <= top]
+    edges = [(a, b) for a in ids for b in ids if a <= b]
+    weights = [x for x in WIDTHS if x <= top]
+    weighted = {e: weights[i % len(weights)] for i, e in enumerate(edges)}
+    for directed, w in ((True, None), (False, None), (False, weighted)):
+        _assert_writers_match(directed, top, edges, w)
+        _assert_writers_match(directed, top, [(top, top)], w and {(top, top): top})
+        _assert_writers_match(directed, top, [], w and {})
+    # A longer block of values near top, with more rows than the boundary pairs give.
+    many = [(top - i, top) for i in range(min(top, 300))]
+    _assert_writers_match(False, top, many, {e: top for e in many})
+
+
+@SETTINGS
+@given(st.data())
+def test_writers_match_reference_on_wide_values(data):
+    value = st.one_of(st.integers(0, 12), st.sampled_from(WIDTHS), st.integers(0, graphs.INT64_MAX))
+    directed = data.draw(st.booleans())
+    weighted = not directed and data.draw(st.booleans())
+    pairs = data.draw(st.lists(st.tuples(value, value), max_size=120))
+    edges = {canonical_edge(directed, max(a, 1), max(b, 1)) for a, b in pairs}
+    n = max(map(max, edges), default=data.draw(value))
+    weights = {e: data.draw(value) for e in sorted(edges)} if weighted else None
+    _assert_writers_match(directed, n, sorted(edges), weights)
+
+
 def _fail(*args):
     raise AssertionError("a canonical text left the array path")
 
