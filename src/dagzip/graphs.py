@@ -18,7 +18,7 @@ lines dropped, each block of edge records is parsed by one np.fromstring;
 other texts, and blocks that fail a check, are read line by line, which
 words every error. Each writer formats a block of records into one byte
 matrix, one numpy floor division per digit slot of each column, and
-compresses it once; a block of fewer than DIGIT_PASS_ROWS rows takes one %.
+compresses it once.
 """
 
 from __future__ import annotations
@@ -231,17 +231,9 @@ def _lex_sorted(u: np.ndarray, v: np.ndarray, *more: np.ndarray) -> list[np.ndar
     return [c[order] for c in (u, v, *more)]
 
 
-# A block of fewer rows is formatted with one %. The digit passes cost a
-# fixed 30-50 us for two columns (one % takes 5-8 us for 8 rows), and they
-# overtake % at about 190 rows of 2-digit values, 250-380 of 4-digit and
-# 400-500 of 6-digit (best of 15, in-process, one CPU).
-DIGIT_PASS_ROWS = 384
-
 # The digit passes hold about 36 bytes per record on top of the returned str
-# at their peak, one % over the row list about 103 (tracemalloc, the block of
-# rook g=100: 1.99M records of 11.8 bytes).
-
-
+# at their peak (tracemalloc, the block of rook g=100: 1.99M records of 11.8
+# bytes).
 def _record_block(tag: str, *columns: np.ndarray | None) -> str:
     """One LF-ended ``tag x1 ... xk`` line per row of the k columns of int64s in
     0..INT64_MAX (None ones left out), each value as %d prints it.
@@ -250,14 +242,10 @@ def _record_block(tag: str, *columns: np.ndarray | None) -> str:
     floor division by 10 per slot from the right (in uint32 when the column
     fits). Slots left of a value's first digit hold byte 0, and so does no
     other byte of the (rows, width) matrix that also holds the tag, a space
-    before each field and the LF: one boolean compress drops them. Blocks
-    below DIGIT_PASS_ROWS rows are formatted with one %.
+    before each field and the LF: one boolean compress drops them.
     """
     columns = [c for c in columns if c is not None]
     m = len(columns[0])
-    if m < DIGIT_PASS_ROWS:
-        rows = np.column_stack(columns).ravel().tolist()
-        return ((tag + " %d" * len(columns) + "\n") * m) % tuple(rows)
     tops = [int(c.max(initial=0)) for c in columns]
     digits = [len(str(top)) for top in tops]
     out = np.empty((m, len(tag) + sum(digits) + len(digits) + 1), np.uint8)

@@ -565,15 +565,7 @@ WIDTHS = sorted({0, 2 ** 32 - 1, 2 ** 32, graphs.INT64_MAX}
 
 def _assert_writers_match(directed, n, edges, weights=None):
     """write_graph, write_compression and write_mst against the reference rows,
-    on the edges as graph edges, as arcs and compression edges, and as a forest,
-    with every block formatted in digit passes and then with one %."""
-    for rows in (0, graphs.INT64_MAX):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "DIGIT_PASS_ROWS", rows)
-            _assert_writers_match_once(directed, n, edges, weights)
-
-
-def _assert_writers_match_once(directed, n, edges, weights):
+    on the edges as graph edges, as arcs and compression edges, and as a forest."""
     g = Graph(directed, n, edges, weights)
     kind = "directed" if directed else "undirected"
     flag = " weighted" if weights is not None else ""
