@@ -39,6 +39,7 @@ from .heuristics import (
 from .mst import (
     MstResult,
     MstStats,
+    certify_forest,
     kruskal_baseline,
     kruskal_compressed,
     write_mst,

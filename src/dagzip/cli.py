@@ -1,7 +1,8 @@
 """The dagzip command line: every subsystem behind one executable.
 
 Exit codes: 0 success, 2 input or usage error, 3 contract violation
-(weight or forest size mismatch under --check, validation failure of a produced artifact).
+(a forest that mst --check does not certify minimum, a weight or forest size
+mismatch under --baseline --check, validation failure of a produced artifact).
 The library makes its own refusals: any ValueError prints as one line "error: <message>", exit 2.
 """
 
@@ -15,7 +16,7 @@ import sys
 from . import generators, heuristics, normalize, oracle, reductions
 from .compression import decompress, read_compression, validate, write_compression
 from .graphs import read_graph, read_shores, twins, write_graph
-from .mst import kruskal_baseline, kruskal_compressed, write_mst
+from .mst import certify_forest, kruskal_baseline, kruskal_compressed, write_mst
 from .reductions import read_setcover
 
 USAGE_ERROR = 2
@@ -92,13 +93,16 @@ def cmd_mst(args) -> int:
     d._index.check()  # an invalid file is reported as invalid, ahead of the weight check
     if not d.weighted:
         raise CliError("mst needs a weighted undirected compression")
-    base = kruskal_baseline(decompress(d)) if args.baseline or args.check else None
+    base = kruskal_baseline(decompress(d)) if args.baseline else None
     result = base if args.baseline and not args.check else kruskal_compressed(d)
-    if args.check:  # both are spanning forests of one graph: same weight, same size
-        for what, mine, theirs in (("weight", result.total_weight, base.total_weight),
-                                   ("forest size", len(result.edges), len(base.edges))):
-            if mine != theirs:
-                raise CliError(f"{what} mismatch: compressed {mine}, baseline {theirs}", CONTRACT_ERROR)
+    if args.check:
+        if (why := certify_forest(d, result)) is not None:
+            raise CliError(f"forest not certified minimum: {why}", CONTRACT_ERROR)
+        if base is not None:  # both are spanning forests of one graph: same weight, same size
+            for what, mine, theirs in (("weight", result.total_weight, base.total_weight),
+                                       ("forest size", len(result.edges), len(base.edges))):
+                if mine != theirs:
+                    raise CliError(f"{what} mismatch: compressed {mine}, baseline {theirs}", CONTRACT_ERROR)
     _write_text(args.output, write_mst(result, d.n_sinks))
     return 0
 
@@ -218,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mst", help="minimum spanning forest of a weighted compression")
     p.add_argument("file")
     p.add_argument("--baseline", action="store_true", help="decompress first, run plain Kruskal")
-    p.add_argument("--check", action="store_true", help="run both pipelines, require equal weight and size")
+    p.add_argument("--check", action="store_true",
+                   help="certify the compressed forest minimum without expanding; "
+                   "with --baseline, also require the baseline's weight and size")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_mst)
 

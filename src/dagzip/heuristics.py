@@ -223,7 +223,8 @@ def tree_compress(g: Graph, merge_policy: str = "similarity") -> DagCompression:
     del m
     _and_children(sink_cols, left, right, rounds)
     adm_t = np.zeros((total + 1, total + 1), dtype=bool)
-    adm_t[: n + 1] = sink_cols.T
+    for i in range(0, total + 1, 256):  # in blocks: one strided transpose copy is slower
+        adm_t[: n + 1, i: i + 256] = sink_cols[i: i + 256].T
     del sink_cols
     _and_children(adm_t, left, right, rounds)
 

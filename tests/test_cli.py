@@ -150,7 +150,7 @@ def test_out_of_memory_exits_2(mst_file, capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr("dagzip.cli.decompress", exhausted)
-    for args in (["decompress", mst_file], ["mst", mst_file, "--check"]):
+    for args in (["decompress", mst_file], ["mst", mst_file, "--baseline"]):
         assert run_cli(args, capsys) == (2, "", "error: out of memory\n")
 
 
@@ -361,15 +361,18 @@ def test_reused_parser_keeps_no_state(mst_file, tmp_path, capsys):
 
 def test_weight_mismatch_exits_3(mst_file, capsys, monkeypatch):
     import dagzip.cli as cli_mod
-    from dagzip.mst import MstResult, MstStats
 
-    def broken(d, **kwargs):
-        return MstResult(edges=[], total_weight=0, stats=MstStats())
+    def heavier(d):
+        res = kruskal_compressed(d)
+        a, b, w = res.edges[-1]
+        res.edges[-1] = (a, b, w + 1)
+        res.total_weight += 1
+        return res
 
-    monkeypatch.setattr(cli_mod, "kruskal_compressed", broken)
-    code, _, err = run_cli(["mst", mst_file, "--check"], capsys)
-    assert code == 3
-    assert "mismatch" in err
+    monkeypatch.setattr(cli_mod, "kruskal_compressed", heavier)
+    code, out, err = run_cli(["mst", mst_file, "--check"], capsys)
+    assert (code, out, err) == (3, "", "error: forest not certified minimum: compression edge (8, 10) "
+                                       "at weight 2 crosses forest edge (1, 7) at weight 3\n")
 
 
 def test_forest_size_mismatch_exits_3(mst_file, capsys, monkeypatch):
@@ -382,7 +385,40 @@ def test_forest_size_mismatch_exits_3(mst_file, capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "kruskal_compressed", one_edge_short)
     code, out, err = run_cli(["mst", mst_file, "--check"], capsys)
-    assert (code, out, err) == (3, "", "error: forest size mismatch: compressed 5, baseline 6\n")
+    assert (code, out, err) == (3, "", "error: forest not certified minimum: "
+                                       "compression edge (8, 10) joins two of its trees\n")
+
+
+# The fig forest is (1, 4), (2, 4), (3, 4), (1, 5), (1, 6) at 1 and (1, 7) at 2;
+# each case swaps one edge and states the forest's total weight.
+@pytest.mark.parametrize("old, new, total, why", [
+    ((1, 7, 2), (4, 7, 2), 7, "forest edge (4, 7) at weight 2 is no link of compressed Kruskal"),
+    ((1, 4, 1), (2, 7, 2), 8, "compression edge (8, 9) at weight 1 crosses forest edge (1, 7) at weight 2"),
+    ((1, 7, 2), (1, 7, 2), 8, "its edges weigh 7, not 8"),
+], ids=["in-no-product", "heavier-swap", "header-weight"])
+def test_mutated_forest_exits_3_in_one_line(mst_file, capsys, monkeypatch, old, new, total, why):
+    import dagzip.cli as cli_mod
+
+    def mutated(d):
+        res = kruskal_compressed(d)
+        res.edges[res.edges.index(old)] = new
+        res.total_weight = total
+        return res
+
+    monkeypatch.setattr(cli_mod, "kruskal_compressed", mutated)
+    for flags in (["--check"], ["--baseline", "--check"]):
+        assert run_cli(["mst", *flags, mst_file], capsys) == (
+            3, "", f"error: forest not certified minimum: {why}\n")
+
+
+def test_baseline_check_still_compares_with_the_baseline(mst_file, capsys, monkeypatch):
+    import dagzip.cli as cli_mod
+    from dagzip.mst import MstResult, MstStats
+
+    monkeypatch.setattr(cli_mod, "kruskal_baseline", lambda g: MstResult([], 7, MstStats()))
+    code, out, err = run_cli(["mst", "--baseline", "--check", mst_file], capsys)
+    assert (code, out, err) == (3, "", "error: forest size mismatch: compressed 6, baseline 0\n")
+    assert run_cli(["mst", "--check", mst_file], capsys)[0] == 0  # the certified forest itself is fine
 
 
 def test_unwritable_output_exits_2(mst_file, capsys, tmp_path):
@@ -396,17 +432,20 @@ def test_mst_check_runs_each_pipeline_once(mst_file, capsys, monkeypatch):
     import dagzip.cli as cli_mod
 
     calls = []
-    for name in ("kruskal_compressed", "kruskal_baseline", "decompress"):
+    for name in ("kruskal_compressed", "certify_forest", "kruskal_baseline", "decompress"):
         def counted(*args, _orig=getattr(cli_mod, name), _name=name, **kwargs):
             calls.append(_name)
             return _orig(*args, **kwargs)
         monkeypatch.setattr(cli_mod, name, counted)
-    for flags in (["--check"], ["--baseline", "--check"]):
+    # --check certifies on the compressed form; only --baseline expands
+    for flags, expected in ((["--check"], ["certify_forest", "kruskal_compressed"]),
+                            (["--baseline", "--check"],
+                             ["certify_forest", "decompress", "kruskal_baseline", "kruskal_compressed"])):
         calls.clear()
         code, out, err = run_cli(["mst", *flags, mst_file], capsys)
         assert code == 0, err
         assert out.startswith("mst 7 6 7\n")
-        assert sorted(calls) == ["decompress", "kruskal_baseline", "kruskal_compressed"]
+        assert sorted(calls) == expected
 
 
 def _one_line_error(code, err, needle):

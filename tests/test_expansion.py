@@ -107,11 +107,12 @@ def test_expansion_guard_on_the_command_line(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(compression, "MAX_EXPANDED_PAIRS", 127)
     out = ["-o", str(tmp_path / "out")]
     for argv in (["decompress", str(path)], ["mst", "--baseline", str(path)],
-                 ["mst", "--check", str(path)]):
+                 ["mst", "--baseline", "--check", str(path)]):
         assert main(argv + out) == 2, argv
         err = capsys.readouterr().err
         assert err == "error: decompressing expands 128 vertex pairs, above the limit of 127\n"
-    assert main(["mst", str(path)] + out) == 0  # compressed Kruskal never expands
+    for argv in (["mst", str(path)], ["mst", "--check", str(path)]):
+        assert main(argv + out) == 0, argv  # compressed Kruskal and its certificate never expand
 
 
 def test_edge_keys_must_fit_in_int64(monkeypatch):
@@ -169,10 +170,20 @@ def test_cluster_table_guard_on_the_command_line(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(compression, "MAX_CLUSTER_MEMBERS", 7)
     out = ["-o", str(tmp_path / "out")]
     for argv in (["decompress", str(weighted)], ["mst", "--baseline", str(weighted)],
-                 ["mst", "--check", str(weighted)], ["decompress", str(plain)],
+                 ["mst", "--baseline", "--check", str(weighted)], ["decompress", str(plain)],
                  ["normalize", "--pass", "twins", "--shores", str(shores), str(plain)],
                  ["normalize", "--pass", "single-edge", "--shores", str(shores), str(plain)]):
         assert main(argv + out) == 2, argv
         assert capsys.readouterr().err == "error: the cluster sets exceed the limit of 7 members in all\n"
     assert not (tmp_path / "out").exists()
-    assert main(["mst", str(weighted)] + out) == 0  # compressed Kruskal builds no cluster sets
+    for argv in (["mst", str(weighted)], ["mst", "--check", str(weighted)]):
+        assert main(argv + out) == 0, argv  # compressed Kruskal and its certificate build no cluster sets
+
+
+def test_mst_check_neither_expands_nor_builds_cluster_sets(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "rook.dagc"
+    path.write_text(write_compression(rook_mst_compression(6, max_weight=5, seed=2)))
+    monkeypatch.setattr(compression, "MAX_EXPANDED_PAIRS", 1)
+    monkeypatch.setattr(compression, "MAX_CLUSTER_MEMBERS", 1)
+    assert main(["mst", "--check", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("mst 36 35 ")

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from dagzip import (
     DagCompression,
     Graph,
+    MstResult,
+    MstStats,
+    certify_forest,
     decompress,
     kruskal_baseline,
     kruskal_compressed,
@@ -297,3 +300,66 @@ def test_compressed_output_pinned(family):
         assert r.stats.add_edge_calls == r.stats.arcs_traversed + len(d.cedge_u)
         assert r.stats.arcs_traversed <= len(d.arc_u)
     assert h.hexdigest() == MST_DIGESTS[family]
+
+
+def _mutants(res, g):
+    """Wrong forests made from res, a minimum spanning forest of g: the first of
+    each kind, as (kind, edges, total_weight). A raised weight and a dropped
+    edge exist for every edge; an edge in no product of the compression and a
+    heavier edge of g exist where the two trees that the removal of a forest
+    edge leaves have such a pair between them."""
+    found = set()
+    for i, (a, b, w) in enumerate(res.edges):
+        rest = res.edges[:i] + res.edges[i + 1:]
+        swaps = {"raised": ((a, b, w + 1), res.total_weight + 1), "dropped": (None, res.total_weight - w)}
+        side = nx.node_connected_component(_nx_graph(g.n, rest), a)
+        for x, y in itertools.product(sorted(side), range(1, g.n + 1)):
+            if y in side:
+                continue
+            p = (min(x, y), max(x, y))
+            if p not in g.weights:
+                swaps.setdefault("in no product", ((*p, w), res.total_weight))
+            elif g.weights[p] > w:
+                swaps.setdefault("heavier swap", ((*p, g.weights[p]), res.total_weight - w + g.weights[p]))
+        for kind, (edge, total) in swaps.items():
+            if kind not in found:
+                found.add(kind)
+                yield kind, rest + ([edge] if edge else []), total
+
+
+def _certificate_cases():
+    for g in range(2, 9):
+        yield rook_mst_compression(g, max_weight=1 + g % 4, seed=g)
+    for seed in range(120):
+        yield random_compression(n_sinks=2 + seed % 12, n_clusters=seed % 9,
+                                 arc_density=(0.2, 0.4, 0.7)[seed % 3], edge_count=1 + seed % 10,
+                                 max_weight=1 + seed % 6, seed=seed)
+
+
+def test_certificate_accepts_kruskal_and_rejects_each_mutant(mst_compression):
+    """The certificate accepts compressed Kruskal's forest, whose weight Borůvka
+    on the expansion confirms, and rejects each wrong forest made from it."""
+    rejected = dict.fromkeys(["raised", "dropped", "in no product", "heavier swap"], 0)
+    for d in [mst_compression, *_certificate_cases()]:
+        res = kruskal_compressed(d)
+        assert certify_forest(d, res) is None
+        g = decompress(d)
+        assert res.total_weight == kruskal_baseline(g).total_weight
+        for kind, edges, total in _mutants(res, g):
+            why = certify_forest(d, MstResult(edges, total, MstStats()))
+            assert why is not None and "\n" not in why, (kind, edges)
+            rejected[kind] += 1
+    assert min(rejected.values()) >= 20, rejected
+
+
+def test_certificate_messages(mst_compression):
+    d, good = mst_compression, kruskal_compressed(mst_compression).edges
+    for edges, total, why in [
+        (good[:-1] + [(1, 1, 0)], 5, "forest edge (1, 1) closes a cycle"),
+        (good[:-1] + [(1, 9, 2)], 7, "a forest edge has an endpoint outside 1..7"),
+        (good[:-1], 5, "compression edge (8, 10) joins two of its trees"),
+        (good[:-1] + [(1, 7, 2 ** 63)], 5 + 2 ** 63, "a forest edge has a value outside int64"),
+    ]:
+        assert certify_forest(d, MstResult(edges, total, MstStats())) == why
+    with pytest.raises(ValueError, match="weighted undirected"):
+        certify_forest(DagCompression(False, 1, 0, [], []), MstResult([], 0, MstStats()))
