@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphs
 from .compression import DagCompression
 from .graphs import INT64_MAX, Graph, canonical_edge
 
@@ -35,6 +36,27 @@ class RookSpec:
         return self.g ** self.d
 
 
+# rook_graph peaks at about 65 bytes per pair it expands (tracemalloc: 2M
+# pairs at g=100, d=2; 9.6M at g=20, d=3) and rook_canonical_compression at
+# about 73 bytes per arc, so 30M pairs or arcs is about 2 GB. Larger specs,
+# and specs above graphs.MAX_VERTICES vertices, are refused before any array
+# is built.
+MAX_ROOK_PAIRS = 30_000_000
+
+
+def _check_rook_size(spec: RookSpec, exponent: int, what: str) -> None:
+    """Refuse spec when g^d exceeds graphs.MAX_VERTICES or d*g^exponent `what` exceed MAX_ROOK_PAIRS."""
+    # g^64 is above the vertex limit for every g >= 2, so capping the exponent
+    # decides the same without expanding g^d for a huge d
+    if spec.g ** min(spec.d, 64) > graphs.MAX_VERTICES:
+        raise ValueError(f"rook g={spec.g}, d={spec.d} has {spec.g}^{spec.d} vertices, "
+                         f"above the limit of {graphs.MAX_VERTICES}")
+    count = spec.d * spec.g ** exponent
+    if count > MAX_ROOK_PAIRS:
+        raise ValueError(f"rook g={spec.g}, d={spec.d} needs {count} {what}, "
+                         f"above the limit of {MAX_ROOK_PAIRS}")
+
+
 def rook_hyperplanes(spec: RookSpec) -> list[list[int]]:
     """Vertex lists of the d*g axis-aligned hyperplanes, dimension-major order."""
     g, d, n = spec.g, spec.d, spec.n
@@ -53,8 +75,11 @@ def rook_graph(spec: RookSpec) -> Graph:
 
     Built as the union of the full products of the axis-aligned hyperplanes,
     which is the same set of pairs but avoids the quadratic all-pairs test.
-    One numpy product covers every plane at once.
+    One numpy product covers every plane at once: d*g planes of g^(d-1)
+    vertices each, d*g^(2d-1) pairs. Raises ValueError before building when
+    those pairs exceed MAX_ROOK_PAIRS or the vertices graphs.MAX_VERTICES.
     """
+    _check_rook_size(spec, 2 * spec.d - 1, "pairs")
     planes = np.array(rook_hyperplanes(spec))
     k = planes.shape[1]
     pairs = np.column_stack((np.repeat(planes, k, axis=1).ravel(), np.tile(planes, k).ravel()))
@@ -69,10 +94,13 @@ def rook_canonical_compression(spec: RookSpec) -> DagCompression:
     For d = 2 these are the g row clusters and g column clusters, each with g
     arcs into its grid line, giving size 2g^2 + 2g; in general d*g clusters,
     d*g^d arcs and d*g loops. Decompresses to the rook graph with loops on,
-    so a spec without loops raises ValueError.
+    so a spec without loops raises ValueError. So does a spec whose arcs
+    exceed MAX_ROOK_PAIRS or whose vertices exceed graphs.MAX_VERTICES,
+    before anything is built.
     """
     if not spec.include_loops:
         raise ValueError("the canonical rook compression exists only with loops on")
+    _check_rook_size(spec, spec.d, "arcs")
     planes = np.array(rook_hyperplanes(spec))
     cids = np.arange(spec.n + 1, spec.n + 1 + len(planes))
     return DagCompression(
@@ -89,7 +117,8 @@ def rook_mst_compression(g: int, max_weight: int = 1, seed: int = 0) -> DagCompr
 
     Same cluster layout; the compression loops carry weights (all 1 when
     max_weight is 1, otherwise seeded uniform draws) so the result is a valid
-    input for the compressed MST run.
+    input for the compressed MST run. Refuses the sizes that
+    rook_canonical_compression refuses, before building.
     """
     if max_weight > INT64_MAX:
         raise ValueError("max_weight does not fit in int64")

@@ -22,14 +22,17 @@ greedy matched the rest earlier, so the greedy takes it as well; both
 matchings leave at most one node over. The pairs are then numbered in
 greedy acceptance order, so the node ids do not change.
 
+The overlap scores are exact int16 counts (at most n, which the size guard
+keeps below 2^15), built tile by tile from float32 copies of the signature
+row blocks, so no n^2 float32 matrix is held.
+
 Admissibility obeys a boolean recurrence over children: a product with an
 internal node is admissible iff it is admissible with both children. A
 round's nodes have children from earlier rounds only, so each round is one
-row-major array step: first over the sink columns, then over the rows of
-the transposed node-pair matrix, whose rows are the columns. Maximality is
-then built in place in that one (2n)^2 bool matrix, in row blocks: a
-parent's id is above its children's, so each block reads only rows that no
-earlier block has rewritten.
+row-major array step: first over the bool sink columns, then over the rows
+of the transposed node-pair matrix, whose rows are the columns, kept as
+packed bits. Maximality then unpacks one row block and its parent rows at
+a time, so no (2n)^2 bool matrix is built.
 """
 
 from __future__ import annotations
@@ -136,6 +139,38 @@ def _greedy_pairs(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i[order], j[order]
 
 
+_TILE = 576  # rows per overlap tile
+
+
+def _overlaps(signatures: np.ndarray) -> np.ndarray:
+    """signatures @ signatures.T for a bool matrix, as exact int16 counts.
+
+    Row blocks are copied into two reused float32 buffers; a diagonal tile
+    is one symmetric product, an off-diagonal tile is written once and
+    mirrored. float32 sums are exact below 2^24 and every count is at most
+    the row width, which must stay below 2^15.
+    """
+    size, width = signatures.shape
+    scores = np.empty((size, size), dtype=np.int16)
+    rows = min(_TILE, size)
+    a = np.empty((rows, width), dtype=np.float32)
+    b = np.empty_like(a)
+    tile = np.empty((rows, rows), dtype=np.float32)
+    for i in range(0, size, _TILE):
+        ai = a[: min(_TILE, size - i)]
+        np.copyto(ai, signatures[i: i + _TILE])
+        ii = slice(i, i + len(ai))
+        scores[ii, ii] = np.matmul(ai, ai.T, out=tile[: len(ai), : len(ai)])
+        for j in range(i + _TILE, size, _TILE):
+            bj = b[: min(_TILE, size - j)]
+            np.copyto(bj, signatures[j: j + _TILE])
+            jj = slice(j, j + len(bj))
+            t = np.matmul(ai, bj.T, out=tile[: len(ai), : len(bj)])
+            scores[ii, jj] = t
+            scores[jj, ii] = t.T
+    return scores
+
+
 def _merge_tree(n: int, signatures: np.ndarray | None):
     """Children of the merge tree's nodes n+1 .. 2n-1 and each round's id range.
 
@@ -155,9 +190,7 @@ def _merge_tree(n: int, signatures: np.ndarray | None):
             a = np.arange(0, len(level) - 1, 2)
             b = a + 1
         else:
-            sig32 = signatures.astype(np.float32)
-            a, b = _greedy_pairs(sig32 @ sig32.T)
-            del sig32
+            a, b = _greedy_pairs(_overlaps(signatures))
         lo, hi = next_id + 1, next_id + 1 + len(a)
         left[lo:hi] = level[a]
         right[lo:hi] = level[b]
@@ -172,19 +205,29 @@ def _merge_tree(n: int, signatures: np.ndarray | None):
     return left, right, rounds
 
 
-def _and_children(adm: np.ndarray, left: np.ndarray, right: np.ndarray, rounds) -> None:
+def _and_children(adm: np.ndarray, left: np.ndarray, right: np.ndarray, rounds, op) -> None:
     # A round's nodes have children from earlier rounds only.
     for lo, hi in rounds:
-        np.logical_and(adm[left[lo:hi]], adm[right[lo:hi]], out=adm[lo:hi])
+        op(adm[left[lo:hi]], adm[right[lo:hi]], out=adm[lo:hi])
 
 
-_ROW_BLOCK = 1024  # rows per gathered block, so the maximality pass adds no full matrix
+_ROW_BLOCK = 1024  # rows unpacked at a time by the maximality pass
 
-# tree_compress holds one (2n)^2 bool matrix (admissibility, then maximality)
-# and, for "similarity", two n^2 float32 ones (the signatures and their
-# overlap scores). 2 (2n)^2 + 8 n^2 = 16 n^2 bytes is an upper bound on those,
-# which is 2 GB at n = 11180. Larger inputs are refused before they allocate.
+# The guard counts 2 (2n)^2 + 8 n^2 = 16 n^2 bytes, 2 GB at n = 11180. That
+# is an upper bound: tree_compress holds about 5 n^2 at its peak (the bool
+# signatures, the int16 scores and the float32 tile buffers; the bool sink
+# columns and packed rows are less). It also keeps n below 2^15, where the
+# int16 overlap counts are exact. Larger inputs are refused before they
+# allocate.
 MAX_TREE_MATRIX_BYTES = 2_000_000_000
+
+
+def _check_tree_size(n: int) -> None:
+    """Refuse a tree compression of n vertices above MAX_TREE_MATRIX_BYTES."""
+    need = 2 * (2 * n) ** 2 + 2 * 4 * n * n
+    if need > MAX_TREE_MATRIX_BYTES:
+        raise ValueError(f"tree compression of {n} vertices needs {need} bytes of matrices, "
+                         f"above the limit of {MAX_TREE_MATRIX_BYTES}")
 
 
 def tree_compress(g: Graph, merge_policy: str = "similarity") -> DagCompression:
@@ -202,13 +245,11 @@ def tree_compress(g: Graph, merge_policy: str = "similarity") -> DagCompression:
     if merge_policy not in ("similarity", "balanced"):
         raise ValueError(f"unknown merge policy {merge_policy!r}")
     n = g.n
-    need = 2 * (2 * n) ** 2 + 2 * 4 * n * n
-    if need > MAX_TREE_MATRIX_BYTES:
-        raise ValueError(f"tree compression of {n} vertices needs {need} bytes of matrices, "
-                         f"above the limit of {MAX_TREE_MATRIX_BYTES}")
+    _check_tree_size(n)
     total = 2 * n - 1
     m = _adjacency_matrix(g)
     signatures = None if merge_policy == "balanced" else (m | m.T)[1:, 1:]
+    del m  # rebuilt below, so it is not held through the merge rounds
     left, right, rounds = _merge_tree(n, signatures)
     del signatures
     parent = np.zeros(total + 1, dtype=np.int64)
@@ -217,27 +258,36 @@ def tree_compress(g: Graph, merge_policy: str = "similarity") -> DagCompression:
 
     # adm[u, v]: C(u) x C(v) lies inside the edge set. The sink columns come
     # from row passes; the transpose's rows are adm's columns, so one more
-    # row pass completes it as adm_t[v, u] = adm[u, v].
-    sink_cols = np.zeros((total + 1, n + 1), dtype=bool)
-    sink_cols[: n + 1] = m
-    del m
-    _and_children(sink_cols, left, right, rounds)
-    adm_t = np.zeros((total + 1, total + 1), dtype=bool)
-    for i in range(0, total + 1, 256):  # in blocks: one strided transpose copy is slower
-        adm_t[: n + 1, i: i + 256] = sink_cols[i: i + 256].T
-    del sink_cols
-    _and_children(adm_t, left, right, rounds)
+    # row pass, on packed bits, completes it as adm_t[v, u] = adm[u, v].
+    # Packed rows hold bit b of byte k at column 8k + b (little bit order).
+    width = total // 8 + 1
+    sink_cols = np.zeros((8 * width, n + 1), dtype=bool)  # rows past total pad the last byte
+    sink_cols[: n + 1] = _adjacency_matrix(g)
+    _and_children(sink_cols, left, right, rounds, np.logical_and)
+    # Pack 8 sink-column rows into each byte in place, then transpose the
+    # bytes: half the time of transposing the bools and packing them.
+    eighths = sink_cols.view(np.uint8).reshape(width, 8, n + 1)
+    for b in range(1, 8):
+        eighths[:, b] <<= b
+        eighths[:, 0] |= eighths[:, b]
+    adm_t = np.zeros((total + 1, width), dtype=np.uint8)
+    adm_t[: n + 1] = eighths[:, 0].T
+    del sink_cols, eighths
+    _and_children(adm_t, left, right, rounds, np.bitwise_and)
 
     # Maximal: admissible, and stepping either side up to its parent is not.
     # Row and column 0 are identically false, which makes the root maximal-safe.
-    # A block's parent rows lie in it or after it (or are row 0, which stays
-    # false), so they still hold admissibility when the block reads them.
-    for lo in range(0, total + 1, _ROW_BLOCK):
-        rows = adm_t[lo: lo + _ROW_BLOCK]
-        rows &= ~(np.take(rows, parent, axis=1) | adm_t[parent[lo: lo + _ROW_BLOCK]])
+    # Each row block is unpacked with its parent rows; adm_t itself is not rewritten.
+    def unpacked(packed):
+        return np.unpackbits(packed, axis=1, count=total + 1, bitorder="little").view(bool)
 
-    # flatnonzero + divmod: np.nonzero on a 2-d bool matrix is several times slower
-    vs, us = np.divmod(np.flatnonzero(adm_t), total + 1)
+    found = []
+    for lo in range(0, total + 1, _ROW_BLOCK):
+        rows = unpacked(adm_t[lo: lo + _ROW_BLOCK])
+        rows &= ~(np.take(rows, parent, axis=1) | unpacked(adm_t[parent[lo: lo + _ROW_BLOCK]]))
+        # flatnonzero + divmod: np.nonzero on a 2-d bool matrix is several times slower
+        found.append(np.flatnonzero(rows) + lo * (total + 1))
+    vs, us = np.divmod(np.concatenate(found), total + 1)
     if not g.directed:
         keep = us <= vs
         us, vs = us[keep], vs[keep]
@@ -325,9 +375,11 @@ class GapRecord:
 
 def gap_experiment(g_values, merge_policy: str = "similarity") -> list[GapRecord]:
     """Canonical DAG size vs measured tree-compression size per grid side g."""
+    specs = [RookSpec(g=g_side, d=2) for g_side in g_values]
+    for spec in specs:  # refuse before any graph is built
+        _check_tree_size(spec.n)
     records = []
-    for g_side in g_values:
-        spec = RookSpec(g=g_side, d=2)
+    for spec in specs:
         start = time.monotonic()
         graph = rook_graph(spec)
         dag = rook_canonical_compression(spec)
@@ -335,7 +387,7 @@ def gap_experiment(g_values, merge_policy: str = "similarity") -> list[GapRecord
         elapsed = time.monotonic() - start
         records.append(
             GapRecord(
-                g=g_side,
+                g=spec.g,
                 n=spec.n,
                 dag_size=dag.size(),
                 tree_size=tree.size(),

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from dagzip import (
@@ -7,10 +9,11 @@ from dagzip import (
     random_graph,
     rook_canonical_compression,
     rook_graph,
+    rook_mst_compression,
     validate,
     write_compression,
 )
-from dagzip import generators
+from dagzip import generators, graphs
 from dagzip.cli import main
 from dagzip.generators import rook_hyperplanes
 
@@ -109,6 +112,49 @@ def test_canonical_compression_refuses_no_loops():
     with pytest.raises(ValueError) as exc:
         rook_canonical_compression(RookSpec(g=3, include_loops=False))
     assert str(exc.value) == "the canonical rook compression exists only with loops on"
+
+
+def _no_planes(spec):
+    raise AssertionError("a refused rook spec built its planes")
+
+
+def test_rook_builders_refuse_vertices_before_building(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 8)
+    monkeypatch.setattr(generators, "rook_hyperplanes", _no_planes)
+    message = "rook g=3, d=2 has 3^2 vertices, above the limit of 8"
+    for build in (lambda: rook_graph(RookSpec(g=3)), lambda: rook_canonical_compression(RookSpec(g=3)),
+                  lambda: rook_mst_compression(3)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+    out = tmp_path / "rook.graph"
+    assert main(["generate", "rook", "--g", "3", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 9)
+    assert rook_graph(RookSpec(g=3)).n == 9
+
+
+def test_rook_pair_and_arc_guards_are_exact(monkeypatch, capsys):
+    # g=2, d=3: 6 planes of 4 vertices expand 6 * 4^2 = 96 = 3 * 2^5 pairs; the
+    # canonical compression has 3 * 2^3 = 24 arcs
+    spec = RookSpec(g=2, d=3)
+    monkeypatch.setattr(generators, "MAX_ROOK_PAIRS", 95)
+    monkeypatch.setattr(generators, "rook_hyperplanes", _no_planes)
+    with pytest.raises(ValueError, match="^rook g=2, d=3 needs 96 pairs, above the limit of 95$"):
+        rook_graph(spec)
+    assert main(["generate", "rook", "--g", "2", "--d", "3"]) == 2
+    assert capsys.readouterr().err == "error: rook g=2, d=3 needs 96 pairs, above the limit of 95\n"
+    monkeypatch.setattr(generators, "MAX_ROOK_PAIRS", 23)
+    with pytest.raises(ValueError, match="^rook g=2, d=3 needs 24 arcs, above the limit of 23$"):
+        rook_canonical_compression(spec)
+    monkeypatch.undo()
+    monkeypatch.setattr(generators, "MAX_ROOK_PAIRS", 96)
+    graph = rook_graph(spec)
+    assert decompress(rook_canonical_compression(spec)) == graph
+    # each ordered pair is expanded once per coordinate it agrees in; 56 of the
+    # 64 agree in at least one, all but each point and its antipode
+    assert graph.m == 56
 
 
 def test_random_graph_contract():

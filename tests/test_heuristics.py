@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from dagzip import (
 from dagzip import heuristics
 from dagzip.cli import main
 from dagzip.graphs import _twin_classes
-from dagzip.heuristics import _greedy_pairs, _saving
+from dagzip.heuristics import _greedy_pairs, _overlaps, _saving
 
 
 def test_tree_two_vertices_single_edge():
@@ -239,6 +240,23 @@ def test_gap_experiment_small():
     assert len(lines) == 4
 
 
+def _no_graph(spec):
+    raise AssertionError("gap built a graph it refuses")
+
+
+def test_gap_refuses_before_building(monkeypatch, capsys, tmp_path):
+    # g=3 is 9 vertices: 2 (2 * 9)^2 + 8 * 9^2 = 1296 bytes of matrices
+    monkeypatch.setattr(heuristics, "MAX_TREE_MATRIX_BYTES", 1295)
+    monkeypatch.setattr(heuristics, "rook_graph", _no_graph)
+    message = "tree compression of 9 vertices needs 1296 bytes of matrices, above the limit of 1295"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gap_experiment([2, 3])
+    out = tmp_path / "gap.csv"
+    assert main(["gap", "--g", "2,3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_theorem_bound_vacuous_small_g():
     # the cubic lower bound only bites for g >= 32; small g just sanity-check
     for g_side in (2, 4, 8):
@@ -270,8 +288,19 @@ def test_mutual_best_pairing_equals_sorted_greedy(size, seed):
     # symmetric scores 0..2, so most rows tie at their maximum
     upper = np.triu(np.random.default_rng(seed).integers(0, 3, (size, size)))
     scores = upper + np.triu(upper, 1).T
-    a, b = _greedy_pairs(scores.astype(np.float32))
-    assert list(zip(a.tolist(), b.tolist())) == _reference_greedy_pairs(scores)
+    for dtype in (np.float32, np.int16):  # int16 is what _merge_tree passes
+        a, b = _greedy_pairs(scores.astype(dtype))
+        assert list(zip(a.tolist(), b.tolist())) == _reference_greedy_pairs(scores)
+
+
+@pytest.mark.parametrize("tile, rows, cols", [(576, 1, 40), (576, 600, 150), (7, 22, 40),
+                                              (7, 7, 3), (7, 1, 9)])
+def test_tiled_overlaps_are_exact(monkeypatch, tile, rows, cols):
+    monkeypatch.setattr(heuristics, "_TILE", tile)
+    sig = np.random.default_rng(rows * cols).random((rows, cols)) < 0.4
+    got = _overlaps(sig)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, sig.astype(np.int64) @ sig.T.astype(np.int64))
 
 
 def _pinned_cases(family, directed):
@@ -299,12 +328,41 @@ TREE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("family, policy, directed", sorted(TREE_DIGESTS))
-def test_tree_output_pinned(family, policy, directed):
+def _tree_digest(family, policy, directed):
     h = hashlib.sha256()
     for g in _pinned_cases(family, directed):
         h.update(write_compression(tree_compress(g, merge_policy=policy)).encode())
-    assert h.hexdigest() == TREE_DIGESTS[(family, policy, directed)]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("family, policy, directed", sorted(TREE_DIGESTS))
+def test_tree_output_pinned(family, policy, directed):
+    assert _tree_digest(family, policy, directed) == TREE_DIGESTS[(family, policy, directed)]
+
+
+@pytest.mark.parametrize("family, policy, directed", sorted(TREE_DIGESTS))
+def test_tree_output_pinned_in_tiny_blocks(monkeypatch, family, policy, directed):
+    # 3-row overlap tiles and 5-row maximality blocks put block edges everywhere
+    monkeypatch.setattr(heuristics, "_TILE", 3)
+    monkeypatch.setattr(heuristics, "_ROW_BLOCK", 5)
+    assert _tree_digest(family, policy, directed) == TREE_DIGESTS[(family, policy, directed)]
+
+
+@pytest.mark.parametrize("policy, bound", [("similarity", 7), ("balanced", 5)])
+def test_tree_working_memory(policy, bound):
+    # Traced peak in bytes per n^2 on rook g=48: the bool signatures and int16
+    # scores are 3 n^2 plus the float32 tile buffers, the bool sink columns
+    # and the packed admissibility rows 2.5 n^2. An n^2 float32 score matrix
+    # or a (2n)^2 bool admissibility matrix would add 4 n^2 (a version with
+    # both peaks at 10.3 and 6.0 n^2).
+    graph = rook_graph(RookSpec(g=48))
+    tracemalloc.start()
+    try:
+        tree_compress(graph, merge_policy=policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * graph.n ** 2
 
 
 def _greedy_cases(directed):
