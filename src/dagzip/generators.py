@@ -58,7 +58,10 @@ def _check_rook_size(spec: RookSpec, exponent: int, what: str) -> None:
 
 
 def rook_hyperplanes(spec: RookSpec) -> list[list[int]]:
-    """Vertex lists of the d*g axis-aligned hyperplanes, dimension-major order."""
+    """Vertex lists of the d*g axis-aligned hyperplanes, dimension-major order.
+    Raises ValueError before building when their d*g^d entries exceed
+    MAX_ROOK_PAIRS or the vertices graphs.MAX_VERTICES."""
+    _check_rook_size(spec, spec.d, "hyperplane entries")
     g, d, n = spec.g, spec.d, spec.n
     ids = np.arange(n)
     planes = []

@@ -1,28 +1,56 @@
 """Kruskal on weighted undirected DAG compressions, and an array Borůvka
 on explicit graphs that checks it.
 
-kruskal_compressed never expands a product. It takes the compression edges
-in stable (w, u, v) order on a union-find with path halving and union by
-size, and in one loop over one stack of ints makes u "clean" (its whole
-cluster in one union-find set) towards the representative sink rv of v,
-then v towards ru. A popped vertex c that is unclean is marked clean and
-pushes its children; one that is clean (a sink, or a cluster cleaned
-earlier) links rep[c] to r, the sink the walk cleans towards. A freshly
-cleaned c needs no union-find step: its link would come after its whole
-subtree joined r's set, and rep[c] lies in C(c), so it would be rejected.
-The walk towards ru starts at v, so the link between the two
-representatives is tried only when v is clean. Every link of a walk goes to
-r, so r's root is found once per walk and carried through each union.
-A vertex stays clean once marked, and no DAG vertex is reachable from its
-own subtree, so each arc is walked at most once: O((|A| + |E|) * alpha(n))
-work plus the sort of E. arcs_traversed counts the walked arcs and
+kruskal_compressed never expands a product. Sequentially, compressed
+Kruskal takes the compression edges in stable (w, u, v) order and runs
+walk 2k from u_k towards r = rep(v_k), then walk 2k+1 from v_k towards
+rep(u_k), over a union-find on the sinks. A vertex is clean once its whole
+cluster lies in one union-find set: a sink from the start, a cluster once a
+walk has marked it. A walk pops vertices off a stack that holds its start
+(the walk from u_k starts empty when u_k is clean): a clean c tries the
+link (rep c, r), and an unclean c is marked clean and pushes its children,
+the first child on top. A freshly marked c tries no link: its link would
+come after its whole subtree joined r's set, and rep c lies in C(c), so
+it would be rejected.
+
+The clean set is closed downwards before every walk. Before the first,
+only sinks are clean. Within a walk, each child of a marked vertex is
+pushed and popped before the walk ends, and a popped vertex is clean from
+then on; a vertex clean before the walk has clean children by induction.
+So a walk from an unclean start x marks exactly the unclean vertices below
+x, and one from a clean start marks none. Before walk s the clean clusters
+are therefore those below the start of an earlier walk: c is clean iff
+t(c) < s, where t(c) is the least number of a walk that starts at c or at
+an ancestor of c (2|E| if none), and t = -1 on sinks. A walk whose start
+has t < s tries no link from u_k and exactly (rep v_k, rep u_k) from v_k.
+Only a walk whose start has t = s, the first to reach it, moves the clean
+set: at most one walk per cluster.
+
+The run takes three passes and holds the forest that sequential run finds.
+1. Clean times: the first walk per start, then the least of them over
+   ancestors in one pass over the cluster -> cluster arcs in topological
+   order of their tails.
+2. Links, in try order: the walks with t = s are replayed in Python, in
+   walk order and in the sequential DFS order. Children ascend, so a
+   cluster's sink children pop first and enter as one list slice; only its
+   cluster children are pushed. The other walks' single links go between
+   them in array passes.
+3. Acceptance: sequential union-find accepts a link iff it joins two
+   components of the links tried before it. So the accepted links are the
+   minimum spanning forest of the link graph keyed by try position, and
+   they come in key order. _forest_keys finds that forest by Borůvka with
+   hooking and pointer jumping (Shiloach and Vishkin 1982).
+Each arc is walked at most once. The interpreter work is O(|A| + |E|),
+and the array work O((|A| + |E|) log n) in the forest pass, plus the sort
+of E. No work scales with the decompressed edge count. arcs_traversed
+counts the walked arcs, the out-arcs of every cluster with t < 2|E|, and
 add_edge_calls one link per walked arc plus one per compression edge.
 
-kruskal_baseline is Borůvka with hooking and pointer jumping (Shiloach and
-Vishkin). Each edge is keyed by its position in the stable weight order;
-the keys are distinct, so the minimum spanning forest is unique and is
-Kruskal's, and the picks sorted by key come in Kruskal's acceptance order.
-It expands every product, so it serves as the differential reference.
+kruskal_baseline runs the same _forest_keys on an explicit graph, each
+edge keyed by its position in the stable weight order. The keys are
+distinct, so the minimum spanning forest is unique and is Kruskal's, and
+its keys sorted give Kruskal's acceptance order. It expands every product,
+so it serves as the differential reference.
 
 certify_forest proves a forest F minimum for decompress(d) on the
 compressed form, by the cycle property with path-maximum (bottleneck)
@@ -40,9 +68,9 @@ must not exceed the weight of any compression edge (u, v), which also
 makes F span. Last, every forest edge must be a link that compressed
 Kruskal's walks try, at that link's weight: each lies in the product of its
 compression edge, so F is a subgraph of decompress(d). The walks are
-replayed without a union-find, apart from kruskal_compressed, whose loop
-would slow down by recording them. The work is O((|A| + |E| + n) log n)
-plus the sort of F.
+replayed here one by one, without a union-find and without
+kruskal_compressed's clean times, so this check also tests its link pass
+independently. The work is O((|A| + |E| + n) log n) plus the sort of F.
 """
 
 from __future__ import annotations
@@ -75,45 +103,67 @@ class MstResult:
         return frozenset((u, v) for u, v, _ in self.edges)
 
 
+def _exact_sum(x: np.ndarray) -> int:
+    """The sum of fewer than 2^31 non-negative int64 values, as a Python int:
+    their high and low 32-bit halves are summed apart, so neither sum wraps."""
+    return (int((x >> 32).sum()) << 32) + int((x & 0xFFFFFFFF).sum())
+
+
+def _forest_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The minimum spanning forest of the graph on 0..n whose edge k joins
+    u[k] and v[k] at key k, as its keys in ascending order: the edges that
+    sequential Kruskal accepts, in the order it accepts them. Borůvka rounds
+    (_hook) until no edge joins two components: O(log n) of them."""
+    m = len(u)
+    dt = np.int32 if max(n, m) < 2 ** 31 else np.int64
+    label = np.arange(n + 1, dtype=dt)
+    live, lu, lv = np.arange(m, dtype=dt), u, v  # the keys of the live edges and their ends' roots
+    picks = []
+    while True:
+        apart = lu != lv
+        live, lu, lv = live[apart], lu[apart], lv[apart]
+        if not len(live):
+            return np.sort(np.concatenate(picks)) if picks else live
+        label, pick = _hook(label, u, v, live, lu, lv, m)  # its temporaries are freed before the relabel
+        picks.append(pick)
+        lu, lv = label[lu], label[lv]
+
+
+def _hook(label, u, v, live, lu, lv, m):
+    """One Borůvka round on the component labels: every root hooks to the
+    other end of its minimum-key live edge (of two roots that picked each
+    other, the smaller stays root), then pointer jumping relabels every
+    vertex. Returns the new labels and the keys of the picked edges."""
+    best = np.full(len(label), m, label.dtype)
+    np.minimum.at(best, lu, live)
+    np.minimum.at(best, lv, live)
+    roots = np.flatnonzero(best < m)
+    pick = best[roots]
+    label[roots] = other = label[u[pick]] + label[v[pick]] - roots
+    mutual = (label[other] == roots) & (roots < other)
+    label[roots[mutual]] = roots[mutual]
+    while not np.array_equal(jumped := label[label], label):
+        label = jumped
+    return label, pick[~mutual]  # a mutual pair picked one edge: keep it once
+
+
 def kruskal_baseline(g: Graph) -> MstResult:
     """Minimum spanning forest of a weighted explicit graph in Kruskal's
-    order, ties broken by canonical edge order. Each round, every component
-    hooks its root to the other end of its minimum-key edge (of two roots
-    that picked each other, the smaller stays root) and pointer jumping
-    relabels every vertex: O(log n) rounds."""
+    order, ties broken by canonical edge order (Borůvka, _forest_keys)."""
     if not g.weighted:
         raise ValueError("Kruskal needs a weighted graph")
     # The columns are sorted by (u, v), so a stable sort by weight gives the (w, (u, v)) order.
     order = np.argsort(g.w, kind="stable")
     u, v, w = g.u[order], g.v[order], g.w[order]
-    label = np.arange(g.n + 1)
-    live = np.arange(g.m)  # keys of the edges between two components
-    picks = []
-    while True:
-        lu, lv = label[u[live]], label[v[live]]
-        apart = lu != lv
-        live, lu, lv = live[apart], lu[apart], lv[apart]
-        if not len(live):
-            break
-        best = np.full(g.n + 1, g.m)
-        np.minimum.at(best, lu, live)
-        np.minimum.at(best, lv, live)
-        roots = np.flatnonzero(best < g.m)
-        pick = best[roots]
-        label[roots] = other = label[u[pick]] + label[v[pick]] - roots
-        mutual = (label[other] == roots) & (roots < other)
-        label[roots[mutual]] = roots[mutual]
-        while not np.array_equal(jumped := label[label], label):
-            label = jumped
-        picks.append(pick[~mutual])  # a mutual pair picked one edge: keep it once
-    keys = np.sort(np.concatenate(picks)) if picks else live
+    keys = _forest_keys(u, v, g.n)
     forest = list(zip(u[keys].tolist(), v[keys].tolist(), w[keys].tolist()))
-    return MstResult(edges=forest, total_weight=sum(w for _, _, w in forest),
+    return MstResult(edges=forest, total_weight=_exact_sum(w[keys]),
                      stats=MstStats(add_edge_calls=g.m))
 
 
 def kruskal_compressed(d: DagCompression) -> MstResult:
-    """Kruskal directly on a weighted undirected compression.
+    """Kruskal directly on a weighted undirected compression, in the three
+    passes of the module docstring.
 
     Returns a minimum spanning forest of decompress(d) without ever
     materializing cluster sets. Raises ValueError on an unweighted or an
@@ -123,39 +173,92 @@ def kruskal_compressed(d: DagCompression) -> MstResult:
         raise ValueError("compressed Kruskal needs a weighted undirected compression")
     index = d._index
     index.check()
-    parent = list(range(d.n_sinks + 1))
-    size = [1] * (d.n_sinks + 1)
-    rep, ptr, ind = index.rep, index.ptr, index.ind
-    clean = bytearray(b"\0" + b"\1" * d.n_sinks + b"\0" * d.n_clusters)
-    forest: list[tuple[int, int, int]] = []
+    n, m, rep = d.n_sinks, len(d.cedge_u), index.rep
+    # int32 when vertex ids, walk numbers and link counts all fit
+    dt = np.int32 if max(d.n_vertices, len(d.arc_u) + 2 * m) < 2 ** 31 else np.int64
     # cedges are sorted by (u, v), so a stable sort by weight gives the (w, (u, v)) order.
     order = np.argsort(d.cedge_w, kind="stable")
-    for u, v, w in zip(*(c[order].tolist() for c in (d.cedge_u, d.cedge_v, d.cedge_w))):
-        ru, rv = rep[u], rep[v]
-        for work, r in (([] if clean[u] else [u], rv), ([v], ru)):
-            y = r  # r's root, found once and carried through the walk's unions
-            while parent[y] != y:
-                parent[y] = y = parent[parent[y]]
-            while work:
-                c = work.pop()
-                if not clean[c]:
-                    clean[c] = 1
-                    work += ind[ptr[c]:ptr[c + 1]][::-1]  # the first child pops first
-                    continue  # c's own link to r would be rejected (module docstring)
-                x = a = rep[c]
-                while parent[x] != x:
-                    parent[x] = x = parent[parent[x]]
-                if x != y:
-                    if size[x] < size[y]:
-                        x, y = y, x
-                    parent[y] = x
-                    size[x] += size[y]
-                    y = x
-                    forest.append((a, r, w) if a <= r else (r, a, w))
-    s = d.n_sinks + 1  # the walked arcs are the cleaned clusters' out-arcs
-    arcs = int(index.outdegree[s:][np.frombuffer(clean, bool)[s:]].sum())
-    return MstResult(edges=forest, total_weight=sum(w for _, _, w in forest),
-                     stats=MstStats(add_edge_calls=arcs + len(d.cedge_u), arcs_traversed=arcs))
+    start = np.column_stack((d.cedge_u[order], d.cedge_v[order])).ravel().astype(dt)
+    t = _clean_times(d, start)
+    src, dst, cum = _links(d, start, t)
+    keys = _forest_keys(src, dst, n)
+    lo, hi = np.minimum(src[keys], dst[keys]), np.maximum(src[keys], dst[keys])
+    del src, dst  # the forest below is the run's peak: keep only what it reads
+    edge = (np.searchsorted(cum, keys, "right") >> 1).astype(dt)  # the cedge of each forest link
+    w = d.cedge_w[order]
+    total = _exact_sum(w[edge])
+    w = w.tolist()
+    # The tuples share the index's own ints (rep[x] is x on a sink), not fresh ones per edge.
+    forest = list(zip(map(rep.__getitem__, memoryview(lo)), map(rep.__getitem__, memoryview(hi)),
+                      map(w.__getitem__, memoryview(edge))))
+    arcs = int(index.outdegree[n + 1:][t[1:] < 2 * m].sum())  # the cleaned clusters' out-arcs
+    return MstResult(edges=forest, total_weight=total,
+                     stats=MstStats(add_edge_calls=arcs + m, arcs_traversed=arcs))
+
+
+def _clean_times(d: DagCompression, start: np.ndarray) -> np.ndarray:
+    """t[c - n] for each cluster c: the first of the walks (start[i] is
+    walk i's start) that starts at c or at an ancestor of c, len(start) if
+    none; slot 0 stands for every sink and holds -1."""
+    n, walks = d.n_sinks, len(start)
+    t = np.full(d.n_clusters + 1, walks, start.dtype)
+    np.minimum.at(t, np.maximum(start - n, 0), np.arange(walks, dtype=start.dtype))
+    t[0] = -1
+    down = np.flatnonzero(d.arc_v > n)  # cluster -> cluster arcs
+    if len(down):
+        rank = np.empty(d.n_vertices + 1, np.int64)
+        rank[np.fromiter(d._index.order, np.int64, d.n_vertices)] = np.arange(d.n_vertices)
+        down = down[np.argsort(rank[d.arc_u[down]])]  # a parent's arcs before its children's
+        tc = t.tolist()
+        for a, b in zip((d.arc_u[down] - n).tolist(), (d.arc_v[down] - n).tolist()):
+            if tc[a] < tc[b]:
+                tc[b] = tc[a]
+        t[:] = tc
+    return t
+
+
+def _links(d: DagCompression, start: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every link the walks try, in try order, as sink columns (src, dst),
+    and cum[i], the number of links of walks 0..i. Only the walks that clean
+    their start run here in Python; a walk from a clean start tries nothing
+    from u_k and exactly (rep v_k, rep u_k) from v_k."""
+    index, n, s = d._index, d.n_sinks, d.n_sinks + 1
+    rep, ptr, ind = index.rep, index.ptr, index.ind
+    reps = np.fromiter(rep, start.dtype, len(rep))  # for the single links and the walks' targets
+    walk = np.arange(len(start), dtype=start.dtype)
+    ts = t[np.maximum(start - n, 0)]
+    fresh = np.flatnonzero(ts == walk)
+    lone = 2 * np.flatnonzero(ts[1::2] < walk[1::2]) + 1
+    # Children ascend, so a cluster's sink children pop first, each one link, and enter as one
+    # slice: ind[ptr[c]:mid[c - s]] are c's sinks, ind[mid[c - s]:ptr[c + 1]] its clusters.
+    mid = (np.cumsum(index.outdegree[s:])
+           - np.bincount(d.arc_u[d.arc_v > n] - s, minlength=d.n_clusters)).tolist()
+    clean = bytearray(b"\0" + b"\1" * n + b"\0" * d.n_clusters)
+    links, ends = [], []
+    for x in start[fresh].tolist():
+        work = [x]
+        while work:
+            c = work.pop()
+            if clean[c]:
+                links.append(rep[c])
+            else:
+                clean[c] = 1
+                links += ind[ptr[c]:mid[c - s]]
+                work += ind[mid[c - s]:ptr[c + 1]][::-1]  # the first cluster child pops first
+        ends.append(len(links))
+    count = np.zeros(len(start), start.dtype)
+    count[lone] = 1
+    count[fresh] = np.diff(ends, prepend=0)
+    cum = np.cumsum(count)
+    src = np.empty(len(links) + len(lone), start.dtype)
+    at = cum[lone] - 1
+    src[at] = reps[start[lone]]
+    walked = np.ones(len(src), bool)
+    walked[at] = False
+    src[walked] = np.fromiter(links, start.dtype, len(links))
+    # Walk 2k goes towards rep v_k, walk 2k + 1 towards rep u_k.
+    dst = np.repeat(reps[start.reshape(-1, 2)[:, ::-1].ravel()], count)
+    return src, dst, cum
 
 
 def certify_forest(d: DagCompression, result: MstResult) -> str | None:

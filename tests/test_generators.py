@@ -157,6 +157,20 @@ def test_rook_pair_and_arc_guards_are_exact(monkeypatch, capsys):
     assert graph.m == 56
 
 
+def test_rook_hyperplanes_refuse_before_building(monkeypatch):
+    # 3^40 vertices: refused by the vertex limit, before numpy sees the size
+    with pytest.raises(ValueError, match=r"^rook g=3, d=40 has 3\^40 vertices, above the limit of "):
+        rook_hyperplanes(RookSpec(g=3, d=40))
+    # g=3, d=3: 9 planes of 9 vertices, 81 entries
+    monkeypatch.setattr(generators, "MAX_ROOK_PAIRS", 80)
+    monkeypatch.setattr(generators, "np", None)  # any array built would raise AttributeError
+    with pytest.raises(ValueError, match="^rook g=3, d=3 needs 81 hyperplane entries, above the limit of 80$"):
+        rook_hyperplanes(RookSpec(g=3, d=3))
+    monkeypatch.undo()
+    monkeypatch.setattr(generators, "MAX_ROOK_PAIRS", 81)
+    assert sum(map(len, rook_hyperplanes(RookSpec(g=3, d=3)))) == 81
+
+
 def test_random_graph_contract():
     assert random_graph(0, 0.5, seed=1).m == 0
     full = random_graph(4, 1.0, seed=1, directed=True)

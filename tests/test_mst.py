@@ -1,7 +1,10 @@
+import gc
 import hashlib
 import itertools
+import tracemalloc
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -363,3 +366,139 @@ def test_certificate_messages(mst_compression):
         assert certify_forest(d, MstResult(edges, total, MstStats())) == why
     with pytest.raises(ValueError, match="weighted undirected"):
         certify_forest(DagCompression(False, 1, 0, [], []), MstResult([], 0, MstStats()))
+
+
+def _sequential_kruskal(d):
+    """Compressed Kruskal as one sequential loop: the walks of the mst module
+    docstring, one after another, with every link of a clean vertex handed
+    straight to a union-find (path halving, union by size). The reference
+    that kruskal_compressed's array passes must reproduce exactly."""
+    index = d._index
+    index.check()
+    parent = list(range(d.n_sinks + 1))
+    size = [1] * (d.n_sinks + 1)
+    rep, ptr, ind = index.rep, index.ptr, index.ind
+    clean = bytearray(b"\0" + b"\1" * d.n_sinks + b"\0" * d.n_clusters)
+    forest = []
+    order = np.argsort(d.cedge_w, kind="stable")
+    for u, v, w in zip(*(c[order].tolist() for c in (d.cedge_u, d.cedge_v, d.cedge_w))):
+        ru, rv = rep[u], rep[v]
+        for work, r in (([] if clean[u] else [u], rv), ([v], ru)):
+            y = r  # r's root, found once and carried through the walk's unions
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            while work:
+                c = work.pop()
+                if not clean[c]:
+                    clean[c] = 1
+                    work += ind[ptr[c]:ptr[c + 1]][::-1]  # the first child pops first
+                    continue
+                x = a = rep[c]
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                if x != y:
+                    if size[x] < size[y]:
+                        x, y = y, x
+                    parent[y] = x
+                    size[x] += size[y]
+                    y = x
+                    forest.append((a, r, w) if a <= r else (r, a, w))
+    s = d.n_sinks + 1
+    arcs = int(index.outdegree[s:][np.frombuffer(clean, bool)[s:]].sum())
+    return MstResult(edges=forest, total_weight=sum(w for _, _, w in forest),
+                     stats=MstStats(add_edge_calls=arcs + len(d.cedge_u), arcs_traversed=arcs))
+
+
+def _chained_compression(seed, chains, length, pool, sinks, cedges, max_weight, isolated=0):
+    """Clusters in chains of the given length: each has an arc to a sink of
+    its chain's pool and to one of the three clusters before it, and one in
+    ten also to a random earlier cluster of its chain, so the DAG is hundreds
+    of levels deep and walks meet diamonds. Compression edges join random
+    sinks and clusters, loops included, with weights from 1..max_weight; the
+    last `isolated` sinks take no arc and no edge."""
+    rng = np.random.default_rng(seed)
+    n = sinks + isolated
+    arcs = set()
+    for c in range(chains):
+        base = n + 1 + c * length
+        members = rng.choice(sinks, size=pool, replace=False) + 1
+        for i in range(length):
+            arcs.add((base + i, int(rng.choice(members))))
+            if i:
+                arcs.add((base + i, base + i - int(rng.integers(1, min(i, 3) + 1))))
+            if i > 1 and rng.random() < 0.1:
+                arcs.add((base + i, base + int(rng.integers(0, i))))
+    ends = np.concatenate((np.arange(1, sinks + 1), np.arange(n + 1, n + chains * length + 1)))
+    u, v = rng.choice(ends, size=cedges), rng.choice(ends, size=cedges)
+    w = rng.integers(1, max_weight + 1, size=cedges)
+    weights = {(min(a, b), max(a, b)): x for a, b, x in zip(u.tolist(), v.tolist(), w.tolist())}
+    return DagCompression(directed=False, n_sinks=n, n_clusters=chains * length,
+                          arcs=np.array(sorted(arcs)), cedges=list(weights), weights=weights)
+
+
+def _diamonds(seed):
+    """Stacked diamonds c -> a, b -> x over a few sinks, so one walk reaches x
+    twice, with random edges over all vertices (ties, loops, sink pairs)."""
+    rng = np.random.default_rng(seed)
+    sinks, layers = 6, 5
+    arcs, below = [], [1, 2]
+    for i in range(layers):
+        x, a, b, c = (sinks + 4 * i + k for k in range(1, 5))
+        arcs += [(x, y) for y in below] + [(x, 3 + i % 4), (a, x), (b, x), (c, a), (c, b)]
+        below = [c]
+    top = sinks + 4 * layers
+    pairs = {tuple(sorted(p)) for p in rng.integers(1, top + 1, size=(12, 2)).tolist()}
+    weights = {p: int(rng.integers(1, 3)) for p in sorted(pairs)}
+    return DagCompression(directed=False, n_sinks=sinks, n_clusters=4 * layers,
+                          arcs=arcs, cedges=list(weights), weights=weights)
+
+
+def _differential_cases():
+    for seed in range(4):
+        yield f"chained-{seed}", _chained_compression(seed, chains=2, length=500, pool=8, sinks=60,
+                                                      cedges=150, max_weight=1 + 3 * seed, isolated=3)
+    for seed in range(20):
+        yield f"diamonds-{seed}", _diamonds(seed)
+    for seed in range(60):
+        yield f"random-{seed}", random_compression(
+            n_sinks=1 + seed % 15, n_clusters=seed % 11, arc_density=(0.2, 0.5, 0.9)[seed % 3],
+            edge_count=seed % 13, max_weight=1 + seed % 3, seed=seed)
+    yield "no-cedges", _chained_compression(9, chains=1, length=50, pool=5, sinks=10, cedges=0,
+                                            max_weight=1, isolated=2)
+    yield "no-clusters", DagCompression(False, 5, 0, [], [(1, 1), (1, 2), (2, 3)],
+                                        {(1, 1): 0, (1, 2): 4, (2, 3): 4})
+
+
+def test_array_passes_match_the_sequential_loop():
+    """The three array passes give the sequential loop's forest, edge for edge
+    in acceptance order, with the same weight and counters."""
+    for name, d in _differential_cases():
+        mine, ref = kruskal_compressed(d), _sequential_kruskal(d)
+        assert mine.edges == ref.edges, name
+        assert mine.total_weight == ref.total_weight, name
+        assert repr(mine.stats) == repr(ref.stats), name
+        assert certify_forest(d, mine) is None, name
+
+
+def _traced_peak(run, d):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run(d)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", ["rook", "chained"])
+def test_array_passes_peak_no_higher_than_the_sequential_loop(shape):
+    """Traced peak of one run, the DAG index built beforehand: the link and
+    forest arrays stay within 1.1 times the sequential loop's union-find."""
+    if shape == "rook":
+        d = rook_mst_compression(200, 5, 1)
+    else:
+        d = _chained_compression(7, chains=10, length=400, pool=96, sinks=10000, cedges=15000,
+                                 max_weight=1000)
+    d._index.check()
+    reference, mine = _traced_peak(_sequential_kruskal, d), _traced_peak(kruskal_compressed, d)
+    assert mine <= 1.1 * reference, (mine, reference)
