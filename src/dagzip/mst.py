@@ -52,6 +52,12 @@ distinct, so the minimum spanning forest is unique and is Kruskal's, and
 its keys sorted give Kruskal's acceptance order. It expands every product,
 so it serves as the differential reference.
 
+Both return their forest as one (k, 3) int64 array of (u, v, w) rows in
+acceptance order, u < v. MstResult.edges is a ForestView of it: it reads
+and writes like the list of (u, v, w) tuples, with len in O(1), and builds
+tuples only when it is indexed or iterated. write_mst and certify_forest
+read the array, so the mst command builds no per-edge Python object.
+
 certify_forest proves a forest F minimum for decompress(d) on the
 compressed form, by the cycle property with path-maximum (bottleneck)
 queries on F (Komlos 1985, King 1997), and never expands a product or
@@ -75,6 +81,7 @@ independently. The work is O((|A| + |E| + n) log n) plus the sort of F.
 
 from __future__ import annotations
 
+from collections.abc import MutableSequence, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -90,17 +97,86 @@ class MstStats:
     arcs_traversed: int = 0
 
 
+class ForestView(MutableSequence):
+    """A forest's (k, 3) int64 array of (u, v, w) rows, seen as the list of
+    (u, v, w) tuples it stands for: len is O(1), an item or an iteration
+    builds tuples of Python ints, a slice a list, and == and repr are the
+    list's. Assignment, deletion and insertion rewrite the array, so the
+    writer and the certificate, which read the array, see every change.
+    A value outside int64 cannot be stored: OverflowError."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, i):
+        rows = self.array[i].tolist()
+        return list(map(tuple, rows)) if isinstance(i, slice) else tuple(rows)
+
+    def __iter__(self):
+        return map(tuple, self.array.tolist())
+
+    def __setitem__(self, i, value):
+        if isinstance(i, slice):
+            rows = list(self)
+            rows[i] = value
+            self.array = _forest_array(rows)
+        else:
+            self.array[i] = value
+
+    def __delitem__(self, i):
+        self.array = np.delete(self.array, i, 0)
+
+    def insert(self, i, value):
+        k = len(self.array)
+        self.array = np.insert(self.array, min(max(i + k if i < 0 else i, 0), k), value, 0)
+
+    def __eq__(self, other):
+        if isinstance(other, ForestView):
+            return np.array_equal(self.array, other.array)
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class MstResult:
-    """A minimum spanning forest: weighted sink edges plus run counters."""
+    """A minimum spanning forest: weighted sink edges plus run counters.
 
-    edges: list[tuple[int, int, int]]
+    Both Kruskals hand their forest on as a (k, 3) int64 array of (u, v, w)
+    rows in acceptance order, and edges is then a ForestView of it (len
+    O(1)); write_mst and certify_forest read the array. Built from a
+    (k, 3) array, edges is such a view too; a list of (u, v, w) triples is
+    kept as given."""
+
+    edges: MutableSequence[tuple[int, int, int]]
     total_weight: int
     stats: MstStats
+
+    def __post_init__(self):
+        if isinstance(self.edges, np.ndarray):
+            self.edges = ForestView(_forest_array(self.edges))
 
     @property
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, v, _ in self.edges)
+
+
+def _forest_array(edges) -> np.ndarray:
+    """A forest's edges as a (k, 3) int64 array: a view's own array, an
+    array as int64, triples read in (OverflowError on a value outside int64)."""
+    if isinstance(edges, ForestView):
+        return edges.array
+    if isinstance(edges, np.ndarray):
+        return np.asarray(edges, np.int64).reshape(-1, 3)
+    return np.fromiter(chain.from_iterable(edges), np.int64).reshape(-1, 3)
 
 
 def _exact_sum(x: np.ndarray) -> int:
@@ -156,8 +232,8 @@ def kruskal_baseline(g: Graph) -> MstResult:
     order = np.argsort(g.w, kind="stable")
     u, v, w = g.u[order], g.v[order], g.w[order]
     keys = _forest_keys(u, v, g.n)
-    forest = list(zip(u[keys].tolist(), v[keys].tolist(), w[keys].tolist()))
-    return MstResult(edges=forest, total_weight=_exact_sum(w[keys]),
+    forest = np.column_stack((u[keys], v[keys], w[keys]))
+    return MstResult(edges=forest, total_weight=_exact_sum(forest[:, 2]),
                      stats=MstStats(add_edge_calls=g.m))
 
 
@@ -173,7 +249,7 @@ def kruskal_compressed(d: DagCompression) -> MstResult:
         raise ValueError("compressed Kruskal needs a weighted undirected compression")
     index = d._index
     index.check()
-    n, m, rep = d.n_sinks, len(d.cedge_u), index.rep
+    n, m = d.n_sinks, len(d.cedge_u)
     # int32 when vertex ids, walk numbers and link counts all fit
     dt = np.int32 if max(d.n_vertices, len(d.arc_u) + 2 * m) < 2 ** 31 else np.int64
     # cedges are sorted by (u, v), so a stable sort by weight gives the (w, (u, v)) order.
@@ -182,15 +258,13 @@ def kruskal_compressed(d: DagCompression) -> MstResult:
     t = _clean_times(d, start)
     src, dst, cum = _links(d, start, t)
     keys = _forest_keys(src, dst, n)
-    lo, hi = np.minimum(src[keys], dst[keys]), np.maximum(src[keys], dst[keys])
-    del src, dst  # the forest below is the run's peak: keep only what it reads
-    edge = (np.searchsorted(cum, keys, "right") >> 1).astype(dt)  # the cedge of each forest link
-    w = d.cedge_w[order]
-    total = _exact_sum(w[edge])
-    w = w.tolist()
-    # The tuples share the index's own ints (rep[x] is x on a sink), not fresh ones per edge.
-    forest = list(zip(map(rep.__getitem__, memoryview(lo)), map(rep.__getitem__, memoryview(hi)),
-                      map(w.__getitem__, memoryview(edge))))
+    # Links join sinks, each its own representative: the forest rows are (lo, hi, w).
+    forest = np.empty((len(keys), 3), np.int64)
+    np.minimum(src[keys], dst[keys], out=forest[:, 0])
+    np.maximum(src[keys], dst[keys], out=forest[:, 1])
+    del src, dst  # the rest of the run reads only the forest
+    forest[:, 2] = d.cedge_w[order[np.searchsorted(cum, keys, "right") >> 1]]  # its link's cedge weight
+    total = _exact_sum(forest[:, 2])
     arcs = int(index.outdegree[n + 1:][t[1:] < 2 * m].sum())  # the cleaned clusters' out-arcs
     return MstResult(edges=forest, total_weight=total,
                      stats=MstStats(add_edge_calls=arcs + m, arcs_traversed=arcs))
@@ -277,7 +351,7 @@ def certify_forest(d: DagCompression, result: MstResult) -> str | None:
     index.check()
     n, rep, ptr, ind = d.n_sinks, index.rep, index.ptr, index.ind
     try:
-        f = np.fromiter(chain.from_iterable(result.edges), np.int64).reshape(-1, 3)
+        f = _forest_array(result.edges)
     except OverflowError:
         return "a forest edge has a value outside int64"
     if f.size and not (1 <= f[:, :2].min() and f[:, :2].max() <= n):
@@ -385,5 +459,5 @@ def certify_forest(d: DagCompression, result: MstResult) -> str | None:
 
 def write_mst(result: MstResult, n: int) -> str:
     """Serialize a spanning forest: header then edges sorted by (u, v), never repeated."""
-    u, v, w = _lex_sorted(*np.fromiter(chain.from_iterable(result.edges), np.int64).reshape(-1, 3).T)
+    u, v, w = _lex_sorted(*_forest_array(result.edges).T)
     return f"mst {n} {len(u)} {result.total_weight}\n" + _record_block("t", u, v, w)

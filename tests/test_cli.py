@@ -421,6 +421,34 @@ def test_baseline_check_still_compares_with_the_baseline(mst_file, capsys, monke
     assert run_cli(["mst", "--check", mst_file], capsys)[0] == 0  # the certified forest itself is fine
 
 
+def test_mst_path_reads_the_forest_array(tmp_path, capsys, monkeypatch):
+    """mst, its certificate and its baseline comparison read the forest as
+    an array and its size by len: no command indexes or iterates the view."""
+    from dagzip import rook_mst_compression
+    from dagzip.mst import ForestView
+
+    path = tmp_path / "rook.dagc"
+    path.write_text(write_compression(rook_mst_compression(40, 5, 1)), encoding="ascii")
+    flag_sets = [[], ["--check"], ["--baseline"], ["--baseline", "--check"]]
+
+    def outputs():
+        for i, flags in enumerate(flag_sets):
+            out = tmp_path / f"{i}.mst"
+            assert run_cli(["mst", str(path), *flags, "-o", str(out)], capsys) == (0, "", "")
+            yield out.read_bytes()
+
+    before = list(outputs())
+
+    def fail(*args):
+        raise AssertionError("the forest view was indexed or iterated")
+
+    monkeypatch.setattr(ForestView, "__iter__", fail)
+    monkeypatch.setattr(ForestView, "__getitem__", fail)
+    assert list(outputs()) == before
+    assert before[0] == before[1] == before[3] != before[2]  # --baseline alone writes Borůvka's forest
+    assert all(text.startswith(b"mst 1600 1599 3615\n") for text in before)
+
+
 def test_unwritable_output_exits_2(mst_file, capsys, tmp_path):
     out = tmp_path / "missing" / "dir" / "out.mst"
     code, _, err = run_cli(["mst", mst_file, "-o", str(out)], capsys)

@@ -553,8 +553,11 @@ def test_writers_match_reference(data):
     forest = data.draw(st.permutations(forest))
     total = sum(w for *_, w in forest)
     rows = [f"t {u} {v} {w}" for u, v, w in sorted(forest)]
-    assert write_mst(MstResult(forest, total, MstStats()), n) == "\n".join(
-        [f"mst {n} {len(rows)} {total}", *rows, ""])
+    text = "\n".join([f"mst {n} {len(rows)} {total}", *rows, ""])
+    assert write_mst(MstResult(forest, total, MstStats()), n) == text
+    # The same forest as the (k, 3) int64 array that both Kruskals hand on.
+    array = np.array(forest, np.int64).reshape(-1, 3)
+    assert write_mst(MstResult(array, total, MstStats()), n) == text
 
 
 # Every decimal width a record can have: 0, 10^k - 1 and 10^k up to 10^18,
@@ -580,8 +583,10 @@ def _assert_writers_match(directed, n, edges, weights=None):
     forest = [(u, v, weights[u, v]) for u, v in g.edges] if weights is not None else []
     cols = np.array(sorted(forest), np.int64).reshape(-1, 3).T
     total = sum(cols[2].tolist())
-    assert write_mst(MstResult(forest[::-1], total, MstStats()), n) == "\n".join(
-        [f"mst {n} {len(forest)} {total}", *_reference_text_rows("t", *cols), ""])
+    text = "\n".join([f"mst {n} {len(forest)} {total}", *_reference_text_rows("t", *cols), ""])
+    assert write_mst(MstResult(forest[::-1], total, MstStats()), n) == text
+    array = np.array(forest[::-1], np.int64).reshape(-1, 3)  # as both Kruskals hand it on
+    assert write_mst(MstResult(array, total, MstStats()), n) == text
 
 
 @pytest.mark.parametrize("top", WIDTHS[1:])

@@ -502,3 +502,92 @@ def test_array_passes_peak_no_higher_than_the_sequential_loop(shape):
     d._index.check()
     reference, mine = _traced_peak(_sequential_kruskal, d), _traced_peak(kruskal_compressed, d)
     assert mine <= 1.1 * reference, (mine, reference)
+
+
+def _fuzz_compressions():
+    """The shapes of test_compressed_matches_baseline_on_fuzz."""
+    for seed in range(300):
+        yield random_compression(n_sinks=3 + seed % 10, n_clusters=seed % 8, arc_density=0.4,
+                                 edge_count=2 + seed % 9, max_weight=6, seed=seed)
+
+
+def _view_cases():
+    """(d, result) for both Kruskals on the pinned families and the fuzz
+    shapes, and for the empty forest."""
+    cases = [*_pinned_compressions("rook"), *_pinned_compressions("random"), *_fuzz_compressions()]
+    for d in cases:
+        yield d, kruskal_compressed(d)
+        yield d, kruskal_baseline(decompress(d))
+    empty = DagCompression(False, 3, 0, [], [], {})
+    yield empty, kruskal_compressed(empty)
+    yield empty, MstResult(np.empty((0, 3), np.int64), 0, MstStats())
+
+
+def _view_mutations(n):
+    """Edits that a list of forest edges takes, each as a function of it."""
+    edge = (1, n, 7)
+    yield lambda e: e.insert(0, edge)
+    yield lambda e: e.insert(-2, edge)
+    yield lambda e: e.insert(10 ** 6, edge)
+    yield lambda e: e.__setitem__(0, (*e[0][:2], e[0][2] + 1))
+    yield lambda e: e.__setitem__(slice(1, 3), [edge, edge, edge])
+    yield lambda e: e.pop()
+    yield lambda e: e.pop(0)
+    yield lambda e: e.__delitem__(slice(None, None, 2))
+    yield lambda e: e.append(edge)
+    yield lambda e: e.__setitem__(e.index(edge), (1, 1, 0))
+
+
+def test_forest_view_reads_and_edits_as_the_tuple_list():
+    """Both Kruskals' edges read as the list of (u, v, w) tuples of Python
+    ints they stand for, and take a list's edits; after each edit the
+    certificate and the writer see the edited forest, as they see the list."""
+    from dagzip.mst import ForestView
+
+    for k, (d, res) in enumerate(_view_cases()):
+        view, ref = res.edges, list(res.edges)
+        assert type(view) is ForestView and len(view) == len(ref) == len(view.array)
+        assert view == ref and ref == view and view != ref + [(1, 1, 0)] and view == ForestView(view.array)
+        assert repr(view) == repr(ref) and repr(res) == repr(MstResult(ref, res.total_weight, res.stats))
+        assert all(type(e) is tuple and all(type(x) is int for x in e) for e in view)
+        for s in (slice(1, 3), slice(None, None, -1), slice(-2, None), slice(5, 1)):
+            assert type(view[s]) is list and view[s] == ref[s]
+        for i in {0, len(ref) // 2, len(ref) - 1} if ref else ():
+            assert view[i] == view[i - len(ref)] == ref[i] and view.index(ref[i]) == ref.index(ref[i])
+        assert res.edge_set == frozenset((u, v) for u, v, _ in ref)
+        with pytest.raises(IndexError):
+            view[len(ref)]
+        if k % 5 and ref:  # edits on every fifth forest and the empty ones keep the test short
+            continue
+        listed = MstResult(ref, res.total_weight, res.stats)
+        for edit in _view_mutations(d.n_sinks):
+            try:
+                edit(ref)
+            except IndexError:  # pop from an empty forest
+                with pytest.raises(IndexError):
+                    edit(view)
+                continue
+            edit(view)
+            assert view == ref and repr(view) == repr(ref)
+            assert certify_forest(d, res) == certify_forest(d, listed)
+            assert write_mst(res, d.n_sinks) == write_mst(listed, d.n_sinks)
+
+
+def test_forest_array_peak_no_higher_than_a_tuple_list():
+    """Traced peak of kruskal_compressed plus write_mst on rook g=200, the
+    DAG index built beforehand: no higher than when the forest is handed on
+    as its list of (u, v, w) tuples, the endpoints shared with the index."""
+    d = rook_mst_compression(200, 5, 1)
+    d._index.check()
+
+    def as_array(d):
+        write_mst(kruskal_compressed(d), d.n_sinks)
+
+    def as_tuples(d):
+        res = kruskal_compressed(d)
+        rep, (lo, hi, w) = d._index.rep, (memoryview(c.copy()) for c in res.edges.array.T)
+        res.edges = list(zip(map(rep.__getitem__, lo), map(rep.__getitem__, hi), w))
+        write_mst(res, d.n_sinks)
+
+    reference, mine = _traced_peak(as_tuples, d), _traced_peak(as_array, d)
+    assert mine <= reference, (mine, reference)
