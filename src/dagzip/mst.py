@@ -53,10 +53,10 @@ its keys sorted give Kruskal's acceptance order. It expands every product,
 so it serves as the differential reference.
 
 Both return their forest as one (k, 3) int64 array of (u, v, w) rows in
-acceptance order, u < v. MstResult.edges is a ForestView of it: it reads
-and writes like the list of (u, v, w) tuples, with len in O(1), and builds
-tuples only when it is indexed or iterated. write_mst and certify_forest
-read the array, so the mst command builds no per-edge Python object.
+acceptance order, u < v. MstResult.edges is always a read-only ForestView
+of such an array: it reads like the list of (u, v, w) tuples, with len in
+O(1), and builds tuples only when indexed or iterated. write_mst and
+certify_forest read the array: the mst command builds no per-edge object.
 
 certify_forest proves a forest F minimum for decompress(d) on the
 compressed form, by the cycle property with path-maximum (bottleneck)
@@ -81,9 +81,8 @@ independently. The work is O((|A| + |E| + n) log n) plus the sort of F.
 
 from __future__ import annotations
 
-from collections.abc import MutableSequence, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -97,13 +96,11 @@ class MstStats:
     arcs_traversed: int = 0
 
 
-class ForestView(MutableSequence):
-    """A forest's (k, 3) int64 array of (u, v, w) rows, seen as the list of
-    (u, v, w) tuples it stands for: len is O(1), an item or an iteration
-    builds tuples of Python ints, a slice a list, and == and repr are the
-    list's. Assignment, deletion and insertion rewrite the array, so the
-    writer and the certificate, which read the array, see every change.
-    A value outside int64 cannot be stored: OverflowError."""
+class ForestView(Sequence):
+    """A forest's (k, 3) int64 array of (u, v, w) rows, seen read-only as
+    the list of (u, v, w) tuples it stands for: len is O(1), an item or an
+    iteration builds tuples of Python ints, a slice a list, and == and repr
+    are the list's."""
 
     __slots__ = ("array",)
 
@@ -120,21 +117,6 @@ class ForestView(MutableSequence):
     def __iter__(self):
         return map(tuple, self.array.tolist())
 
-    def __setitem__(self, i, value):
-        if isinstance(i, slice):
-            rows = list(self)
-            rows[i] = value
-            self.array = _forest_array(rows)
-        else:
-            self.array[i] = value
-
-    def __delitem__(self, i):
-        self.array = np.delete(self.array, i, 0)
-
-    def insert(self, i, value):
-        k = len(self.array)
-        self.array = np.insert(self.array, min(max(i + k if i < 0 else i, 0), k), value, 0)
-
     def __eq__(self, other):
         if isinstance(other, ForestView):
             return np.array_equal(self.array, other.array)
@@ -146,37 +128,27 @@ class ForestView(MutableSequence):
         return repr(list(self))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MstResult:
     """A minimum spanning forest: weighted sink edges plus run counters.
 
-    Both Kruskals hand their forest on as a (k, 3) int64 array of (u, v, w)
-    rows in acceptance order, and edges is then a ForestView of it (len
-    O(1)); write_mst and certify_forest read the array. Built from a
-    (k, 3) array, edges is such a view too; a list of (u, v, w) triples is
-    kept as given."""
+    edges is given as a (k, 3) array or a sequence of (u, v, w) triples, in
+    acceptance order, and is kept as a ForestView of the (k, 3) int64 array
+    (OverflowError on a value outside int64); write_mst and certify_forest
+    read the array. Both Kruskals hand their forest on as such an array.
+    The fields cannot be rebound: a changed forest is a new MstResult."""
 
-    edges: MutableSequence[tuple[int, int, int]]
+    edges: Sequence[tuple[int, int, int]]
     total_weight: int
     stats: MstStats
 
     def __post_init__(self):
-        if isinstance(self.edges, np.ndarray):
-            self.edges = ForestView(_forest_array(self.edges))
+        if not isinstance(self.edges, ForestView):
+            object.__setattr__(self, "edges", ForestView(np.asarray(self.edges, np.int64).reshape(-1, 3)))
 
     @property
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, v, _ in self.edges)
-
-
-def _forest_array(edges) -> np.ndarray:
-    """A forest's edges as a (k, 3) int64 array: a view's own array, an
-    array as int64, triples read in (OverflowError on a value outside int64)."""
-    if isinstance(edges, ForestView):
-        return edges.array
-    if isinstance(edges, np.ndarray):
-        return np.asarray(edges, np.int64).reshape(-1, 3)
-    return np.fromiter(chain.from_iterable(edges), np.int64).reshape(-1, 3)
 
 
 def _exact_sum(x: np.ndarray) -> int:
@@ -350,10 +322,7 @@ def certify_forest(d: DagCompression, result: MstResult) -> str | None:
     index = d._index
     index.check()
     n, rep, ptr, ind = d.n_sinks, index.rep, index.ptr, index.ind
-    try:
-        f = _forest_array(result.edges)
-    except OverflowError:
-        return "a forest edge has a value outside int64"
+    f = result.edges.array
     if f.size and not (1 <= f[:, :2].min() and f[:, :2].max() <= n):
         return f"a forest edge has an endpoint outside 1..{n}"
     f = f[np.argsort(f[:, 2], kind="stable")]
@@ -459,5 +428,5 @@ def certify_forest(d: DagCompression, result: MstResult) -> str | None:
 
 def write_mst(result: MstResult, n: int) -> str:
     """Serialize a spanning forest: header then edges sorted by (u, v), never repeated."""
-    u, v, w = _lex_sorted(*_forest_array(result.edges).T)
+    u, v, w = _lex_sorted(*result.edges.array.T)
     return f"mst {n} {len(u)} {result.total_weight}\n" + _record_block("t", u, v, w)

@@ -6,6 +6,8 @@ import pytest
 
 from dagzip import (
     DagCompression,
+    MstResult,
+    MstStats,
     SetCoverInstance,
     decompress,
     kruskal_compressed,
@@ -365,9 +367,7 @@ def test_weight_mismatch_exits_3(mst_file, capsys, monkeypatch):
     def heavier(d):
         res = kruskal_compressed(d)
         a, b, w = res.edges[-1]
-        res.edges[-1] = (a, b, w + 1)
-        res.total_weight += 1
-        return res
+        return MstResult(res.edges[:-1] + [(a, b, w + 1)], res.total_weight + 1, res.stats)
 
     monkeypatch.setattr(cli_mod, "kruskal_compressed", heavier)
     code, out, err = run_cli(["mst", mst_file, "--check"], capsys)
@@ -380,8 +380,7 @@ def test_forest_size_mismatch_exits_3(mst_file, capsys, monkeypatch):
 
     def one_edge_short(d):
         res = kruskal_compressed(d)
-        res.edges.pop()
-        return res  # total_weight still the right one
+        return MstResult(res.edges[:-1], res.total_weight, res.stats)  # total_weight still the right one
 
     monkeypatch.setattr(cli_mod, "kruskal_compressed", one_edge_short)
     code, out, err = run_cli(["mst", mst_file, "--check"], capsys)
@@ -401,9 +400,9 @@ def test_mutated_forest_exits_3_in_one_line(mst_file, capsys, monkeypatch, old, 
 
     def mutated(d):
         res = kruskal_compressed(d)
-        res.edges[res.edges.index(old)] = new
-        res.total_weight = total
-        return res
+        edges = res.edges[:]
+        edges[edges.index(old)] = new
+        return MstResult(edges, total, res.stats)
 
     monkeypatch.setattr(cli_mod, "kruskal_compressed", mutated)
     for flags in (["--check"], ["--baseline", "--check"]):
@@ -413,7 +412,6 @@ def test_mutated_forest_exits_3_in_one_line(mst_file, capsys, monkeypatch, old, 
 
 def test_baseline_check_still_compares_with_the_baseline(mst_file, capsys, monkeypatch):
     import dagzip.cli as cli_mod
-    from dagzip.mst import MstResult, MstStats
 
     monkeypatch.setattr(cli_mod, "kruskal_baseline", lambda g: MstResult([], 7, MstStats()))
     code, out, err = run_cli(["mst", "--baseline", "--check", mst_file], capsys)

@@ -1,6 +1,7 @@
 """No module of the package, test file or demo imports a name it never uses,
 no function of the package has a parameter it never reads, and every
-module-level function of the package is exported or referenced.
+module-level function, class and constant of the package is exported or
+referenced.
 
 The package's own __init__.py is exempt from the import check: it imports
 names to re-export them. Dunder methods and parameters whose names start
@@ -74,18 +75,31 @@ def _names(node: ast.AST, bare: bool) -> set[str]:
     return names
 
 
+def _defined(stmt: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class or
+    the plain names a constant assignment binds; dunders are exempt."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if not n.startswith("__")]
+
+
 def test_every_package_function_is_exported_or_referenced():
-    # Referenced means imported from its module by another package module, or
-    # named by its own module outside the function's definition. A bare name
-    # in another module is a local of that module, not a reference.
+    # Functions, classes and constants alike. Referenced means imported from
+    # its module by another package module, or named by its own module outside
+    # the definition. A bare name in another module is a local of that
+    # module, not a reference.
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
     exported = _names(trees.pop("__init__.py"), False)
     unused = []
     for name, tree in trees.items():
         others = set().union(*(_names(t, False) for t in trees.values() if t is not tree))
-        for f in tree.body:
-            if isinstance(f, ast.FunctionDef):
-                own = set().union(*(_names(s, True) for s in tree.body if s is not f))
-                if f.name not in exported | others | own:
-                    unused.append(f"{name}: {f.name}")
+        names = [_names(s, True) for s in tree.body]
+        for i, stmt in enumerate(tree.body):
+            own = set().union(*names[:i], *names[i + 1:])
+            unused += [f"{name}: {d}" for d in _defined(stmt) if d not in exported | others | own]
     assert unused == []
