@@ -23,16 +23,19 @@ matchings leave at most one node over. The pairs are then numbered in
 greedy acceptance order, so the node ids do not change.
 
 The overlap scores are exact int16 counts (at most n, which the size guard
-keeps below 2^15), built tile by tile from float32 copies of the signature
-row blocks, so no n^2 float32 matrix is held.
+keeps below 2^15), built tile by tile, so no n^2 float32 matrix is held. A
+count is at most the largest row popcount p, so it fits in b = bit_length(p)
+bits, and one float32 product packs 24 // b signature rows of a column tile
+into lanes of b bits: its sums are integers below 2^24, exact in float32.
 
 Admissibility obeys a boolean recurrence over children: a product with an
 internal node is admissible iff it is admissible with both children. A
 round's nodes have children from earlier rounds only, so each round is one
 row-major array step: first over the bool sink columns, then over the rows
 of the transposed node-pair matrix, whose rows are the columns, kept as
-packed bits. Maximality then unpacks one row block and its parent rows at
-a time, so no (2n)^2 bool matrix is built.
+packed bits. Maximality unpacks one row block at a time to list its
+admissible pairs, and reads their two parent bits from the packed rows, so
+no (2n)^2 bool matrix is built.
 """
 
 from __future__ import annotations
@@ -139,35 +142,54 @@ def _greedy_pairs(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i[order], j[order]
 
 
-_TILE = 576  # rows per overlap tile
+_TILE = 576  # signature rows per overlap tile
 
 
 def _overlaps(signatures: np.ndarray) -> np.ndarray:
     """signatures @ signatures.T for a bool matrix, as exact int16 counts.
 
-    Row blocks are copied into two reused float32 buffers; a diagonal tile
-    is one symmetric product, an off-diagonal tile is written once and
-    mirrored. float32 sums are exact below 2^24 and every count is at most
-    the row width, which must stay below 2^15.
+    A count is at most the largest row popcount p, which fits in
+    b = p.bit_length() bits, so L = 24 // b counts fit side by side in one
+    float32 integer. Each column tile is packed into ceil(tile / L) float32
+    rows, its lane t weighted by 2^(b t); one product of a row tile with
+    that packed tile then gives L counts per float. Every partial sum is a
+    non-negative integer below 2^(b L) <= 2^24, so the float32 sums are
+    exact in any order, and a shift and a mask decode each lane. Only the
+    upper triangle of tiles is computed; off-diagonal tiles are mirrored.
+    All tile buffers come from one allocation. Counts must stay below 2^15.
     """
     size, width = signatures.shape
     scores = np.empty((size, size), dtype=np.int16)
+    bits = max(1, int(signatures.sum(axis=1, dtype=np.int32).max()).bit_length())
+    lanes, mask = max(1, 24 // bits), (1 << bits) - 1
     rows = min(_TILE, size)
-    a = np.empty((rows, width), dtype=np.float32)
-    b = np.empty_like(a)
-    tile = np.empty((rows, rows), dtype=np.float32)
+    high = -(-rows // lanes)  # packed rows of a full column tile
+    buf = np.empty((rows + high) * width + 2 * rows * high, dtype=np.float32)
+    a = buf[: rows * width].reshape(rows, width)
+    packed = buf[rows * width: (rows + high) * width].reshape(high, width)
+    prod, word = buf[(rows + high) * width:].reshape(2, rows, high)
+    word = word.view(np.int32)
     for i in range(0, size, _TILE):
         ai = a[: min(_TILE, size - i)]
         np.copyto(ai, signatures[i: i + _TILE])
         ii = slice(i, i + len(ai))
-        scores[ii, ii] = np.matmul(ai, ai.T, out=tile[: len(ai), : len(ai)])
-        for j in range(i + _TILE, size, _TILE):
-            bj = b[: min(_TILE, size - j)]
-            np.copyto(bj, signatures[j: j + _TILE])
-            jj = slice(j, j + len(bj))
-            t = np.matmul(ai, bj.T, out=tile[: len(ai), : len(bj)])
-            scores[ii, jj] = t
-            scores[jj, ii] = t.T
+        for j in range(i, size, _TILE):
+            tile = signatures[j: j + _TILE]
+            h = -(-len(tile) // lanes)
+            starts = range(0, len(tile), h)  # lane t: tile rows from starts[t], the last may be short
+            pj, w = packed[:h], word[: len(ai), :h]
+            np.copyto(pj, tile[:h])
+            for t, lo in enumerate(starts[1:], 1):
+                part = tile[lo: lo + h]
+                np.add(pj[: len(part)], np.float32(2 ** (bits * t)), out=pj[: len(part)], where=part)
+            np.copyto(w, np.matmul(ai, pj.T, out=prod[: len(ai), :h]), casting="unsafe")
+            for lo in starts:
+                k = min(h, len(tile) - lo)
+                np.bitwise_and(w[:, :k], mask, out=scores[ii, j + lo: j + lo + k], casting="unsafe")
+                np.right_shift(w, bits, out=w)
+            if j > i:
+                jj = slice(j, j + len(tile))
+                scores[jj, ii] = scores[ii, jj].T
     return scores
 
 
@@ -214,11 +236,13 @@ def _and_children(adm: np.ndarray, left: np.ndarray, right: np.ndarray, rounds, 
 _ROW_BLOCK = 1024  # rows unpacked at a time by the maximality pass
 
 # The guard counts 2 (2n)^2 + 8 n^2 = 16 n^2 bytes, 2 GB at n = 11180. That
-# is an upper bound: tree_compress holds about 5 n^2 at its peak (the bool
-# signatures, the int16 scores and the float32 tile buffers; the bool sink
-# columns and packed rows are less). It also keeps n below 2^15, where the
-# int16 overlap counts are exact. Larger inputs are refused before they
-# allocate.
+# is an upper bound: tree_compress holds under 5 n^2 at its peak (the bool
+# signatures and the int16 scores, 3 n^2, plus one float32 block of tile
+# buffers: a row tile, its packed column tile and two row x packed products;
+# the bool sink columns and packed rows are less). It also keeps n below
+# 2^15, where the int16 overlap counts are exact; the packed float32 sums
+# stay exact because each lane of b bits holds a count below 2^b and all
+# lanes fit in 24 bits. Larger inputs are refused before they allocate.
 MAX_TREE_MATRIX_BYTES = 2_000_000_000
 
 
@@ -277,16 +301,19 @@ def tree_compress(g: Graph, merge_policy: str = "similarity") -> DagCompression:
 
     # Maximal: admissible, and stepping either side up to its parent is not.
     # Row and column 0 are identically false, which makes the root maximal-safe.
-    # Each row block is unpacked with its parent rows; adm_t itself is not rewritten.
-    def unpacked(packed):
-        return np.unpackbits(packed, axis=1, count=total + 1, bitorder="little").view(bool)
-
+    # Each row block is unpacked to find its admissible pairs; their two
+    # parent bits are read from the packed rows.
     found = []
     for lo in range(0, total + 1, _ROW_BLOCK):
-        rows = unpacked(adm_t[lo: lo + _ROW_BLOCK])
-        rows &= ~(np.take(rows, parent, axis=1) | unpacked(adm_t[parent[lo: lo + _ROW_BLOCK]]))
-        # flatnonzero + divmod: np.nonzero on a 2-d bool matrix is several times slower
-        found.append(np.flatnonzero(rows) + lo * (total + 1))
+        rows = np.unpackbits(adm_t[lo: lo + _ROW_BLOCK], axis=1, count=total + 1, bitorder="little")
+        # flatnonzero + divmod on the bool view: np.nonzero on a 2-d bool matrix,
+        # or flatnonzero on the uint8 bits, is several times slower
+        pairs = np.flatnonzero(rows.view(bool)) + lo * (total + 1)
+        del rows  # freed before the gathers below
+        v, u = np.divmod(pairs, total + 1)
+        pu, pv = parent[u], parent[v]
+        up = (adm_t[v, pu >> 3] >> (pu & 7)) | (adm_t[pv, u >> 3] >> (u & 7))
+        found.append(pairs[(up & 1) == 0])
     vs, us = np.divmod(np.concatenate(found), total + 1)
     if not g.directed:
         keep = us <= vs

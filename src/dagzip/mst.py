@@ -146,10 +146,6 @@ class MstResult:
         if not isinstance(self.edges, ForestView):
             object.__setattr__(self, "edges", ForestView(np.asarray(self.edges, np.int64).reshape(-1, 3)))
 
-    @property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, v, _ in self.edges)
-
 
 def _exact_sum(x: np.ndarray) -> int:
     """The sum of fewer than 2^31 non-negative int64 values, as a Python int:

@@ -293,11 +293,26 @@ def test_mutual_best_pairing_equals_sorted_greedy(size, seed):
         assert list(zip(a.tolist(), b.tolist())) == _reference_greedy_pairs(scores)
 
 
-@pytest.mark.parametrize("tile, rows, cols", [(576, 1, 40), (576, 600, 150), (7, 22, 40),
-                                              (7, 7, 3), (7, 1, 9)])
-def test_tiled_overlaps_are_exact(monkeypatch, tile, rows, cols):
+_OVERLAP_CASES = [
+    (576, 1, 40, None), (576, 600, 150, None), (7, 22, 40, None), (7, 7, 3, None), (7, 1, 9, None),
+    (3, 5, 10, 0),  # no ones at all
+    # largest popcount 127 | 128 (7 | 8 bits, 3 lanes), 255 | 256 (3 | 2 lanes),
+    # 4095 | 4096 and 5000 (2 | 1 lane); 5-row tiles split unevenly and end in 3 rows
+    (5, 23, 300, 127), (5, 23, 300, 128), (5, 23, 300, 255), (5, 23, 300, 256),
+    (5, 9, 4200, 4095), (5, 9, 4200, 4096), (576, 9, 5000, 5000),
+    # 3 lanes over 4-, 2- and 1-row tiles: the last lanes are empty
+    (4, 10, 100, 100), (2, 5, 100, 100), (1, 3, 100, 100),
+]
+
+
+@pytest.mark.parametrize("tile, rows, cols, top", _OVERLAP_CASES,
+                         ids=["-".join(str(x) for x in c if x is not None) for c in _OVERLAP_CASES])
+def test_tiled_overlaps_are_exact(monkeypatch, tile, rows, cols, top):
     monkeypatch.setattr(heuristics, "_TILE", tile)
     sig = np.random.default_rng(rows * cols).random((rows, cols)) < 0.4
+    if top is not None:  # the last row has the largest popcount, top, in its tile's top lane
+        sig[:, top:] = False
+        sig[-1, :top] = True
     got = _overlaps(sig)
     assert got.dtype == np.int16
     assert np.array_equal(got, sig.astype(np.int64) @ sig.T.astype(np.int64))
@@ -348,13 +363,17 @@ def test_tree_output_pinned_in_tiny_blocks(monkeypatch, family, policy, directed
     assert _tree_digest(family, policy, directed) == TREE_DIGESTS[(family, policy, directed)]
 
 
-@pytest.mark.parametrize("policy, bound", [("similarity", 7), ("balanced", 5)])
+@pytest.mark.parametrize("policy, bound", [("similarity", 5), ("balanced", 5)])
 def test_tree_working_memory(policy, bound):
-    # Traced peak in bytes per n^2 on rook g=48: the bool signatures and int16
-    # scores are 3 n^2 plus the float32 tile buffers, the bool sink columns
-    # and the packed admissibility rows 2.5 n^2. An n^2 float32 score matrix
-    # or a (2n)^2 bool admissibility matrix would add 4 n^2 (a version with
-    # both peaks at 10.3 and 6.0 n^2).
+    # Traced peak in bytes per n^2 on rook g=48. Similarity peaks in the
+    # first round's overlap product at 4.6 n^2: the bool signatures (n^2),
+    # the int16 scores (2 n^2) and one float32 block of tile buffers (the
+    # 576-row tile, its packed 192-row column tile and the float32 and int32
+    # 576 x 192 products, 1.6 n^2 at this n). Balanced peaks at 3.3 n^2 in
+    # the admissibility pass (the bool sink columns, the adjacency matrix
+    # they are filled from and the packed admissibility rows). An n^2
+    # float32 score matrix or a (2n)^2 bool admissibility matrix would add
+    # 4 n^2 (a version with both peaks at 10.3 and 6.0 n^2).
     graph = rook_graph(RookSpec(g=48))
     tracemalloc.start()
     try:

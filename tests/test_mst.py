@@ -539,7 +539,6 @@ def test_forest_view_reads_as_the_tuple_list():
             assert type(view[s]) is list and view[s] == ref[s]
         for i in {0, len(ref) // 2, len(ref) - 1} if ref else ():
             assert view[i] == view[i - len(ref)] == ref[i] and view.index(ref[i]) == ref.index(ref[i])
-        assert res.edge_set == frozenset((u, v) for u, v, _ in ref)
         with pytest.raises(IndexError):
             view[len(ref)]
         with pytest.raises(TypeError):
