@@ -20,8 +20,10 @@ weights are built on first use and cached, for the small-instance code and
 the tests.
 
 Every pass over (V, A) reads one index, built on first use and cached: the
-arcs in CSR form (children in ascending order), in-degrees, the Kahn
-topological order and a representative sink per vertex, all O(|V| + |A|).
+arcs in CSR form (children in ascending order) and the cluster -> cluster
+arcs in a second one, in-degrees, the Kahn topological order of the
+clusters over those arcs alone, and a representative sink per vertex, all
+O(|V| + |A|).
 The index alone decides whether the compression is well-formed: validate()
 returns its list of violations, and every query that needs a well-formed
 compression (decompress, clusters, compressed Kruskal, the normalize passes)
@@ -72,11 +74,6 @@ class DagCompression(_Frozen):
             raise ValueError("weighted compressions are undirected")
         cw = None if weights is None else _weight_column(weights, cu, cv, "compression edges")
         self._fill(directed, n_sinks, n_clusters, au, av, cu, cv, cw)
-        # A directed frozenset is canonical already: it serves as its own view.
-        if isinstance(arcs, frozenset):
-            self.__dict__["arcs"] = arcs
-        if isinstance(cedges, frozenset) and directed:
-            self.__dict__["cedges"] = cedges
 
     @cached_property
     def arcs(self) -> frozenset[tuple[int, int]]:
@@ -119,10 +116,13 @@ class _DagIndex:
     """The cluster DAG (V, A) of one compression in CSR form, as every pass
     reads it, and the one verdict on whether the compression is well-formed.
 
-    The children of v are ind[ptr[v]:ptr[v + 1]], ascending, in Python lists
-    that Kahn's pass builds and the walks reuse; outdegree and indegree are
-    arrays that count arcs per vertex (slot 0 unused). order is
-    Kahn's topological order (FIFO, smallest id first), or None on a cycle.
+    The children of v are ind[ptr[v]:ptr[v + 1]], ascending, and those with
+    children (its cluster children, when well-formed) dind[dptr[v]:dptr[v + 1]],
+    in Python lists; outdegree and indegree are arrays that count arcs per
+    vertex (slot 0 unused). order is Kahn's topological order (FIFO, smallest
+    id first) of the vertices with children (the clusters, when well-formed)
+    over the arcs between them, or None on a cycle. A childless vertex lies
+    on no cycle and appends nothing when popped: this is the full order less them.
     violations names every sink with an out-arc, then every cluster vertex
     without one, then a cycle; check() raises on any of them. rep[v] is the
     sink reached from v by always taking the first (smallest) child; it is
@@ -130,22 +130,25 @@ class _DagIndex:
     Cluster sets are not kept: they can be quadratic in size.
     """
 
-    __slots__ = ("ptr", "ind", "outdegree", "indegree", "order", "violations", "rep")
+    __slots__ = ("ptr", "ind", "dptr", "dind", "outdegree", "indegree", "order", "violations", "rep")
 
     def __init__(self, d: DagCompression):
         n, s = d.n_vertices, d.n_sinks
-        self.outdegree = np.bincount(d.arc_u, minlength=n + 1)
-        indptr = np.concatenate(([0], np.cumsum(self.outdegree)))
+        self.outdegree = out = np.bincount(d.arc_u, minlength=n + 1)
         self.indegree = np.bincount(d.arc_v, minlength=n + 1)
-        self.ptr, self.ind = ptr, ind = indptr.tolist(), d.arc_v.tolist()
+        down = out[d.arc_v] > 0  # the arcs into vertices with children, all from such vertices
+        ptr, dptr = (np.concatenate(([0], np.cumsum(k))).tolist()
+                     for k in (out, np.bincount(d.arc_u[down], minlength=n + 1)))
+        ind, dind = d.arc_v.tolist(), d.arc_v[down].tolist()
+        self.ptr, self.ind, self.dptr, self.dind = ptr, ind, dptr, dind
         indeg = self.indegree.tolist()
-        order = (np.flatnonzero(self.indegree[1:] == 0) + 1).tolist()
+        order = np.flatnonzero((self.indegree == 0) & (out > 0)).tolist()
         for x in order:  # the list grows while it is read: Kahn's FIFO queue
-            for y in ind[ptr[x]:ptr[x + 1]]:
+            for y in dind[dptr[x]:dptr[x + 1]]:
                 indeg[y] -= 1
                 if not indeg[y]:
                     order.append(y)
-        self.order = order if len(order) == n else None
+        self.order = order if len(order) == np.count_nonzero(out) else None
         self.violations = [f"original vertex {v} has outgoing arc"
                            for v in (np.flatnonzero(self.outdegree[1:s + 1]) + 1).tolist()]
         self.violations += [f"cluster vertex {v} with no outgoing arc"
@@ -154,12 +157,9 @@ class _DagIndex:
             self.violations.append("cycle in cluster DAG")
         self.rep = None
         if not self.violations:
-            # Pointer jumping along first children ends at sinks: no cycle, no childless cluster.
-            rep = np.arange(n + 1)
-            rep[s + 1:] = d.arc_v[indptr[s + 1: n + 1]]
-            while not np.array_equal(jumped := rep[rep], rep):
-                rep = jumped
-            self.rep = rep.tolist()
+            self.rep = rep = list(range(n + 1))
+            for v in reversed(order):  # children first
+                rep[v] = rep[ind[ptr[v]]]
 
     def check(self) -> None:
         """Raise ValueError, in validate()'s words, unless the compression is well-formed."""
@@ -190,15 +190,15 @@ def _cluster_csr(d: DagCompression, tops: np.ndarray | None = None) -> tuple[np.
     """
     index, s = d._index, d.n_sinks
     index.check()
-    ptr, ind = index.ptr, index.ind
-    folded = [v for v in index.order if v > s]  # parents before children
+    ptr, ind, dptr, dind = index.ptr, index.ind, index.dptr, index.dind
+    folded = index.order  # parents before children
     if tops is not None:
         below = np.zeros(d.n_vertices + 1, bool)
         below[tops] = True
         below = below.tolist()
         for v in folded:
             if below[v]:
-                for k in ind[ptr[v]: ptr[v + 1]]:
+                for k in dind[dptr[v]: dptr[v + 1]]:
                     below[k] = True
         folded = [v for v in folded if below[v]]
     members: dict[int, list[int]] = {}

@@ -159,8 +159,6 @@ class Graph(_Frozen):
                 raise ValueError("weighted graphs are undirected")
             w = _weight_column(weights, u, v, "edge set")
         self._fill(directed, n, u, v, w)
-        if directed and isinstance(edges, frozenset):  # canonical already: its own view
-            self.__dict__["edges"] = edges
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -270,12 +268,12 @@ def _record_block(tag: str, *columns: np.ndarray | None) -> str:
 
 
 # The commands hold memory per declared vertex at their peak, whatever the
-# file's size: validate, mst and decompress about 170 bytes per vertex of a
-# compression (peak RSS of `dagzip mst --check` on files declaring 2M and 4M
-# sinks), `compress --strategy greedy` about 115 per vertex of a graph (1M
-# and 3M vertices, no edges). read_graph and read_compression refuse more
-# than MAX_VERTICES declared vertices, about 2 GB, before anything is
-# allocated per vertex.
+# file's size: validate, mst and decompress up to about 240 bytes per vertex
+# of a compression (peak RSS of `dagzip mst --check`, the largest, on files
+# declaring 2M and 4M sinks), `compress --strategy greedy` about 115 per
+# vertex of a graph (1M and 3M vertices, no edges). read_graph and
+# read_compression refuse more than MAX_VERTICES declared vertices, about
+# 3 GB, before anything is allocated per vertex.
 MAX_VERTICES = 12_000_000
 
 

@@ -28,13 +28,13 @@ set: at most one walk per cluster.
 
 The run takes three passes and holds the forest that sequential run finds.
 1. Clean times: the first walk per start, then the least of them over
-   ancestors in one pass over the cluster -> cluster arcs in topological
-   order of their tails.
+   ancestors in one pass down the DAG index's cluster order (topological)
+   and its cluster -> cluster arcs.
 2. Links, in try order: the walks with t = s are replayed in Python, in
    walk order and in the sequential DFS order. Children ascend, so a
    cluster's sink children pop first and enter as one list slice; only its
-   cluster children are pushed. The other walks' single links go between
-   them in array passes.
+   cluster children, from the index's cluster arcs, are pushed. The other
+   walks' single links go between them in array passes.
 3. Acceptance: sequential union-find accepts a link iff it joins two
    components of the links tried before it. So the accepted links are the
    minimum spanning forest of the link graph keyed by try position, and
@@ -246,16 +246,14 @@ def _clean_times(d: DagCompression, start: np.ndarray) -> np.ndarray:
     t = np.full(d.n_clusters + 1, walks, start.dtype)
     np.minimum.at(t, np.maximum(start - n, 0), np.arange(walks, dtype=start.dtype))
     t[0] = -1
-    down = np.flatnonzero(d.arc_v > n)  # cluster -> cluster arcs
-    if len(down):
-        rank = np.empty(d.n_vertices + 1, np.int64)
-        rank[np.fromiter(d._index.order, np.int64, d.n_vertices)] = np.arange(d.n_vertices)
-        down = down[np.argsort(rank[d.arc_u[down]])]  # a parent's arcs before its children's
-        tc = t.tolist()
-        for a, b in zip((d.arc_u[down] - n).tolist(), (d.arc_v[down] - n).tolist()):
-            if tc[a] < tc[b]:
-                tc[b] = tc[a]
-        t[:] = tc
+    index, tc = d._index, t.tolist()
+    dptr, dind = index.dptr, index.dind
+    for a in index.order:  # parents first, along the cluster -> cluster arcs
+        ta = tc[a - n]
+        for b in dind[dptr[a]:dptr[a + 1]]:
+            if ta < tc[b - n]:
+                tc[b - n] = ta
+    t[:] = tc
     return t
 
 
@@ -264,17 +262,13 @@ def _links(d: DagCompression, start: np.ndarray, t: np.ndarray) -> tuple[np.ndar
     and cum[i], the number of links of walks 0..i. Only the walks that clean
     their start run here in Python; a walk from a clean start tries nothing
     from u_k and exactly (rep v_k, rep u_k) from v_k."""
-    index, n, s = d._index, d.n_sinks, d.n_sinks + 1
-    rep, ptr, ind = index.rep, index.ptr, index.ind
+    index, n = d._index, d.n_sinks
+    rep, ptr, ind, dptr, dind = index.rep, index.ptr, index.ind, index.dptr, index.dind
     reps = np.fromiter(rep, start.dtype, len(rep))  # for the single links and the walks' targets
     walk = np.arange(len(start), dtype=start.dtype)
     ts = t[np.maximum(start - n, 0)]
     fresh = np.flatnonzero(ts == walk)
     lone = 2 * np.flatnonzero(ts[1::2] < walk[1::2]) + 1
-    # Children ascend, so a cluster's sink children pop first, each one link, and enter as one
-    # slice: ind[ptr[c]:mid[c - s]] are c's sinks, ind[mid[c - s]:ptr[c + 1]] its clusters.
-    mid = (np.cumsum(index.outdegree[s:])
-           - np.bincount(d.arc_u[d.arc_v > n] - s, minlength=d.n_clusters)).tolist()
     clean = bytearray(b"\0" + b"\1" * n + b"\0" * d.n_clusters)
     links, ends = [], []
     for x in start[fresh].tolist():
@@ -285,8 +279,11 @@ def _links(d: DagCompression, start: np.ndarray, t: np.ndarray) -> tuple[np.ndar
                 links.append(rep[c])
             else:
                 clean[c] = 1
-                links += ind[ptr[c]:mid[c - s]]
-                work += ind[mid[c - s]:ptr[c + 1]][::-1]  # the first cluster child pops first
+                lo, hi = dptr[c], dptr[c + 1]
+                # Children ascend, so c's sink children pop first, each one link, and enter as
+                # one slice: all its children but the last hi - lo, its clusters.
+                links += ind[ptr[c]:ptr[c + 1] - hi + lo]
+                work += dind[lo:hi][::-1]  # the first cluster child pops first
         ends.append(len(links))
     count = np.zeros(len(start), start.dtype)
     count[lone] = 1
@@ -317,7 +314,7 @@ def certify_forest(d: DagCompression, result: MstResult) -> str | None:
         raise ValueError("the certificate needs a weighted undirected compression")
     index = d._index
     index.check()
-    n, rep, ptr, ind = d.n_sinks, index.rep, index.ptr, index.ind
+    n, rep, ptr, ind, dptr, dind = d.n_sinks, index.rep, index.ptr, index.ind, index.dptr, index.dind
     f = result.edges.array
     if f.size and not (1 <= f[:, :2].min() and f[:, :2].max() <= n):
         return f"a forest edge has an endpoint outside 1..{n}"
@@ -372,9 +369,8 @@ def certify_forest(d: DagCompression, result: MstResult) -> str | None:
     if d.n_clusters:
         local = np.maximum.reduceat(bottleneck(reps[d.arc_u], reps[d.arc_v]),
                                     np.asarray(ptr[s:-1])).tolist()
-        for c in reversed(index.order):
-            if c > n:
-                tau[c] = max(local[c - s], *map(tau.__getitem__, ind[ptr[c]:ptr[c + 1]]))
+        for c in reversed(index.order):  # a sink's tau is 0
+            tau[c] = max([local[c - s], *map(tau.__getitem__, dind[dptr[c]:dptr[c + 1]])])
 
     # Cycle property: the heaviest forest edge between C(u) and C(v) weighs at most w.
     taus = np.array(tau)

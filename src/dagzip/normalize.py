@@ -60,8 +60,8 @@ def _rebuild(d: DagCompression, n: int, arcs, cedges, drop=frozenset()) -> DagCo
         return out
     ptr, ind = out._index.ptr, out._index.ind
     live = [0 < v <= s for v in range(n + 1)]
-    for v in reversed(out._index.order):  # children first
-        if v > s and v not in drop:
+    for v in reversed(out._index.order):  # children first; a cluster without children stays dead
+        if v not in drop:
             live[v] = any(live[k] for k in ind[ptr[v]: ptr[v + 1]])
     new = [*accumulate(live)]  # each kept vertex's id once the dropped ones are gone
     kept = ([(new[u], new[v]) for u, v in ps if live[u] and live[v]] for ps in (arcs, cedges))
@@ -106,10 +106,10 @@ def shore_normalize(d: DagCompression, shores: ShorePartition) -> DagCompression
     index, s, n = d._index, d.n_sinks, d.n_vertices
     if shores.shore1 | shores.shore2 != frozenset(range(1, s + 1)):
         raise ValueError("shores must partition the vertex set")
-    kids = [index.ind[index.ptr[v]: index.ptr[v + 1]] for v in range(n + 1)]
+    ptr, ind = index.ptr, index.ind
     side = [0] + [1 if v in shores.shore1 else 2 for v in range(1, s + 1)] + [0] * (n - s)
-    for v in reversed(index.order):  # children first; a sink has none
-        for k in kids[v]:
+    for v in reversed(index.order):  # children first
+        for k in ind[ptr[v]: ptr[v + 1]]:
             side[v] |= side[k]
 
     arcs, cedges = _pairs(d)
@@ -126,9 +126,9 @@ def shore_normalize(d: DagCompression, shores: ShorePartition) -> DagCompression
     dropped = {v for v in range(s + 1, n + 1) if side[v] != 2}
     arcs = [(u, v) for u, v in arcs if side[u] == 2]
     for v in index.order:
-        if v > s and side[v] == 1 and targets[v]:
+        if side[v] == 1 and targets[v]:
             arcs += ((v, t) for t in targets[v])
-            for y in kids[v]:
+            for y in ind[ptr[v]: ptr[v + 1]]:
                 targets[y].append(v)
             dropped.discard(v)
     return _rebuild(d, n, arcs, [(u, t) for u in range(1, s + 1) for t in targets[u]], dropped)

@@ -318,7 +318,7 @@ def min_dag_size(g: Graph, budget: OracleBudget | None = None,
     budget = budget or OracleBudget()
     if g.n > budget.max_sinks:
         raise OracleBudgetExceeded(f"{g.n} sinks exceed the budget of {budget.max_sinks}")
-    edges = sorted(g.edges)
+    edges = [*zip(g.u.tolist(), g.v.tolist())]  # sorted by (u, v) and distinct
     subsets = _sink_subsets(g.n)
     # Units in (len, sorted) order are in witness-id order for every family,
     # so one stable sort here orders each family's products by (-len, ids).

@@ -1,8 +1,14 @@
+import contextlib
 import csv
 import hashlib
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_formats import _mutated, compression_texts, graph_texts, shore_texts
 
 from dagzip import (
     DagCompression,
@@ -11,6 +17,7 @@ from dagzip import (
     SetCoverInstance,
     decompress,
     kruskal_compressed,
+    random_compression,
     read_compression,
     read_graph,
     validate,
@@ -18,6 +25,7 @@ from dagzip import (
     write_setcover,
     write_shores,
 )
+from dagzip import compression, graphs, heuristics
 from dagzip.cli import build_parser, main
 
 
@@ -696,3 +704,68 @@ def test_loading_commands_refuse_an_invalid_compression(tmp_path, capsys, violat
     assert run_cli([*argv, comp, "-o", str(out)], capsys) == (
         2, "", f"error: invalid compression: {violation}\n")
     assert not out.exists()
+
+
+# Every command that reads a file, with the reader it goes through first.
+FUZZ_COMMANDS = [
+    (["validate"], "dagc"), (["decompress"], "dagc"), (["mst"], "dagc"), (["mst", "--check"], "dagc"),
+    (["mst", "--baseline", "--check"], "dagc"),
+    *((["normalize", "--pass", p], "dagc") for p in ("twins", "shore", "single-edge")),
+    *((["compress", "--strategy", "tree", "--policy", p], "graph") for p in ("similarity", "balanced")),
+    (["compress", "--strategy", "greedy"], "graph"), (["oracle"], "graph"),
+]
+# The size guards, set so small that the fuzz's inputs meet them (tree: 16 n^2 bytes, n <= 5).
+FUZZ_LIMITS = [(graphs, "MAX_VERTICES", 10), (compression, "MAX_CLUSTER_MEMBERS", 12),
+               (compression, "MAX_CLUSTER_TABLE_BYTES", 3000), (compression, "MAX_EXPANDED_PAIRS", 20),
+               (heuristics, "MAX_TREE_MATRIX_BYTES", 400)]
+# MAX_VERTICES is 10 here.
+ADVERSARIAL = {
+    "dagc": [
+        "dagc directed\nsinks 2\nclusters 1\narcs 3\na 1 3\na 3 1\na 3 2\ncedges 1\nc 1 2\n",  # a cycle through a sink
+        "dagc undirected weighted\nsinks 2\nclusters 1\narcs 1\na 1 2\ncedges 1\nc 1 2 3\n",  # a sink's arc, no cycle
+        "dagc undirected weighted\nsinks 2\nclusters 1\narcs 0\ncedges 1\nc 3 3 1\n",  # a childless cluster
+        "dagc undirected\nsinks 3\nclusters 1\narcs 2\na 4 1\na 4 2\ncedges 1\nc 3 4\n",  # unweighted to mst
+        "dagc undirected weighted\nsinks 9\nclusters 1\narcs 2\na 10 1\na 10 9\ncedges 2\n"
+        "c 1 10 9223372036854775807\nc 9 10 0\n",  # ids and weight at the limits
+        "dagc undirected weighted\nsinks 10\nclusters 1\narcs 0\ncedges 0\n",  # a vertex too many
+        "dagc directed\nsinks 4\nclusters 2\narcs 4\na 5 1\na 5 2\na 6 3\na 6 4\ncedges 1\nc 5 6\n",
+    ],
+    "graph": ["graph directed 10 2\ne 1 10\ne 10 1\n", "graph directed 11 0\n",
+              "graph undirected 3 1 weighted\ne 1 2 5\n", "graph directed 6 2\ne 1 2\ne 3 4\n"],
+}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_command_keeps_the_exit_code_contract(data):
+    """Any command on a broken or adversarial input exits 0, 2 or 3, says
+    why in exactly one stderr line when it fails (validate lists violations
+    on stdout instead), and lets no exception escape."""
+    argv, kind = data.draw(st.sampled_from(FUZZ_COMMANDS))
+    texts = graph_texts() if kind == "graph" else st.one_of(compression_texts(), st.builds(
+        lambda seed: (write_compression(random_compression(1 + seed % 6, seed % 4, 0.5, 1 + seed % 5, 5, seed)),),
+        st.integers(0, 999)))  # valid and weighted: mst gets past its checks
+    text = data.draw(st.one_of(_mutated(texts), st.sampled_from(ADVERSARIAL[kind])))
+    shores = data.draw(st.one_of(  # a partition of the first 4 sinks, the adversarial file's shores
+        st.just("shore1 2 1 2\nshore2 2 3 4\n"), _mutated(shore_texts())))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        for module, name, limit in FUZZ_LIMITS:
+            patch.setattr(module, name, limit)
+        (Path(tmp) / "in").write_text(text, encoding="utf-8")  # a non-ascii token is a bad file
+        (Path(tmp) / "shores").write_text(shores, encoding="utf-8")
+        if argv[0] == "normalize":
+            argv = [*argv, "--shores", str(Path(tmp) / "shores")]
+        if argv[0] not in ("validate", "oracle"):
+            argv = [*argv, "-o", str(Path(tmp) / "out")]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, str(Path(tmp) / "in")])
+    err = err.getvalue()
+    assert code in (0, 2, 3), (argv, text, err)
+    if code == 0 or (argv[0] == "validate" and not err):
+        assert err == ""
+        if code:
+            assert out.getvalue() and all(line.startswith("violation: ")
+                                          for line in out.getvalue().splitlines())
+    else:
+        assert err.count("\n") == 1 and err.startswith("error: "), (argv, text, err)

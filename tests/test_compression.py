@@ -2,6 +2,7 @@ import random
 import re
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 
 from dagzip import (
@@ -100,10 +101,68 @@ def test_validate_lists_every_violation():
                 query()
 
 
+def _full_kahn(d):
+    """The DAG index's order, violations and representatives as a loop over
+    every vertex computes them: Kahn's FIFO order of all vertices over all
+    arcs (None on a cycle), and rep by pointer jumping along first children."""
+    n, s = d.n_vertices, d.n_sinks
+    outdegree = np.bincount(d.arc_u, minlength=n + 1)
+    indegree = np.bincount(d.arc_v, minlength=n + 1)
+    indptr = np.concatenate(([0], np.cumsum(outdegree)))
+    ptr, ind, indeg = indptr.tolist(), d.arc_v.tolist(), indegree.tolist()
+    order = (np.flatnonzero(indegree[1:] == 0) + 1).tolist()
+    for x in order:
+        for y in ind[ptr[x]:ptr[x + 1]]:
+            indeg[y] -= 1
+            if not indeg[y]:
+                order.append(y)
+    violations = [f"original vertex {v} has outgoing arc" for v in range(1, s + 1) if outdegree[v]]
+    violations += [f"cluster vertex {v} with no outgoing arc" for v in range(s + 1, n + 1) if not outdegree[v]]
+    if len(order) < n:
+        return None, violations + ["cycle in cluster DAG"], None
+    rep = None
+    if not violations:
+        rep = np.arange(n + 1)
+        rep[s + 1:] = d.arc_v[indptr[s + 1: n + 1]]
+        while not np.array_equal(jumped := rep[rep], rep):
+            rep = jumped
+        rep = rep.tolist()
+    return order, violations, rep
+
+
+def test_index_order_is_the_full_kahn_order_less_the_childless_vertices():
+    from test_mst import _fuzz_compressions, _pinned_compressions
+
+    well_formed = [*_fuzz_compressions(), *_pinned_compressions("rook"), *_pinned_compressions("random"),
+                   rook_canonical_compression(RookSpec(g=8))]
+    invalid = [DagCompression(True, s, c, arcs, []) for s, c, arcs in [
+        (1, 3, {(1, 2), (2, 3), (3, 2)}),  # the cases of test_validate_lists_every_violation
+        (2, 1, {(3, 1), (1, 2)}),
+        (1, 2, {(2, 3), (3, 2), (2, 1), (3, 1)}),
+        (2, 1, set()),
+        (2, 2, {(3, 4), (4, 3), (3, 1), (4, 2)}),
+        (4, 0, {(1, 4)}),
+        (2, 1, {(3, 1), (1, 3), (3, 2)}),  # a cycle through a sink
+        (3, 1, {(1, 4), (4, 2), (4, 3)}),  # a sink's arc into a cluster, on no cycle
+        (3, 1, {(1, 2), (4, 1), (4, 3)}),  # a sink's arc into a sink, on no cycle
+    ]]
+    for d in well_formed:
+        order, violations, rep = _full_kahn(d)
+        assert validate(d) == violations == []
+        assert d._index.order == [v for v in order if v > d.n_sinks]
+        assert d._index.rep == rep
+    for d in invalid:
+        order, violations, _ = _full_kahn(d)
+        assert validate(d) == violations
+        parents = set(d.arc_u.tolist())
+        assert d._index.order == (None if order is None else [v for v in order if v in parents])
+        assert d._index.rep is None
+
+
 def test_childless_cluster_has_no_representatives():
     d = DagCompression(directed=True, n_sinks=2, n_clusters=1,
                        arcs=frozenset(), cedges=frozenset({(1, 2)}))
-    assert d._index.order == [1, 2, 3]
+    assert d._index.order == []
     assert d._index.rep is None
     with pytest.raises(ValueError):
         clusters(d)
@@ -112,11 +171,11 @@ def test_childless_cluster_has_no_representatives():
 def test_constructors_convert_lists_and_check_ranges():
     edges = frozenset({(1, 2), (2, 2)})
     assert Graph(directed=True, n=2, edges=[[1, 2], [2, 2]]) == Graph(directed=True, n=2, edges=edges)
-    assert Graph(directed=True, n=2, edges=edges).edges is edges
+    assert Graph(directed=True, n=2, edges=edges).edges == edges
     assert Graph(directed=False, n=2, edges=[[2, 1]]).edges == frozenset({(1, 2)})
     arcs, cedges = frozenset({(3, 1), (3, 2)}), frozenset({(3, 1), (2, 3)})
     d = DagCompression(directed=True, n_sinks=2, n_clusters=1, arcs=arcs, cedges=cedges)
-    assert d.arcs is arcs and d.cedges is cedges
+    assert d.arcs == arcs and d.cedges == cedges
     assert DagCompression(directed=True, n_sinks=2, n_clusters=1,
                           arcs=[[3, 1], [3, 2]], cedges=[[3, 1], [2, 3]]) == d
     u = DagCompression(directed=False, n_sinks=2, n_clusters=1, arcs=[[3, 1], [3, 2]],
